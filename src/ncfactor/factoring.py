@@ -5,13 +5,16 @@ parts are recovered degree by degree from the relation between homogeneous
 parts of F and of the factors.  Where the pivot words of the two top parts
 overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
-all symbols is solved exactly (enumeration over F_p, reduced Groebner basis
-description over Q).
+all symbols is solved exactly: by enumeration over F_p, and over Q by its
+reduced lex Groebner basis, which both decides the unit ideal (no
+factorization) and describes the admissible symbol values.  Over F_p the
+basis is never needed for the answer and is computed only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
@@ -50,14 +53,23 @@ class SymbolicFactorization:
     `solutions`).  Over Q with a nonempty system they stay symbolic and
     `solutions` is None; the reduced Groebner basis then describes all
     admissible symbol values.
+
+    `reduced_basis` is the reduced lex Groebner basis of `system` (None for an
+    empty system), computed on first read and cached.  Over Q the solver reads
+    it on every attempt; over F_p only callers that display it do.
     """
 
     left: NCPoly
     right: NCPoly
     system: ConstraintSystem
-    reduced_basis: Optional[tuple[CPoly, ...]]
     solutions: Optional[tuple[Assignment, ...]]
     pivots: tuple[Word, Word]
+
+    @cached_property
+    def reduced_basis(self) -> Optional[tuple[CPoly, ...]]:
+        if not self.system.equations:
+            return None
+        return tuple(reduce_groebner(buchberger(list(self.system.equations))))
 
     @property
     def is_concrete(self) -> bool:
@@ -79,7 +91,6 @@ class FactorOptions:
     enumeration_cap: int = 10**6
     knapsack_budget: int = 500_000
     use_knapsack: bool = True
-    pivot_retry_cap: Optional[int] = None  # None: try every pivot pair
 
     def __post_init__(self):
         if self.enumeration_cap < 1 or self.knapsack_budget < 1:
@@ -342,22 +353,15 @@ def _attempt_pivot(
         h_sym = h_sym + part
 
     system = assemble_constraints(f, g_sym, h_sym)
-    basis: Optional[tuple[CPoly, ...]] = None
-    if system.equations:
-        basis = tuple(reduce_groebner(buchberger(list(system.equations))))
 
     if not fld.is_finite:
-        if basis is not None and list(basis) == [alg.ring.one()]:
-            return None, exhaustive  # unit ideal: no admissible symbol values
-        if not symbols:
-            if system.equations:
-                return None, exhaustive
+        if symbols:
+            fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
+        else:
             left, right = normalize_pair(g_sym, h_sym)
-            fact = SymbolicFactorization(
-                left, right, system, basis, (dict(),), (g_hat, h_hat)
-            )
-            return [fact], exhaustive
-        fact = SymbolicFactorization(g_sym, h_sym, system, basis, None, (g_hat, h_hat))
+            fact = SymbolicFactorization(left, right, system, (dict(),), (g_hat, h_hat))
+        if fact.reduced_basis == (alg.ring.one(),):
+            return None, exhaustive  # unit ideal: no admissible symbol values
         return [fact], exhaustive
 
     solutions = enumerate_solutions(system, cap=options.enumeration_cap)
@@ -376,7 +380,7 @@ def _attempt_pivot(
             continue
         seen.add(key)
         results.append(
-            SymbolicFactorization(left, right, system, basis, (sol,), (g_hat, h_hat))
+            SymbolicFactorization(left, right, system, (sol,), (g_hat, h_hat))
         )
     return results, exhaustive
 
@@ -415,16 +419,13 @@ def factor_bidegree(
         system = ConstraintSystem(ring, ())
         return [
             SymbolicFactorization(
-                g_top, h_top, system, None, (dict(),),
+                g_top, h_top, system, (dict(),),
                 (g_top.leading_word(), h_top.leading_word()),
             )
         ]
 
-    pivot_pairs = _pivot_pairs(g_top, h_top)
-    if options.pivot_retry_cap is not None:
-        pivot_pairs = pivot_pairs[: options.pivot_retry_cap]
     merged: dict = {}
-    for g_hat, h_hat in pivot_pairs:
+    for g_hat, h_hat in _pivot_pairs(g_top, h_top):
         results, exhaustive_attempt = _attempt_pivot(
             f, h, k, g_top, h_top, g_hat, h_hat, options
         )
@@ -509,15 +510,20 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
 
         return admissible
 
-    def raw_divides(target: dict[Monomial, int], cand_terms: dict[Monomial, int], lead: Monomial) -> bool:
-        # exact-division attempt on plain dicts; candidate is monic in `lead`
+    def raw_divides(
+        target: dict[Monomial, int], cand_terms: dict[Monomial, int], lead: Monomial
+    ) -> Optional[dict[Monomial, int]]:
+        # exact division on plain dicts, candidate monic in `lead`: the
+        # quotient's terms, or None when there is a remainder
         r = dict(target)
+        quotient: dict[Monomial, int] = {}
         while r:
             lm = max(r)
             if not monomial_divides(lead, lm):
-                return False
+                return None
             q = monomial_quotient(lm, lead)
             coeff = r.pop(lm)
+            quotient[q] = coeff
             for m, cc in cand_terms.items():
                 if m == lead:
                     continue
@@ -527,7 +533,7 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
                     r[key] = nv
                 else:
                     r.pop(key, None)
-        return True
+        return quotient
 
     while True:
         deg = c.total_degree()
@@ -566,7 +572,8 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
                         continue
                     if admissible is not None and not admissible(cand_terms):
                         continue
-                    if raw_divides(raw_target, cand_terms, lead):
+                    quotient = raw_divides(raw_target, cand_terms, lead)
+                    if quotient is not None:
                         found = CPoly(c.ring, cand_terms)
                         break
                 if found is not None:
@@ -577,26 +584,7 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
             degrees.append(deg)
             return sorted(degrees)
         degrees.append(found.total_degree())
-        quotient = _exact_quotient(c, found)
-        c = quotient
-
-
-def _exact_quotient(c: CPoly, divisor: CPoly) -> CPoly:
-    """c / divisor when the division is exact (remainder already checked zero)."""
-    fld = c.ring.field
-    q = c.ring.zero()
-    r = c
-    dm = divisor.leading_monomial()
-    dc = divisor.leading_coefficient()
-    while not r.is_zero():
-        lm = r.leading_monomial()
-        if not monomial_divides(dm, lm):
-            raise ArithmeticError("division is not exact")
-        mono = monomial_quotient(lm, dm)
-        coeff = fld.div(r.leading_coefficient(), dc)
-        q = q + CPoly(c.ring, {mono: coeff})
-        r = r - divisor.mul_term(mono, coeff)
-    return q
+        c = CPoly(c.ring, quotient)
 
 
 def knapsack_splits(

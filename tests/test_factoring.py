@@ -1,5 +1,6 @@
 import pytest
 
+from ncfactor.cli import Request, run
 from ncfactor.commutative import SymbolRing
 from ncfactor.errors import SearchSpaceTooLargeError
 from ncfactor.factoring import (
@@ -101,6 +102,16 @@ class TestFactorBidegree:
             left = fact.left.substitute_symbols({"a1": value})
             right = fact.right.substitute_symbols({"a1": value})
             assert left * right == f
+
+    @pytest.mark.parametrize(
+        "text,split",
+        [
+            ("y*x*y*x*y - y + x", (2, 3)),  # the system in a1 is the unit ideal
+            ("x*y + 1", (1, 1)),  # no symbols; the system is a nonzero constant
+        ],
+    )
+    def test_rationals_unit_ideal_has_no_factorization(self, text, split):
+        assert factor_bidegree(algebra(None).from_text(text), split) == []
 
     def test_symbol_economy(self):
         # pivots minimize the overlap count and produce one symbol per overlap
@@ -338,3 +349,31 @@ class TestChainFamilyProperty:
                 split = DegreeSplit(left.degree(), right.degree())
                 assert split in found
                 assert _pair_key(*normalize_pair(left, right)) in pair_set(found[split])
+
+
+def test_finite_field_computes_no_groebner_basis_unless_read(monkeypatch):
+    def refuse(gens):
+        raise AssertionError("Groebner basis computed but never read")
+
+    monkeypatch.setattr("ncfactor.factoring.buchberger", refuse)
+    f = ALG.from_text("y*x*y*x*y - y")
+    result = factor_all(f)
+    assert {split: len(facts) for split, facts in result.items()} == {
+        DegreeSplit(1, 4): 1,
+        DegreeSplit(2, 3): 2,
+        DegreeSplit(3, 2): 2,
+        DegreeSplit(4, 1): 1,
+    }
+    request = Request(
+        expression="y*x*y*x*y - y",
+        field=PrimeField(5),
+        variables=None,
+        degrees=None,
+        json_mode=True,
+    )
+    assert run(request)[0] == 0
+
+    monkeypatch.undo()
+    fact = result[DegreeSplit(2, 3)][0]
+    a = fact.system.ring.symbol("a1")
+    assert list(fact.reduced_basis) == [a * a + 4]
