@@ -40,12 +40,10 @@ class Request:
     field: Field
     variables: Optional[tuple[str, ...]]
     degrees: Optional[tuple[int, int]]
-    use_knapsack: bool = True
     groebner: bool = False
     complete: bool = False
     json_mode: bool = False
     max_solutions: int = 10**6
-    budget: int = 500_000
 
 
 def _field_name(field: Field) -> str:
@@ -121,20 +119,17 @@ def run(request: Request) -> tuple[int, str]:
         poly = parse_expression(request.expression, algebra)
     except ParseError as e:
         return 2, f"parse error: {e}"
-    options = FactorOptions(
-        enumeration_cap=request.max_solutions,
-        knapsack_budget=request.budget,
-        use_knapsack=request.use_knapsack,
-    )
 
     lines = [f"input: {poly}", f"field: {_field_name(request.field)}"]
     out: dict = {"input": request.expression, "field": _field_name(request.field)}
     try:
+        options = FactorOptions(enumeration_cap=request.max_solutions)
         if request.degrees is not None:
             h, k = request.degrees
             split_results = {DegreeSplit(h, k): factor_bidegree(poly, (h, k), options)}
         else:
             split_results = factor_all(poly, options)
+        chains = factor_completely(poly, options=options) if request.complete else None
     except NCFactorError as e:
         return 3, f"error: {e}"
     except ValueError as e:
@@ -163,8 +158,7 @@ def run(request: Request) -> tuple[int, str]:
     if not found_any:
         if request.degrees is None:
             lines.append("irreducible (no two-factor splits)")
-    if request.complete:
-        chains = factor_completely(poly, options=options)
+    if chains is not None:
         out["chains"] = [
             {
                 "factors": [str(p) for p in chain.factors],
@@ -193,12 +187,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     field_group.add_argument("--rationals", action="store_true", help="work over the rational numbers")
     parser.add_argument("--vars", metavar="NAMES", help="comma-separated variable names, in order (default: identifiers of the expression, sorted)")
     parser.add_argument("--degrees", metavar="H,K", help="restrict to one degree split h,k")
-    parser.add_argument("--no-knapsack", action="store_true", help="disable the commutative-image degree filter")
     parser.add_argument("--groebner", action="store_true", help="print the reduced lexicographic Groebner basis of each constraint system")
     parser.add_argument("--complete", action="store_true", help="also report maximal factorization chains")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument("--max-solutions", type=int, default=10**6, metavar="N", help="cap on exhaustive symbol enumeration (default 10^6)")
-    parser.add_argument("--budget", type=int, default=500_000, metavar="N", help="trial budget for the degree filter (default 500000)")
     parser.add_argument("expression", help="polynomial expression, or - to read stdin")
     return parser
 
@@ -231,12 +223,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         field=field,
         variables=variables,
         degrees=degrees,
-        use_knapsack=not args.no_knapsack,
         groebner=args.groebner,
         complete=args.complete,
         json_mode=args.json,
         max_solutions=args.max_solutions,
-        budget=args.budget,
     )
     code, report = run(request)
     print(report, file=sys.stderr if code else sys.stdout)

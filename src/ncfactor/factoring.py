@@ -13,8 +13,7 @@ basis is never needed for the answer and is computed only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
@@ -55,8 +54,10 @@ class SymbolicFactorization:
     admissible symbol values.
 
     `reduced_basis` is the reduced lex Groebner basis of `system` (None for an
-    empty system), computed on first read and cached.  Over Q the solver reads
-    it on every attempt; over F_p only callers that display it do.
+    empty system), computed on first read and cached; the facts of one pivot
+    attempt share one system and one cache, so it is computed once per system.
+    Over Q the solver reads it on every attempt; over F_p only callers that
+    display it do.
     """
 
     left: NCPoly
@@ -64,12 +65,14 @@ class SymbolicFactorization:
     system: ConstraintSystem
     solutions: Optional[tuple[Assignment, ...]]
     pivots: tuple[Word, Word]
+    _cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
-    @cached_property
+    @property
     def reduced_basis(self) -> Optional[tuple[CPoly, ...]]:
-        if not self.system.equations:
-            return None
-        return tuple(reduce_groebner(buchberger(list(self.system.equations))))
+        if "basis" not in self._cache:
+            equations = list(self.system.equations)
+            self._cache["basis"] = tuple(reduce_groebner(buchberger(equations))) if equations else None
+        return self._cache["basis"]
 
     @property
     def is_concrete(self) -> bool:
@@ -89,12 +92,10 @@ class FactorOptions:
     """Tuning knobs shared by the factorization drivers."""
 
     enumeration_cap: int = 10**6
-    knapsack_budget: int = 500_000
-    use_knapsack: bool = True
 
     def __post_init__(self):
-        if self.enumeration_cap < 1 or self.knapsack_budget < 1:
-            raise ValueError("caps must be positive")
+        if self.enumeration_cap < 1:
+            raise ValueError("enumeration cap must be positive")
 
 
 DEFAULT_OPTIONS = FactorOptions()
@@ -367,6 +368,7 @@ def _attempt_pivot(
     solutions = enumerate_solutions(system, cap=options.enumeration_cap)
     if not solutions:
         return None, exhaustive
+    cache: dict = {}
     results: list[SymbolicFactorization] = []
     seen = set()
     for sol in solutions:
@@ -380,7 +382,7 @@ def _attempt_pivot(
             continue
         seen.add(key)
         results.append(
-            SymbolicFactorization(left, right, system, (sol,), (g_hat, h_hat))
+            SymbolicFactorization(left, right, system, (sol,), (g_hat, h_hat), _cache=cache)
         )
     return results, exhaustive
 
@@ -622,22 +624,19 @@ def knapsack_splits(
 def factor_all(
     f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS
 ) -> dict[DegreeSplit, list[SymbolicFactorization]]:
-    """Factorizations of f at every admissible split, keyed by split.
+    """Factorizations of f at every split, keyed by split; empty splits are left out.
 
-    Splits come from the knapsack filter unless disabled; only splits with
-    at least one factorization appear in the result.
+    `knapsack_splits` is not consulted: it never changes an answer, and its
+    trial division costs more than the top-part check every split starts with.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() < 2:
         raise ValueError("need degree >= 2 for a nontrivial split")
-    if options.use_knapsack:
-        splits = knapsack_splits(f, budget=options.knapsack_budget)
-    else:
-        n = f.degree()
-        splits = {DegreeSplit(b, n - b) for b in range(1, n)}
+    n = f.degree()
     out: dict[DegreeSplit, list[SymbolicFactorization]] = {}
-    for split in sorted(splits):
+    for b in range(1, n):
+        split = DegreeSplit(b, n - b)
         results = factor_bidegree(f, split, options)
         if results:
             out[split] = results

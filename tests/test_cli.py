@@ -86,11 +86,6 @@ class TestBehavior:
         assert code == 0
         assert "(x) * (x)" in out
 
-    def test_no_knapsack_same_result(self):
-        _, with_filter, _ = capture(["--field", "5", "y*x*y*x*y - y"])
-        _, without, _ = capture(["--field", "5", "--no-knapsack", "y*x*y*x*y - y"])
-        assert with_filter == without
-
 
 class TestErrors:
     def test_parse_error_nonzero_exit(self):
@@ -119,6 +114,21 @@ class TestErrors:
         )
         assert code == 3
         assert "cap is 2" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_max_solutions_is_usage_error(self, cap):
+        code, _, err = capture(["--field", "5", "--max-solutions", cap, "x*x"])
+        assert code == 2
+        assert err == "error: enumeration cap must be positive\n"
+
+    def test_cap_exhaustion_in_complete_chains(self):
+        # the (1,4) split needs no symbols, but the chains try every split and
+        # (2,3) has a one-symbol system over a field too large to enumerate
+        argv = ["--field", "2147483647", "--degrees", "1,4", "--complete", "y*x*y*x*y - y"]
+        code, out, err = capture(argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: enumeration needs 2147483647 points, cap is 1000000\n"
 
     def test_duplicate_variable_names(self):
         code, _, err = capture(["--field", "5", "--vars", "x,x", "x*x"])

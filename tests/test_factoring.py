@@ -274,13 +274,24 @@ class TestFactorAll:
         assert len(result[DegreeSplit(2, 3)]) == 2
         assert len(result[DegreeSplit(3, 2)]) == 2
 
-    def test_factor_all_matches_oracle_at_unfiltered_splits(self):
-        f = ALG.from_text("y*x*y*x*y - y")
-        with_filter = factor_all(f)
-        without = factor_all(f, FactorOptions(use_knapsack=False))
-        assert {s: pair_set(v) for s, v in with_filter.items()} == {
-            s: pair_set(v) for s, v in without.items()
-        }
+    def test_factor_all_tries_every_split(self):
+        # factor_all is factor_bidegree at every split, and the degree filter
+        # still admits every split that has an answer
+        polys = [ALG.from_text("y*x*y*x*y - y")]
+        for seed in range(40):
+            field = PrimeField(2 + seed % 2)
+            f, _, _ = random_factorable(seed, field, 1 + seed % 3, 1 + (seed // 3) % 3, term_cap=3)
+            polys.append(f)
+        for f in polys:
+            n = f.degree()
+            expected = {}
+            for b in range(1, n):
+                facts = factor_bidegree(f, (b, n - b))
+                if facts:
+                    expected[DegreeSplit(b, n - b)] = pair_set(facts)
+            result = factor_all(f)
+            assert {s: pair_set(v) for s, v in result.items()} == expected
+            assert set(result) <= knapsack_splits(f)
 
     def test_irreducible_polynomial_empty(self):
         assert factor_all(ALG.from_text("x*x - y*y")) == {}
@@ -377,3 +388,26 @@ def test_finite_field_computes_no_groebner_basis_unless_read(monkeypatch):
     fact = result[DegreeSplit(2, 3)][0]
     a = fact.system.ring.symbol("a1")
     assert list(fact.reduced_basis) == [a * a + 4]
+
+
+def test_groebner_basis_computed_once_per_system(monkeypatch):
+    # the two F_5 factorizations at (2,3) come from one system, and so do the
+    # two at (3,2): --groebner needs one basis for each
+    calls = []
+
+    def counting(gens):
+        calls.append(gens)
+        return buchberger(gens)
+
+    monkeypatch.setattr("ncfactor.factoring.buchberger", counting)
+    request = Request(
+        expression="y*x*y*x*y - y",
+        field=PrimeField(5),
+        variables=None,
+        degrees=None,
+        groebner=True,
+    )
+    code, report = run(request)
+    assert code == 0
+    assert report.count("reduced basis: a1^2 + 4") == 2
+    assert len(calls) == 2
