@@ -1,12 +1,14 @@
 """Command-line front end: parse an expression, factor it, print a report.
 
-Text mode prints one parenthesized product per factorization; JSON mode
-emits a stable schema:
+The report is built once, as the JSON object of a stable schema:
 
     {input, field, splits: [{h, k, factorizations:
-        [{G, H, symbols, system, reduced_basis, solutions}]}]}
+        [{G, H, symbols, system, reduced_basis, solutions}]}],
+     chains: [{factors, complete}]}        (chains only with --complete)
 
-Both modes are byte-deterministic for a fixed invocation.
+JSON mode emits it; text mode renders it as one parenthesized product per
+factorization, reading nothing but its strings.  Both modes are
+byte-deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -43,19 +45,11 @@ class Request:
     groebner: bool = False
     complete: bool = False
     json_mode: bool = False
-    max_solutions: int = 10**6
+    max_solutions: int = FactorOptions.enumeration_cap
 
 
 def _field_name(field: Field) -> str:
     return f"F_{field.p}" if isinstance(field, PrimeField) else "Q"
-
-
-def _scalar_str(field: Field, value) -> str:
-    return field.format(value)
-
-
-def _solution_obj(field: Field, solution: dict) -> dict:
-    return {name: _scalar_str(field, value) for name, value in sorted(solution.items())}
 
 
 def _fact_obj(field: Field, fact: SymbolicFactorization, groebner: bool) -> dict:
@@ -68,39 +62,48 @@ def _fact_obj(field: Field, fact: SymbolicFactorization, groebner: bool) -> dict
             [str(b) for b in fact.reduced_basis] if groebner and fact.reduced_basis is not None else None
         ),
         "solutions": (
-            [_solution_obj(field, s) for s in fact.solutions]
+            [{name: field.format(v) for name, v in sorted(s.items())} for s in fact.solutions]
             if fact.solutions is not None
             else None
         ),
     }
 
 
-def _render_fact_lines(field: Field, facts: list[SymbolicFactorization], groebner: bool) -> list[str]:
-    lines = []
-    for fact in facts:
-        line = f"  ({fact.left}) * ({fact.right})"
-        if fact.solutions and fact.solutions[0]:
-            assign = "; ".join(
-                f"{name} = {_scalar_str(field, value)}"
-                for name, value in sorted(fact.solutions[0].items())
-            )
-            line += f"   [{assign}]"
-        lines.append(line)
-    # Attempt-level context: symbols and equations are shared per pivot run.
-    shown = set()
-    for fact in facts:
-        ctx = (fact.system.symbols, tuple(str(e) for e in fact.system.equations))
-        if not fact.system.symbols or ctx in shown:
+def _render_text(input_text: str, report: dict, all_splits: bool) -> str:
+    """The text report, built from the strings of the JSON report alone."""
+    lines = [f"input: {input_text}", f"field: {report['field']}"]
+    for split in report["splits"]:
+        facts = split["factorizations"]
+        if not facts:
+            lines.append(f"irreducible at ({split['h']}, {split['k']})")
             continue
-        shown.add(ctx)
-        lines.append(f"  symbols: {', '.join(fact.system.symbols)}")
-        if fact.system.equations:
-            lines.append(f"  system: {fact.system}")
-        if groebner and fact.reduced_basis is not None:
-            lines.append(
-                "  reduced basis: " + "; ".join(str(b) for b in fact.reduced_basis)
-            )
-    return lines
+        lines.append(f"split ({split['h']}, {split['k']}):")
+        for fact in facts:
+            line = f"  ({fact['G']}) * ({fact['H']})"
+            if fact["solutions"] and fact["solutions"][0]:
+                assign = "; ".join(f"{name} = {value}" for name, value in fact["solutions"][0].items())
+                line += f"   [{assign}]"
+            lines.append(line)
+        # Attempt-level context: symbols and equations are shared per pivot run.
+        shown = set()
+        for fact in facts:
+            ctx = (tuple(fact["symbols"]), tuple(fact["system"]))
+            if not fact["symbols"] or ctx in shown:
+                continue
+            shown.add(ctx)
+            lines.append(f"  symbols: {', '.join(fact['symbols'])}")
+            if fact["system"]:
+                lines.append("  system: " + "; ".join(f"{eq} = 0" for eq in fact["system"]))
+            if fact["reduced_basis"] is not None:
+                lines.append("  reduced basis: " + "; ".join(fact["reduced_basis"]))
+    if all_splits and not any(split["factorizations"] for split in report["splits"]):
+        lines.append("irreducible (no two-factor splits)")
+    if "chains" in report:
+        lines.append("complete factorizations:")
+        for chain in report["chains"]:
+            suffix = "" if chain["complete"] else "   [depth cap reached]"
+            lines.append("  " + " * ".join(f"({p})" for p in chain["factors"]) + suffix)
+    return "\n".join(lines)
 
 
 def run(request: Request) -> tuple[int, str]:
@@ -120,8 +123,6 @@ def run(request: Request) -> tuple[int, str]:
     except ParseError as e:
         return 2, f"parse error: {e}"
 
-    lines = [f"input: {poly}", f"field: {_field_name(request.field)}"]
-    out: dict = {"input": request.expression, "field": _field_name(request.field)}
     try:
         options = FactorOptions(enumeration_cap=request.max_solutions)
         if request.degrees is not None:
@@ -135,45 +136,29 @@ def run(request: Request) -> tuple[int, str]:
     except ValueError as e:
         return 2, f"error: {e}"
 
-    found_any = False
-    splits_obj = []
-    for split in sorted(split_results):
-        facts = split_results[split]
-        splits_obj.append(
+    report: dict = {
+        "input": request.expression,
+        "field": _field_name(request.field),
+        "splits": [
             {
                 "h": split.h,
                 "k": split.k,
                 "factorizations": [
-                    _fact_obj(request.field, f, request.groebner) for f in facts
+                    _fact_obj(request.field, f, request.groebner) for f in split_results[split]
                 ],
             }
-        )
-        if facts:
-            found_any = True
-            lines.append(f"split ({split.h}, {split.k}):")
-            lines.extend(_render_fact_lines(request.field, facts, request.groebner))
-        else:
-            lines.append(f"irreducible at ({split.h}, {split.k})")
-    out["splits"] = splits_obj
-    if not found_any:
-        if request.degrees is None:
-            lines.append("irreducible (no two-factor splits)")
+            for split in sorted(split_results)
+        ],
+    }
     if chains is not None:
-        out["chains"] = [
-            {
-                "factors": [str(p) for p in chain.factors],
-                "complete": chain.complete,
-            }
+        report["chains"] = [
+            {"factors": [str(p) for p in chain.factors], "complete": chain.complete}
             for chain in chains
         ]
-        lines.append("complete factorizations:")
-        for chain in chains:
-            suffix = "" if chain.complete else "   [depth cap reached]"
-            lines.append("  " + " * ".join(f"({p})" for p in chain.factors) + suffix)
 
     if request.json_mode:
-        return 0, json.dumps(out, indent=2)
-    return 0, "\n".join(lines)
+        return 0, json.dumps(report, indent=2)
+    return 0, _render_text(str(poly), report, request.degrees is None)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -190,7 +175,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--groebner", action="store_true", help="print the reduced lexicographic Groebner basis of each constraint system")
     parser.add_argument("--complete", action="store_true", help="also report maximal factorization chains")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--max-solutions", type=int, default=10**6, metavar="N", help="cap on exhaustive symbol enumeration (default 10^6)")
+    parser.add_argument("--max-solutions", type=int, default=FactorOptions.enumeration_cap, metavar="N", help="cap on exhaustive symbol enumeration (default %(default)s)")
     parser.add_argument("expression", help="polynomial expression, or - to read stdin")
     return parser
 

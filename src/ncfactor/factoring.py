@@ -648,8 +648,9 @@ def factor_completely(
 ) -> list[FactorChain]:
     """Maximal factorization chains of f, recursing through concrete factors.
 
-    Chains are deduplicated; a branch cut by the depth cap is reported as an
-    incomplete chain rather than an error.
+    Chains are deduplicated and sorted by the text of their factors; a branch
+    cut by the depth cap is reported as an incomplete chain rather than an
+    error.
     """
     if depth_cap < 1:
         raise ValueError("depth cap must be >= 1")
@@ -685,9 +686,7 @@ def factor_completely(
                     prev = collected.get(key)
                     if prev is None or (complete and not prev.complete):
                         collected[key] = FactorChain(factors, complete)
-        memo[memo_key] = sorted(
-            collected.values(), key=lambda ch: tuple(str(p) for p in ch.factors)
-        )
+        memo[memo_key] = list(collected.values())
         return memo[memo_key]
 
-    return chains(f, depth_cap)
+    return sorted(chains(f, depth_cap), key=lambda ch: tuple(str(p) for p in ch.factors))

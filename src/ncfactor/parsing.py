@@ -133,10 +133,7 @@ class _Parser:
                 if exp_tok.kind != "int":
                     raise ParseError("exponent must be an integer", exp_tok.pos, ("INT",))
                 self.advance()
-                power = self.algebra.one()
-                for _ in range(int(exp_tok.text)):
-                    power = power * var
-                return power
+                return self.algebra.monomial(var.leading_word() * int(exp_tok.text), 1)
             return var
         if tok.kind == "op" and tok.text == "(":
             self.advance()

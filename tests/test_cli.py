@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ncfactor.cli import Request, main, run
+from ncfactor.cli import Request, _render_text, main, run
 from ncfactor.fields import PrimeField, RationalField
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,6 +29,21 @@ class TestGolden:
         code, out, _ = capture(["--field", "5", "--groebner", "--json", "y*x*y*x*y - y"])
         assert code == 0
         assert out == (GOLDEN / "quintic_example.json").read_text()
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("rationals_symbolic", ["--rationals", "--groebner", "x*x - 1"]),
+            ("irreducible_at_split", ["--field", "5", "--degrees", "1,1", "x*x - y*y"]),
+            ("irreducible_all_splits", ["--field", "5", "x*x - y*y"]),
+            ("quintic_chains", ["--field", "5", "--complete", "y*x*y*x*y - y"]),
+        ],
+    )
+    @pytest.mark.parametrize("suffix,extra", [("txt", []), ("json", ["--json"])])
+    def test_report_paths_byte_identical(self, name, argv, suffix, extra):
+        code, out, _ = capture(extra + argv)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.{suffix}").read_text()
 
     def test_runs_are_deterministic(self):
         argv = ["--field", "5", "--groebner", "--json", "y*x*y*x*y - y"]
@@ -64,6 +79,18 @@ class TestBehavior:
         code, out, _ = capture(["--field", "5", "--degrees", "1,1", "x*x - y*y"])
         assert code == 0
         assert "irreducible at (1, 1)" in out
+
+    def test_chain_cut_by_depth_cap_is_marked(self):
+        report = {
+            "field": "F_2",
+            "splits": [],
+            "chains": [
+                {"factors": ["x", "x*x"], "complete": False},
+                {"factors": ["x", "x", "x"], "complete": True},
+            ],
+        }
+        lines = _render_text("x^3", report, all_splits=False).splitlines()
+        assert lines[-2:] == ["  (x) * (x*x)   [depth cap reached]", "  (x) * (x) * (x)"]
 
     def test_monomial_square(self):
         code, out, _ = capture(["--field", "3", "x*x"])

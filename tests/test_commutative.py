@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +238,53 @@ def test_normal_form_is_reduced(p, q):
     lm = q.leading_monomial()
     for mono, _ in r.terms():
         assert not all(x <= y for x, y in zip(lm, mono))
+
+
+
+def _monic_terms(terms, field):
+    """A basis element as a set of (monomial, coefficient) pairs, scaled monic."""
+    terms = [(mono, field.coerce(c)) for mono, c in terms]
+    lead = max(terms)[1]
+    return frozenset((mono, field.div(c, lead)) for mono, c in terms if c != 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, None])
+def test_reduced_lex_basis_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    field = PrimeField(p) if p else RationalField()
+    rng = random.Random(p or 0)
+    for _ in range(46):
+        names = ("a", "b", "c")[: rng.randint(1, 3)]
+        ring = SymbolRing(field, names)
+        gens = [
+            ring.poly(
+                {
+                    tuple(rng.randint(0, 2) for _ in names): rng.randint(-3, 3)
+                    for _ in range(rng.randint(1, 3))
+                }
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        ours = {_monic_terms(g.terms(), field) for g in reduce_groebner(buchberger(gens))}
+        syms = sympy.symbols(names)
+        exprs = [
+            sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod(s**e for s, e in zip(syms, mono))
+                for mono, c in g.terms()
+            )
+            for g in gens
+        ]
+        basis = sympy.groebner(exprs, *syms, order="lex", **({"modulus": p} if p else {}))
+        # field.coerce maps sympy's symmetric residues mod p back to canonical ones
+        theirs = {
+            _monic_terms(
+                [(mono, Fraction(int(c.p), int(c.q))) for mono, c in sympy.Poly(g, *syms).terms()],
+                field,
+            )
+            for g in basis.exprs
+        }
+        assert ours == theirs, (p, names, [str(g) for g in gens])

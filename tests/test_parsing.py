@@ -26,6 +26,11 @@ class TestGrammar:
         f = parse_expression("x^2 - 1", one_var)
         assert f == one_var.poly({(0, 0): 1, (): -1})
 
+    def test_power_is_one_word(self):
+        one_var = algebra(names=("x",))
+        assert parse_expression("x^0 + x^3", one_var) == one_var.poly({(): 1, (0, 0, 0): 1})
+        assert parse_expression("x^100000", one_var).degree() == 100000
+
     def test_order_preserved(self):
         f = parse_expression("x*y - y*x", ALG)
         assert not f.is_zero()
