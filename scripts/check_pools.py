@@ -1,0 +1,37 @@
+"""Check every recorded benchmark input against its answer gate.
+
+Sends each stratum entry and each recorded failure of the benchmark pools
+(``perfbench/pool/``) to the package in this checkout's ``src`` and checks
+the outcome with the benchmark's own gate (``perfbench/workloads.py``):
+multiply-back, planted pair, chain count, recorded answer digest or cap stop.
+Stops with exit 1 at the first wrong or lost answer.
+
+Usage: python scripts/check_pools.py [WORKLOAD ...]   (default: all three)
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads as wl
+
+
+def main(names: list[str]) -> int:
+    pkg = wl.import_package()
+    for workload in names or wl.WORKLOADS:
+        pool = wl.load_pool(workload)
+        entries = [e for stratum in pool["strata"] for e in stratum] + pool["failures"]
+        for entry in entries:
+            item = wl.make_item(pkg, workload, entry)
+            try:
+                item.check(item.call())
+            except wl.GateError as exc:
+                print(f"{workload}: {exc}", file=sys.stderr)
+                return 1
+        print(f"{workload}: {len(entries)} inputs give their recorded answers")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -108,6 +108,32 @@ class SymbolRing:
         return f"SymbolRing({self.field!r}, symbols={self.symbols})"
 
 
+def scalar_term(field: Field, value: Scalar, unit: str) -> tuple[bool, str]:
+    """(negative, body) of the term value*unit; `unit` is "" for a constant.
+
+    Only a negative rational prints with a sign; a unit magnitude is left out
+    in front of a nonempty unit.
+    """
+    negative = not isinstance(value, int) and value < 0
+    mag = -value if negative else value
+    if not unit:
+        return negative, field.format(mag)
+    if mag == field.one:
+        return negative, unit
+    return negative, f"{field.format(mag)}*{unit}"
+
+
+def join_terms(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, body) terms as "-a + b - c"; no terms print as "0"."""
+    chunks: list[str] = []
+    for negative, body in terms:
+        if not chunks:
+            chunks.append(f"-{body}" if negative else body)
+        else:
+            chunks.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(chunks) if chunks else "0"
+
+
 def _check_same_ring(a: "CPoly", b: "CPoly") -> None:
     if a.ring != b.ring:
         raise ContextMismatchError(f"rings differ: {a.ring!r} vs {b.ring!r}")
@@ -273,7 +299,8 @@ class CPoly:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self._terms.items())))
+        # terms only: equal polynomials hash equal, and __eq__ separates rings
+        return hash(frozenset(self._terms.items()))
 
     def _format_monomial(self, mono: Monomial) -> str:
         parts = []
@@ -285,25 +312,10 @@ class CPoly:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         f = self.ring.field
-        chunks: list[str] = []
-        for mono, coeff in self.terms():
-            mono_str = self._format_monomial(mono)
-            negative = not isinstance(coeff, int) and coeff < 0
-            mag = -coeff if negative else coeff
-            if not mono_str:
-                body = f.format(mag)
-            elif mag == f.one:
-                body = mono_str
-            else:
-                body = f"{f.format(mag)}*{mono_str}"
-            if not chunks:
-                chunks.append(f"-{body}" if negative else body)
-            else:
-                chunks.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(chunks)
+        return join_terms(
+            scalar_term(f, coeff, self._format_monomial(mono)) for mono, coeff in self.terms()
+        )
 
     def __repr__(self) -> str:
         return f"CPoly({self})"

@@ -101,14 +101,6 @@ class FactorOptions:
 DEFAULT_OPTIONS = FactorOptions()
 
 
-def _poly_key(p: NCPoly):
-    return tuple(sorted((w, tuple(sorted(c._terms.items()))) for w, c in p._terms.items()))
-
-
-def _pair_key(g: NCPoly, h: NCPoly):
-    return (_poly_key(g), _poly_key(h))
-
-
 def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
     """Coefficient-matching system for f = g*h.
 
@@ -125,17 +117,10 @@ def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
     return ConstraintSystem(g.algebra.ring, equations)
 
 
-def _pivot_pairs(g_top: NCPoly, h_top: NCPoly) -> list[tuple[Word, Word]]:
-    """Pivot candidates sorted by overlap count, then canonically."""
-    pairs = [(u, v) for u in g_top.words() for v in h_top.words()]
-    pairs.sort(key=lambda uv: (len(overlap_lengths(uv[0], uv[1])), uv[0], uv[1]))
-    return pairs
-
-
 def _solve_step(
     fhat: NCPoly,
-    g_top: NCPoly,
-    h_top: NCPoly,
+    g_words: dict[Word, Scalar],
+    h_words: dict[Word, Scalar],
     h_minus_j: int,
     k_minus_j: int,
     known: dict[tuple[str, Word], CPoly],
@@ -147,12 +132,14 @@ def _solve_step(
 
         fhat[M] = G_top[M[:h]] * H_new[M[h:]] + G_new[M[:h-j]] * H_top[M[h-j:]]
 
-    because words concatenate uniquely at a fixed cut.  Unknowns reachable
-    from the support of fhat (directly or through cancellation against other
-    head words) are collected by closure and the sparse system is solved by
-    Gaussian elimination over the base field; right-hand sides may involve
-    extension symbols from earlier steps.  Unconstrained unknowns are set to
-    zero; entries fixed by the overlap symbol arrive through `known`.
+    because words concatenate uniquely at a fixed cut; `g_words` and
+    `h_words` map the head words of G_top and H_top to their coefficients.
+    Unknowns reachable from the support of fhat (directly or through
+    cancellation against other head words) are collected by closure and the
+    sparse system is solved by Gaussian elimination over the base field;
+    right-hand sides may involve extension symbols from earlier steps.
+    Unconstrained unknowns are set to zero; entries fixed by the overlap
+    symbol arrive through `known`.
 
     Returns (solution, underdetermined).  When `underdetermined` is True the
     zeroed unknowns were genuinely free, so the step may have dropped
@@ -161,10 +148,7 @@ def _solve_step(
     """
     alg = fhat.algebra
     fld = alg.field
-    h = g_top.degree()
-    k = h_top.degree()
-    g_words = {w: g_top.coefficient(w).constant_value() for w in g_top.words()}
-    h_words = {w: h_top.coefficient(w).constant_value() for w in h_top.words()}
+    h = len(next(iter(g_words)))
 
     def equation_monomials(unknown: tuple[str, Word]) -> list[Word]:
         kind, word = unknown
@@ -272,45 +256,38 @@ def _solve_step(
     return solution, underdetermined
 
 
+Pivot = tuple[Word, Word, tuple[int, ...]]  # (g_hat, h_hat, overlap lengths)
+
+
 def _attempt_pivot(
     f: NCPoly,
-    h: int,
-    k: int,
     g_top: NCPoly,
     h_top: NCPoly,
-    g_hat: Word,
-    h_hat: Word,
+    g_head: dict[Word, Scalar],
+    h_head: dict[Word, Scalar],
+    pivot: Pivot,
     options: FactorOptions,
 ) -> tuple[Optional[list[SymbolicFactorization]], bool]:
     """Run the degree-by-degree recovery for one pivot pair.
 
-    Returns (results, exhaustive).  `results` is None when the assembled
-    system is inconsistent.  `exhaustive` is True when every recovery step
-    was fully determined (given the overlap symbols), in which case the
-    result is the complete answer at this split; otherwise zeroed free
-    coefficients may have dropped factorizations and the caller should merge
-    answers across pivot pairs.
+    Returns (results, determined).  `results` is None when the assembled
+    system is inconsistent.  `determined` is True when every recovery step
+    was fully determined (given the overlap symbols); otherwise zeroed free
+    coefficients may have dropped factorizations.
     """
+    g_hat, h_hat, overlaps = pivot
     n = f.degree()
+    h, k = g_top.degree(), h_top.degree()
     fld = f.algebra.field
-    overlaps = overlap_lengths(g_hat, h_hat)
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
     symbol_at = dict(zip(overlaps, symbols))
     alg = f.algebra.extend_symbols(symbols)
     f_ext = f.lift(alg)
-    gamma = g_top.coefficient(g_hat).constant_value()
-    eta = h_top.coefficient(h_hat).constant_value()
-    g_top_ext = g_top.lift(alg)
-    h_top_ext = h_top.lift(alg)
-    g_parts: dict[int, NCPoly] = {h: g_top_ext}
-    h_parts: dict[int, NCPoly] = {k: h_top_ext}
-    exhaustive = True
-    # A non-pivot head pair with an overlap admits a cancellation pattern the
-    # pivot symbols cannot parametrize; treat such attempts as non-exhaustive.
-    for u in g_top.words():
-        for v in h_top.words():
-            if (u, v) != (g_hat, h_hat) and overlap_lengths(u, v):
-                exhaustive = False
+    gamma = g_head[g_hat]
+    eta = h_head[h_hat]
+    g_parts: dict[int, NCPoly] = {h: g_top.lift(alg)}
+    h_parts: dict[int, NCPoly] = {k: h_top.lift(alg)}
+    determined = True
 
     for j in range(1, max(h, k) + 1):
         fhat = f_ext.homogeneous_part(n - j)
@@ -328,30 +305,21 @@ def _attempt_pivot(
             alpha = alg.ring.symbol(symbol_at[j])
             known[("G", g_hat[: h - j])] = alpha
             known[("H", h_hat[j:])] = (c - alpha.scale(eta)).scale(fld.inv(gamma))
-        solution, underdetermined = _solve_step(
-            fhat, g_top_ext, h_top_ext, h - j, k - j, known
-        )
+        solution, underdetermined = _solve_step(fhat, g_head, h_head, h - j, k - j, known)
         if underdetermined:
-            exhaustive = False
+            determined = False
+        parts: dict[str, dict[Word, CPoly]] = {"G": {}, "H": {}}
+        for (kind, word), value in solution.items():
+            if not value.is_zero():
+                parts[kind][word] = value
         if h - j >= 0:
-            g_new = alg.zero()
-            for (kind, word), value in sorted(solution.items()):
-                if kind == "G":
-                    g_new = g_new + alg.monomial(word, value)
-            g_parts[h - j] = g_new
+            g_parts[h - j] = NCPoly(alg, parts["G"])
         if k - j >= 0:
-            h_new = alg.zero()
-            for (kind, word), value in sorted(solution.items()):
-                if kind == "H":
-                    h_new = h_new + alg.monomial(word, value)
-            h_parts[k - j] = h_new
+            h_parts[k - j] = NCPoly(alg, parts["H"])
 
-    g_sym = alg.zero()
-    for part in g_parts.values():
-        g_sym = g_sym + part
-    h_sym = alg.zero()
-    for part in h_parts.values():
-        h_sym = h_sym + part
+    # parts of one factor have distinct degrees, so their terms never collide
+    g_sym = NCPoly(alg, {w: c for part in g_parts.values() for w, c in part._terms.items()})
+    h_sym = NCPoly(alg, {w: c for part in h_parts.values() for w, c in part._terms.items()})
 
     system = assemble_constraints(f, g_sym, h_sym)
 
@@ -362,29 +330,28 @@ def _attempt_pivot(
             left, right = normalize_pair(g_sym, h_sym)
             fact = SymbolicFactorization(left, right, system, (dict(),), (g_hat, h_hat))
         if fact.reduced_basis == (alg.ring.one(),):
-            return None, exhaustive  # unit ideal: no admissible symbol values
-        return [fact], exhaustive
+            return None, determined  # unit ideal: no admissible symbol values
+        return [fact], determined
 
     solutions = enumerate_solutions(system, cap=options.enumeration_cap)
     if not solutions:
-        return None, exhaustive
+        return None, determined
     cache: dict = {}
     results: list[SymbolicFactorization] = []
-    seen = set()
+    seen: set[tuple[NCPoly, NCPoly]] = set()
     for sol in solutions:
         left = g_sym.substitute_symbols(sol)
         right = h_sym.substitute_symbols(sol)
         left, right = normalize_pair(left, right)
         if left * right != f:
             raise AssertionError("solved factor pair fails to multiply back to f")
-        key = _pair_key(left, right)
-        if key in seen:
+        if (left, right) in seen:
             continue
-        seen.add(key)
+        seen.add((left, right))
         results.append(
             SymbolicFactorization(left, right, system, (sol,), (g_hat, h_hat), _cache=cache)
         )
-    return results, exhaustive
+    return results, determined
 
 
 def factor_bidegree(
@@ -395,19 +362,25 @@ def factor_bidegree(
     """All factorizations f = G*H with deg G = h and deg H = k.
 
     Empty list means no factorization exists at this split.  The top parts
-    are forced by the homogeneous algorithm; pivot pairs are tried in order
-    of increasing overlap count.  An attempt whose recovery steps were all
-    fully determined settles the split outright; otherwise the answers of
-    every consistent attempt are merged, since a free coefficient zeroed in
-    one attempt can be reached through another pivot pair's overlap symbol.
+    are forced by the homogeneous algorithm, and with them the head
+    coefficients and every pivot pair's overlaps; pivot pairs are tried in
+    order of increasing overlap count.  An attempt settles the split outright
+    when its recovery steps were all fully determined and no other head pair
+    overlaps (such an overlap admits a cancellation the pivot symbols cannot
+    parametrize); otherwise the answers of every consistent attempt are
+    merged, since a free coefficient zeroed in one attempt can be reached
+    through another pivot pair's overlap symbol.
     """
     h, k = split
     if h < 1 or k < 1:
         raise ValueError(f"factor degrees must be >= 1, got ({h}, {k})")
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if not f.has_constant_coefficients():
-        raise ValueError("input must have constant coefficients")
+    if f.algebra.ring.symbols:
+        raise ValueError(
+            f"input algebra declares symbols {f.algebra.ring.symbols}; "
+            "factor over a symbol-free algebra"
+        )
     if f.degree() != h + k:
         raise ValueError(f"degree {f.degree()} != {h} + {k}")
 
@@ -426,15 +399,20 @@ def factor_bidegree(
             )
         ]
 
-    merged: dict = {}
-    for g_hat, h_hat in _pivot_pairs(g_top, h_top):
-        results, exhaustive_attempt = _attempt_pivot(
-            f, h, k, g_top, h_top, g_hat, h_hat, options
-        )
-        if exhaustive_attempt:
+    g_head = {w: g_top.coefficient(w).constant_value() for w in g_top.words()}
+    h_head = {w: h_top.coefficient(w).constant_value() for w in h_top.words()}
+    pivots = sorted(
+        ((u, v, overlap_lengths(u, v)) for u in g_head for v in h_head),
+        key=lambda pivot: (len(pivot[2]), pivot[0], pivot[1]),
+    )
+    overlapping = sum(1 for _, _, overlaps in pivots if overlaps)
+    merged: dict[tuple[NCPoly, NCPoly], SymbolicFactorization] = {}
+    for pivot in pivots:
+        results, determined = _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options)
+        if determined and overlapping == bool(pivot[2]):
             return results if results is not None else []
         for fact in results or ():
-            merged.setdefault(_pair_key(fact.left, fact.right), fact)
+            merged.setdefault((fact.left, fact.right), fact)
     return list(merged.values())
 
 
@@ -663,7 +641,7 @@ def factor_completely(
             return [FactorChain((poly,), False)]
         # a maximal chain has at most degree(poly) factors, so a budget of at
         # least the degree can never truncate and the answer is budget-free
-        memo_key = (_poly_key(poly), budget if budget < poly.degree() else None)
+        memo_key = (poly, budget if budget < poly.degree() else None)
         if memo_key in memo:
             return memo[memo_key]
         collected: dict = {}
@@ -682,10 +660,9 @@ def factor_completely(
                 for rc in chains(fact.right, budget - 1):
                     factors = lc.factors + rc.factors
                     complete = lc.complete and rc.complete
-                    key = tuple(_poly_key(p) for p in factors)
-                    prev = collected.get(key)
+                    prev = collected.get(factors)
                     if prev is None or (complete and not prev.complete):
-                        collected[key] = FactorChain(factors, complete)
+                        collected[factors] = FactorChain(factors, complete)
         memo[memo_key] = list(collected.values())
         return memo[memo_key]
 

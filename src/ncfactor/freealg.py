@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .commutative import CPoly, Monomial, SymbolRing
+from .commutative import CPoly, Monomial, SymbolRing, join_terms, scalar_term
 from .errors import ContextMismatchError
 from .fields import Scalar
 
@@ -341,7 +341,8 @@ class NCPoly:
         return self.algebra == other.algebra and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.algebra, frozenset(self._terms.items())))
+        # terms only: equal polynomials hash equal, and __eq__ separates algebras
+        return hash(frozenset(self._terms.items()))
 
     def _format_word(self, word: Word) -> str:
         names = self.algebra.alphabet.names
@@ -357,30 +358,15 @@ class NCPoly:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         fld = self.algebra.field
-        chunks: list[str] = []
-        for word, coeff in self.terms():
+
+        def term(word: Word, coeff: CPoly) -> tuple[bool, str]:
             word_str = self._format_word(word)
             if coeff.is_constant():
-                value = coeff.constant_value()
-                negative = not isinstance(value, int) and value < 0
-                mag = -value if negative else value
-                if not word_str:
-                    body = fld.format(mag)
-                elif mag == fld.one:
-                    body = word_str
-                else:
-                    body = f"{fld.format(mag)}*{word_str}"
-            else:
-                negative = False
-                body = f"({coeff})*{word_str}" if word_str else f"({coeff})"
-            if not chunks:
-                chunks.append(f"-{body}" if negative else body)
-            else:
-                chunks.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(chunks)
+                return scalar_term(fld, coeff.constant_value(), word_str)
+            return False, f"({coeff})*{word_str}" if word_str else f"({coeff})"
+
+        return join_terms(term(word, coeff) for word, coeff in self.terms())
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"

@@ -9,8 +9,9 @@ Grammar (whitespace insignificant):
     var    :=  identifier declared in the alphabet
 
 '*' is the non-commutative concatenation product; '^' repeats a single
-variable.  Coefficients are integers or integer ratios, reduced into the
-coefficient field (a ratio whose denominator vanishes mod p is rejected).
+variable, at most MAX_EXPONENT times.  Coefficients are integers or integer
+ratios, reduced into the coefficient field (a ratio whose denominator
+vanishes mod p is rejected).
 Errors carry the offending position and the expected-token set.
 """
 
@@ -21,6 +22,9 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .freealg import FreeAlgebra, NCPoly
+
+# The largest N in `x^N`: the power is one N-letter word, allocated at once.
+MAX_EXPONENT = 10**6
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
@@ -133,6 +137,10 @@ class _Parser:
                 if exp_tok.kind != "int":
                     raise ParseError("exponent must be an integer", exp_tok.pos, ("INT",))
                 self.advance()
+                # compare digit counts first: a huge literal is never converted
+                digits = exp_tok.text.lstrip("0")
+                if len(digits) > len(str(MAX_EXPONENT)) or int(exp_tok.text) > MAX_EXPONENT:
+                    raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.pos)
                 return self.algebra.monomial(var.leading_word() * int(exp_tok.text), 1)
             return var
         if tok.kind == "op" and tok.text == "(":

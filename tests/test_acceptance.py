@@ -25,7 +25,6 @@ from ncfactor.commutative import (
 )
 from ncfactor.factoring import (
     DegreeSplit,
-    _pair_key,
     factor_all,
     factor_bidegree,
     knapsack_splits,
@@ -66,7 +65,7 @@ def algebra(p):
 
 
 def pair_set(facts):
-    return {_pair_key(f.left, f.right) for f in facts}
+    return {(f.left, f.right) for f in facts}
 
 
 @criterion(1, "two-solution example at split (2,3)", limit_seconds=1.0)
@@ -77,8 +76,8 @@ def test_criterion_1_quintic_example():
         facts = factor_bidegree(f, (2, 3))
         assert len(facts) == 2
         expected = {
-            _pair_key(*normalize_pair(alg.from_text("y*x - 1"), alg.from_text("y*x*y + y"))),
-            _pair_key(*normalize_pair(alg.from_text("y*x + 1"), alg.from_text("y*x*y - y"))),
+            normalize_pair(alg.from_text("y*x - 1"), alg.from_text("y*x*y + y")),
+            normalize_pair(alg.from_text("y*x + 1"), alg.from_text("y*x*y - y")),
         }
         assert pair_set(facts) == expected
         for fact in facts:
@@ -107,7 +106,7 @@ def test_criterion_2_chain_boundaries():
                     right = right * part
                 split = DegreeSplit(left.degree(), right.degree())
                 assert split in found
-                assert _pair_key(*normalize_pair(left, right)) in pair_set(found[split])
+                assert normalize_pair(left, right) in pair_set(found[split])
 
 
 def _homogeneous_corpus():
@@ -175,7 +174,7 @@ def test_criterion_5_oracle_equivalence():
     for seed, f, split in _general_corpus():
         mine = pair_set(factor_bidegree(f, split))
         oracle = {
-            _pair_key(g, h)
+            (g, h)
             for g, h in brute_force_factor(f, split, exhaustive=True)
         }
         assert mine == oracle, f"seed {seed}"

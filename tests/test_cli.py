@@ -1,6 +1,10 @@
 import io
 import json
 import contextlib
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ from ncfactor.cli import Request, _render_text, main, run
 from ncfactor.fields import PrimeField, RationalField
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def capture(argv):
@@ -156,6 +161,22 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err == "error: enumeration needs 2147483647 points, cap is 1000000\n"
+
+    def test_huge_exponent_rejected_before_allocation(self):
+        # under a 1 GiB address-space limit, building the word would raise MemoryError
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncfactor", "--field", "5", "x^10000000000 - 1"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=limit_memory,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "parse error: exponent exceeds 1000000 at position 2\n"
 
     def test_duplicate_variable_names(self):
         code, _, err = capture(["--field", "5", "--vars", "x,x", "x*x"])

@@ -90,6 +90,22 @@ class TestArithmetic:
             ALG.zero().degree()
 
 
+class TestIdentity:
+    def test_polynomials_are_their_own_keys(self):
+        # equal terms in two contexts are two keys; equal polynomials one key
+        wider = algebra(names=("x", "y", "z"))
+        f = ALG.from_text("y*x - 1")
+        assert f._terms == wider.from_text("y*x - 1")._terms
+        assert len({f, wider.from_text("y*x - 1")}) == 2
+        same = ALG.from_text("-1 + y*x")
+        assert same == f and hash(same) == hash(f)
+        assert len({f, same}) == 1
+        a = SymbolRing(PrimeField(5), ("a",)).symbol("a")
+        b = SymbolRing(PrimeField(5), ("b",)).symbol("b")
+        assert len({a, b}) == 2
+        assert hash(a * a - 1) == hash(a * a + a - a - 1)
+
+
 class TestHomogeneousParts:
     def test_head_is_single_monomial(self):
         f = ALG.from_text("y*x*y*x*y - y")

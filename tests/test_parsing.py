@@ -5,7 +5,7 @@ from ncfactor.commutative import SymbolRing
 from ncfactor.errors import ParseError
 from ncfactor.fields import PrimeField, RationalField
 from ncfactor.freealg import Alphabet, FreeAlgebra
-from ncfactor.parsing import identifiers_in, parse_expression
+from ncfactor.parsing import MAX_EXPONENT, identifiers_in, parse_expression
 
 
 def algebra(p=5, names=("x", "y")):
@@ -73,6 +73,17 @@ class TestErrors:
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_expression("x y", ALG)
+
+    # the last literal is too long for int(); the bound is checked before any conversion
+    @pytest.mark.parametrize(
+        "exponent",
+        [str(MAX_EXPONENT + 1), "10000000000", "1" + "0" * 5000],
+        ids=["bound-plus-one", "ten-billion", "5001-digits"],
+    )
+    def test_exponent_over_bound_rejected(self, exponent):
+        with pytest.raises(ParseError, match=f"exponent exceeds {MAX_EXPONENT}") as exc:
+            parse_expression(f"x^{exponent} - 1", ALG)
+        assert exc.value.position == 2
 
     def test_power_of_parenthesized_group_rejected(self):
         with pytest.raises(ParseError):
