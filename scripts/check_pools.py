@@ -4,7 +4,9 @@ Sends each stratum entry and each recorded failure of the benchmark pools
 (``perfbench/pool/``) to the package in this checkout's ``src`` and checks
 the outcome with the benchmark's own gate (``perfbench/workloads.py``):
 multiply-back, planted pair, chain count, recorded answer digest or cap stop.
-Stops with exit 1 at the first wrong or lost answer.
+Stops with exit 1 at the first wrong or lost answer.  Per workload it prints
+how many of the recorded failures (cap stops) now answer and how many still
+stop.
 
 Usage: python scripts/check_pools.py [WORKLOAD ...]   (default: all three)
 """
@@ -21,15 +23,19 @@ def main(names: list[str]) -> int:
     pkg = wl.import_package()
     for workload in names or wl.WORKLOADS:
         pool = wl.load_pool(workload)
-        entries = [e for stratum in pool["strata"] for e in stratum] + pool["failures"]
+        failures = pool["failures"]
+        entries = [e for stratum in pool["strata"] for e in stratum] + failures
+        statuses = []
         for entry in entries:
             item = wl.make_item(pkg, workload, entry)
             try:
-                item.check(item.call())
+                statuses.append(item.check(item.call()))
             except wl.GateError as exc:
                 print(f"{workload}: {exc}", file=sys.stderr)
                 return 1
-        print(f"{workload}: {len(entries)} inputs give their recorded answers")
+        stopped = statuses[len(entries) - len(failures):].count("stopped as recorded")
+        print(f"{workload}: {len(entries)} inputs pass the gate; of {len(failures)} recorded "
+              f"failures, {len(failures) - stopped} now answer and {stopped} still stop")
     return 0
 
 

@@ -3,14 +3,15 @@
 Sparse multivariate polynomials in a fixed ordered tuple of symbols, under
 pure lexicographic monomial order (first declared symbol most significant).
 Provides ring arithmetic, multivariate division, Buchberger's algorithm,
-the reduced lexicographic Groebner basis, and exhaustive solution
-enumeration over prime fields.
+the reduced lexicographic Groebner basis, and the exact solution set of a
+system over a prime field: univariate equations are peeled off by gcd and
+root finding, and only a system with no univariate equation branches over
+the values of a symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
 from typing import Iterable
 
 from .errors import (
@@ -457,23 +458,221 @@ def reduce_groebner(basis: Iterable[CPoly]) -> list[CPoly]:
     return work
 
 
+# -- solving over F_p ------------------------------------------------------------
+#
+# A dense univariate polynomial over F_p is its coefficient list, lowest degree
+# first, without trailing zeros; the zero polynomial is [].
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the nonzero b."""
+    r = _trim(a[:])
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = r[-1] * inv % p
+        shift = len(r) - 1 - db
+        q[shift] = c
+        for i in range(db):
+            r[shift + i] = (r[shift + i] - c * b[i]) % p
+        r.pop()
+        _trim(r)
+    return q, r
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b; [] when both are zero."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_divmod([c % p for c in prod], m, p)[1]
+
+
+def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """base**e modulo m, for m of degree at least 1."""
+    result = [1]
+    base = _poly_divmod(base, m, p)[1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, base, m, p)
+        e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, m, p)
+    return result
+
+
+def _horner(g: list[int], t: int, p: int) -> int:
+    v = 0
+    for c in reversed(g):
+        v = (v * t + c) % p
+    return v
+
+
+def roots_mod_p(coeffs: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a nonzero dense polynomial, ascending.
+
+    Where a scan of F_p costs no more than computing t^p mod g (p at most
+    deg * bits of p), every element is tried by Horner's rule.  Otherwise the
+    product of the linear factors, gcd(g, t^p - t), is split by equal-degree
+    factorization with the deterministic shifts d = 0, 1, ...
+    """
+    g = _poly_gcd(_trim([c % p for c in coeffs]), [], p)
+    d = len(g) - 1
+    if d < 1:
+        return []
+    if d == 1:
+        return [-g[0] % p]
+    if p <= d * p.bit_length():
+        return [t for t in range(p) if _horner(g, t, p) == 0]
+    tp = _poly_powmod([0, 1], p, g, p) + [0, 0]
+    tp[1] -= 1
+    roots: list[int] = []
+    _split_linear(_poly_gcd(g, _trim([c % p for c in tp]), p), p, roots)
+    return sorted(roots)
+
+
+def _split_linear(h: list[int], p: int, out: list[int]) -> None:
+    """Append the roots of h, a monic product of distinct linear factors, p odd.
+
+    For roots r != s some shift d makes exactly one of r + d, s + d a nonzero
+    square, so gcd(h, (t + d)^((p-1)/2) - 1) is a proper factor of h.
+    """
+    if len(h) == 2:
+        out.append(-h[0] % p)
+        return
+    if len(h) < 2:
+        return
+    for d in range(p):
+        w = _poly_powmod([d, 1], (p - 1) // 2, h, p) or [0]
+        w[0] = (w[0] - 1) % p
+        f = _poly_gcd(h, _trim(w), p)
+        if 1 < len(f) < len(h):
+            _split_linear(f, p, out)
+            _split_linear(_poly_divmod(h, f, p)[0], p, out)
+            return
+
+
+def _support(eq: dict[Monomial, int]) -> set[int]:
+    return {i for mono in eq for i, e in enumerate(mono) if e}
+
+
+def _is_constant(eq: dict[Monomial, int]) -> bool:
+    """Whether a nonzero equation is a nonzero constant, which no point satisfies."""
+    return len(eq) == 1 and not any(next(iter(eq)))
+
+
+def _substitute(eq: dict[Monomial, int], i: int, value: int, p: int) -> dict[Monomial, int]:
+    """eq with symbol i set to value, without zero terms."""
+    out: dict[Monomial, int] = {}
+    for mono, c in eq.items():
+        e = mono[i]
+        if e:
+            c = c * pow(value, e, p)
+            mono = mono[:i] + (0,) + mono[i + 1 :]
+        out[mono] = (out.get(mono, 0) + c) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _gcd_in(eqs: list[dict[Monomial, int]], x: int, p: int) -> list[int]:
+    """The monic gcd of equations that involve no symbol but x, as a dense polynomial."""
+    g: list[int] = []
+    for eq in eqs:
+        dense = [0] * (max(m[x] for m in eq) + 1)
+        for m, c in eq.items():
+            dense[m[x]] = c
+        g = _poly_gcd(g, dense, p)
+        if len(g) == 1:
+            break  # a nonzero constant: no roots
+    return g
+
+
+def _solve(
+    eqs: list[dict[Monomial, int]],
+    free: frozenset[int],
+    point: dict[int, int],
+    p: int,
+    cap: int,
+    out: list[tuple[int, ...]],
+) -> None:
+    """Append to `out` every completion of `point` over the `free` symbols.
+
+    `eqs` are nonconstant and hold the assigned symbols substituted.  A
+    symbol with a univariate equation takes the roots of the gcd of all its
+    univariate equations; otherwise the last free symbol takes every value.
+    """
+    if not free:
+        out.append(tuple(v for _, v in sorted(point.items())))
+        return
+    values: Iterable[int]
+    if len(free) == 1 and eqs:
+        # every equation is univariate in the one symbol left
+        (x,) = free
+        values, rest = roots_mod_p(_gcd_in(eqs, x, p), p), []
+    else:
+        supports = [_support(eq) for eq in eqs]
+        univariate = [(max(map(max, eq)), *sup) for eq, sup in zip(eqs, supports) if len(sup) == 1]
+        if univariate:
+            x = min(univariate)[1]
+            peeled = [eq for eq, sup in zip(eqs, supports) if sup == {x}]
+            values = roots_mod_p(_gcd_in(peeled, x, p), p)
+            rest = [(eq, sup) for eq, sup in zip(eqs, supports) if sup != {x}]
+        else:
+            k = len(free)
+            if p**k > cap:
+                raise SearchSpaceTooLargeError(p**k, cap)
+            x = max(free)
+            values, rest = range(p), list(zip(eqs, supports))
+    free = free - {x}
+    for v in values:
+        sub = []
+        for eq, sup in rest:
+            if x in sup:
+                eq = _substitute(eq, x, v, p)
+                if not eq:
+                    continue
+                if _is_constant(eq):
+                    break  # no point extends this value
+            sub.append(eq)
+        else:
+            _solve(sub, free, {**point, x: v}, p, cap, out)
+
+
 def enumerate_solutions(
     system: ConstraintSystem, cap: int = 10**6
 ) -> list[dict[str, Scalar]]:
     """All points of F_p^s where every equation vanishes, in lex order.
 
-    Plain enumeration; raises SearchSpaceTooLargeError when p**s exceeds the
-    cap and UnsupportedFieldError over the rationals.
+    Exact, without a Groebner basis: a symbol with a univariate equation is
+    peeled off by the roots of the gcd of its univariate equations, each root
+    is substituted, and the rest is solved recursively.  Only where no
+    equation is univariate does the last symbol take every value of F_p;
+    that branching raises SearchSpaceTooLargeError when p**k exceeds the cap
+    for the k symbols left.  Raises UnsupportedFieldError over the rationals.
     """
     fld = system.ring.field
     if not fld.is_finite:
         raise UnsupportedFieldError("cannot enumerate solutions over Q")
-    s = len(system.symbols)
-    needed = fld.p**s
-    if needed > cap:
-        raise SearchSpaceTooLargeError(needed, cap)
-    solutions = []
-    for point in product(fld.elements(), repeat=s):
-        if all(eq.evaluate_tuple(point) == 0 for eq in system.equations):
-            solutions.append(dict(zip(system.symbols, point)))
-    return solutions
+    eqs = [dict(eq._terms) for eq in system.equations if eq]
+    if any(_is_constant(eq) for eq in eqs):
+        return []
+    points: list[tuple[int, ...]] = []
+    _solve(eqs, frozenset(range(len(system.symbols))), {}, fld.p, cap, points)
+    return [dict(zip(system.symbols, pt)) for pt in sorted(points)]

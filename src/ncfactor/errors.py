@@ -14,7 +14,11 @@ class UnsupportedFieldError(NCFactorError):
 
 
 class SearchSpaceTooLargeError(NCFactorError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Branching over the values of the symbols left would exceed the configured cap.
+
+    Solving over F_p branches only where no equation is univariate; `needed`
+    is p**k for the k symbols still unassigned there.
+    """
 
     def __init__(self, needed: int, cap: int):
         super().__init__(f"enumeration needs {needed} points, cap is {cap}")

@@ -5,10 +5,12 @@ parts are recovered degree by degree from the relation between homogeneous
 parts of F and of the factors.  Where the pivot words of the two top parts
 overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
-all symbols is solved exactly: by enumeration over F_p, and over Q by its
-reduced lex Groebner basis, which both decides the unit ideal (no
-factorization) and describes the admissible symbol values.  Over F_p the
-basis is never needed for the answer and is computed only when read.
+all symbols is solved exactly.  Over F_p every point is found by peeling
+univariate equations (their gcd, then its roots) and branching over a
+symbol's values only where no equation is univariate.  Over Q the reduced
+lex Groebner basis both decides the unit ideal (no factorization) and
+describes the admissible symbol values.  Over F_p the basis is never needed
+for the answer and is computed only when read.
 """
 
 from __future__ import annotations

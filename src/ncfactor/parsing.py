@@ -10,8 +10,9 @@ Grammar (whitespace insignificant):
 
 '*' is the non-commutative concatenation product; '^' repeats a single
 variable, at most MAX_EXPONENT times.  Coefficients are integers or integer
-ratios, reduced into the coefficient field (a ratio whose denominator
-vanishes mod p is rejected).
+ratios of at most MAX_COEFFICIENT_DIGITS significant digits each, reduced
+into the coefficient field (a ratio whose denominator vanishes mod p is
+rejected).
 Errors carry the offending position and the expected-token set.
 """
 
@@ -25,6 +26,9 @@ from .freealg import FreeAlgebra, NCPoly
 
 # The largest N in `x^N`: the power is one N-letter word, allocated at once.
 MAX_EXPONENT = 10**6
+# The most significant digits in a coefficient literal; Python's int() refuses
+# longer decimal strings by default.
+MAX_COEFFICIENT_DIGITS = 4300
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
@@ -157,9 +161,16 @@ class _Parser:
             ("INT", "identifier", "'('"),
         )
 
+    def integer(self, tok: _Token) -> int:
+        # count digits first: int() raises ValueError on an overlong literal
+        digits = tok.text.lstrip("0")
+        if len(digits) > MAX_COEFFICIENT_DIGITS:
+            raise ParseError(f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits", tok.pos)
+        return int(digits or "0")
+
     def coefficient(self) -> NCPoly:
         tok = self.advance()
-        num = int(tok.text)
+        num = self.integer(tok)
         nxt = self.peek()
         if nxt.kind == "op" and nxt.text == "/":
             self.advance()
@@ -167,7 +178,7 @@ class _Parser:
             if den_tok.kind != "int":
                 raise ParseError("denominator must be an integer", den_tok.pos, ("INT",))
             self.advance()
-            den = int(den_tok.text)
+            den = self.integer(den_tok)
             if den == 0:
                 raise ParseError("zero denominator", den_tok.pos)
             from fractions import Fraction

@@ -14,6 +14,8 @@ from ncfactor.fields import PrimeField, RationalField
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# Over F_5 its (2,2) constraint system has two equations in both symbols.
+CAP_INPUT = "(3*y*y + 1 + 2*y)*(4*y*y + 2 + 3*y)"
 
 
 def capture(argv):
@@ -141,11 +143,11 @@ class TestErrors:
         assert exc.value.code == 2
 
     def test_cap_exhaustion_reports_cap(self):
-        code, _, err = capture(
-            ["--field", "5", "--max-solutions", "2", "--degrees", "2,3", "y*x*y*x*y - y"]
-        )
+        # no equation of the (2,2) system is univariate, so solving it branches
+        # over 5^2 points
+        code, _, err = capture(["--field", "5", "--max-solutions", "4", CAP_INPUT])
         assert code == 3
-        assert "cap is 2" in err
+        assert "cap is 4" in err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_nonpositive_max_solutions_is_usage_error(self, cap):
@@ -154,13 +156,13 @@ class TestErrors:
         assert err == "error: enumeration cap must be positive\n"
 
     def test_cap_exhaustion_in_complete_chains(self):
-        # the (1,4) split needs no symbols, but the chains try every split and
-        # (2,3) has a one-symbol system over a field too large to enumerate
-        argv = ["--field", "2147483647", "--degrees", "1,4", "--complete", "y*x*y*x*y - y"]
+        # the (1,3) split is answered under the cap, but the chains try every
+        # split and (2,2) has a system that branches over 5^2 points
+        argv = ["--field", "5", "--max-solutions", "4", "--degrees", "1,3", "--complete", CAP_INPUT]
         code, out, err = capture(argv)
         assert code == 3
         assert out == ""
-        assert err == "error: enumeration needs 2147483647 points, cap is 1000000\n"
+        assert err == "error: enumeration needs 25 points, cap is 4\n"
 
     def test_huge_exponent_rejected_before_allocation(self):
         # under a 1 GiB address-space limit, building the word would raise MemoryError
@@ -178,6 +180,11 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr == "parse error: exponent exceeds 1000000 at position 2\n"
 
+    def test_overlong_coefficient_is_parse_error(self):
+        code, out, err = capture(["--field", "5", "1" + "0" * 5000 + "*x - 1"])
+        assert (code, out) == (2, "")
+        assert err == "parse error: coefficient exceeds 4300 digits at position 0\n"
+
     def test_duplicate_variable_names(self):
         code, _, err = capture(["--field", "5", "--vars", "x,x", "x*x"])
         assert code == 2
@@ -186,6 +193,29 @@ class TestErrors:
     def test_degree_mismatch(self):
         code, _, err = capture(["--field", "5", "--degrees", "3,3", "x*x"])
         assert code == 2
+
+
+class TestLargePrime:
+    @pytest.mark.parametrize("complete", [False, True], ids=["splits", "complete"])
+    def test_quintic_answered_at_mersenne_prime(self, complete):
+        # each split's system is one univariate equation, 2147483646*a1^2 + 1
+        m = 2**31 - 2  # -1 in F_(2^31 - 1)
+        argv = ["--field", str(2**31 - 1), "--json", "y*x*y*x*y - y"]
+        code, out, _ = capture(argv + ["--complete"] * complete)
+        assert code == 0
+        report = json.loads(out)
+        pairs = {(s["h"], s["k"]): [(f["G"], f["H"]) for f in s["factorizations"]] for s in report["splits"]}
+        assert pairs == {
+            (1, 4): [("y", f"x*y*x*y + {m}")],
+            (2, 3): [("y*x + 1", f"y*x*y + {m}*y"), (f"y*x + {m}", "y*x*y + y")],
+            (3, 2): [("y*x*y + y", f"x*y + {m}"), (f"y*x*y + {m}*y", "x*y + 1")],
+            (4, 1): [(f"y*x*y*x + {m}", "y")],
+        }
+        if complete:
+            assert len(report["chains"]) == 6
+            assert all(chain["complete"] and len(chain["factors"]) == 3 for chain in report["chains"])
+        else:
+            assert "chains" not in report
 
 
 def test_run_api_directly():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ncfactor.commutative import (
     is_groebner_basis,
     normal_form,
     reduce_groebner,
+    roots_mod_p,
 )
 from ncfactor.errors import (
     ContextMismatchError,
@@ -145,6 +147,148 @@ def test_enumerate_solutions_rationals_rejected():
     ring = SymbolRing(RationalField(), ("a",))
     with pytest.raises(UnsupportedFieldError):
         enumerate_solutions(ConstraintSystem(ring, ()))
+
+
+def brute_force_points(system):
+    """Every point of F_p^s where all equations vanish, in lex order, by trying each one."""
+    p, s = system.ring.field.p, len(system.symbols)
+    return [
+        dict(zip(system.symbols, pt))
+        for pt in itertools.product(range(p), repeat=s)
+        if all(eq.evaluate_tuple(pt) == 0 for eq in system.equations)
+    ]
+
+
+def _random_system(rng, p, nsym):
+    """1-3 equations, each on a random subset of the symbols.
+
+    Most equations vanish at one planted point, so most systems have points;
+    some carry a repeated linear factor, and some are left unshifted.
+    """
+    ring = SymbolRing(PrimeField(p), tuple(f"a{i + 1}" for i in range(nsym)))
+    syms = [ring.symbol(name) for name in ring.symbols]
+    planted = tuple(rng.randrange(p) for _ in syms)
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(range(nsym), rng.randint(1, nsym))
+        eq = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            mono = [0] * nsym
+            for i in support:
+                mono[i] = rng.randint(0, 3)
+            eq = eq + ring.poly({tuple(mono): rng.randrange(1, p)})
+        if rng.random() < 0.8:
+            eq = eq - eq.evaluate_tuple(planted)
+        if rng.random() < 0.3:
+            i = rng.choice(support)
+            root = syms[i] - planted[i]
+            eq = eq * (syms[i] - rng.randrange(p)) * root * root
+        if not eq.is_zero():
+            eqs.append(eq)
+    return ConstraintSystem(ring, tuple(eqs))
+
+
+@pytest.mark.parametrize(
+    "p,nsym,count",
+    [(2, 1, 40), (2, 2, 40), (2, 3, 40), (3, 1, 40), (3, 2, 40), (3, 3, 40), (5, 1, 40),
+     (5, 2, 40), (5, 3, 30), (7, 1, 40), (7, 2, 40), (7, 3, 20), (101, 1, 40), (101, 2, 20)],
+)
+def test_solver_matches_brute_force(p, nsym, count):
+    rng = random.Random(p * 10 + nsym)
+    for _ in range(count):
+        system = _random_system(rng, p, nsym)
+        assert enumerate_solutions(system) == brute_force_points(system), str(system)
+
+
+def test_solver_positive_dimensional():
+    ring = SymbolRing(PrimeField(5), ("a", "b"))
+    a, b = ring.symbol("a"), ring.symbol("b")
+    sols = enumerate_solutions(ConstraintSystem(ring, (a * b,)))
+    assert sols == [{"a": 0, "b": v} for v in range(5)] + [{"a": u, "b": 0} for u in range(1, 5)]
+    for eqs in [(a * b * (a - b),), (a * a - b * b, a * b - a), (a * b - 1,)]:
+        system = ConstraintSystem(ring, eqs)
+        assert enumerate_solutions(system) == brute_force_points(system)
+
+
+def test_solver_free_symbols_around_a_peeled_one():
+    ring = SymbolRing(PrimeField(3), ("a", "b", "c"))
+    b = ring.symbol("b")
+    system = ConstraintSystem(ring, (b * b - 1,))
+    sols = enumerate_solutions(system)
+    assert len(sols) == 18 and sols == brute_force_points(system)
+
+
+def test_solver_inconsistent_after_substitution():
+    ring = SymbolRing(PrimeField(7), ("a", "b"))
+    a, b = ring.symbol("a"), ring.symbol("b")
+    # a = 6 makes the second equation the constant 1
+    system = ConstraintSystem(ring, (a - 6, a * b + b + 1))
+    assert enumerate_solutions(system) == []
+
+
+def test_cap_bounds_branching_not_peeling():
+    ring = SymbolRing(PrimeField(101), ("a", "b", "c"))
+    a, b, c = (ring.symbol(n) for n in ring.symbols)
+    system = ConstraintSystem(ring, (a * a - 1, b - 3, c * c * c - c))
+    assert enumerate_solutions(system, cap=1) == [
+        {"a": u, "b": 3, "c": w} for u in (1, 100) for w in (0, 1, 100)
+    ]
+    with pytest.raises(SearchSpaceTooLargeError, match="^enumeration needs 10201 points, cap is 100$"):
+        enumerate_solutions(ConstraintSystem(ring, (a - 2, b * c - 1)), cap=100)
+    # after a is peeled, only b and c are branched: 101^2 points, not 101^3
+    sols = enumerate_solutions(ConstraintSystem(ring, (a - 2, b * c - 1)), cap=101**2)
+    assert sols == [{"a": 2, "b": u, "c": pow(u, -1, 101)} for u in range(1, 101)]
+
+
+def _poly_from_roots(roots, p):
+    """Dense coefficients, lowest degree first, of the product of (t - r)."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [(lo - r * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def _evaluate(coeffs, t, p):
+    return sum(c * pow(t, i, p) for i, c in enumerate(coeffs)) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 65537])
+def test_roots_match_evaluation(p):
+    rng = random.Random(p)
+    for _ in range(30):
+        roots = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+        roots += rng.sample(roots, rng.randint(0, len(roots)))  # repeated roots
+        noise = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
+        coeffs = _poly_from_roots(roots, p)
+        coeffs = [
+            sum(coeffs[i] * noise[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(noise)) % p
+            for k in range(len(coeffs) + len(noise) - 1)
+        ]
+        found = roots_mod_p(coeffs, p)
+        assert found == sorted(found) and set(roots) <= set(found)
+        assert all(_evaluate(coeffs, t, p) == 0 for t in found)
+        if p <= 101:
+            assert found == [t for t in range(p) if _evaluate(coeffs, t, p) == 0]
+
+
+def test_roots_over_f2():
+    for n in range(1, 64):
+        coeffs = [(n >> i) & 1 for i in range(n.bit_length())]
+        assert roots_mod_p(coeffs, 2) == [t for t in (0, 1) if _evaluate(coeffs, t, 2) == 0]
+
+
+def test_planted_roots_at_mersenne_prime():
+    p = 2**31 - 1
+    rng = random.Random(31)
+    nonresidue = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+    for _ in range(5):
+        roots = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+        coeffs = _poly_from_roots(roots + roots[:2], p)
+        # times t^2 - c for a non-residue c, which has no root in F_p
+        coeffs = [
+            (lo - nonresidue * hi) % p for lo, hi in zip(coeffs + [0, 0], [0, 0] + coeffs)
+        ]
+        assert roots_mod_p(coeffs, p) == sorted(set(roots))
 
 
 def _random_poly(rng, ring, max_degree=2, max_terms=3):

@@ -83,9 +83,10 @@ class TestFactorBidegree:
                 assert fact.left.leading_coefficient() == f.algebra.ring.one()
 
     def test_enumeration_cap_propagates(self):
-        f = ALG.from_text("y*x*y*x*y - y")
+        # no equation of the (2,2) system is univariate: solving it branches
+        f = ALG.from_text("(3*y*y + 1 + 2*y)*(4*y*y + 2 + 3*y)")
         with pytest.raises(SearchSpaceTooLargeError):
-            factor_bidegree(f, (2, 3), FactorOptions(enumeration_cap=2))
+            factor_bidegree(f, (2, 2), FactorOptions(enumeration_cap=4))
 
     def test_rationals_concrete_when_no_symbols(self):
         alg = algebra(None)

@@ -5,7 +5,12 @@ from ncfactor.commutative import SymbolRing
 from ncfactor.errors import ParseError
 from ncfactor.fields import PrimeField, RationalField
 from ncfactor.freealg import Alphabet, FreeAlgebra
-from ncfactor.parsing import MAX_EXPONENT, identifiers_in, parse_expression
+from ncfactor.parsing import (
+    MAX_COEFFICIENT_DIGITS,
+    MAX_EXPONENT,
+    identifiers_in,
+    parse_expression,
+)
 
 
 def algebra(p=5, names=("x", "y")):
@@ -84,6 +89,22 @@ class TestErrors:
         with pytest.raises(ParseError, match=f"exponent exceeds {MAX_EXPONENT}") as exc:
             parse_expression(f"x^{exponent} - 1", ALG)
         assert exc.value.position == 2
+
+    # int() would raise ValueError on these literals; the digits are counted first
+    @pytest.mark.parametrize(
+        "text,position",
+        [("1" + "0" * MAX_COEFFICIENT_DIGITS + "*x", 0), ("x + 1/" + "7" * 5001, 6)],
+        ids=["numerator", "denominator"],
+    )
+    def test_coefficient_over_digit_bound_rejected(self, text, position):
+        with pytest.raises(ParseError, match=f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits") as exc:
+            parse_expression(text, ALG)
+        assert exc.value.position == position
+
+    def test_coefficient_digit_bound_counts_significant_digits(self):
+        assert parse_expression("0" * 5000 + "7*x", ALG) == ALG.from_text("2*x")
+        longest = "1" * MAX_COEFFICIENT_DIGITS
+        assert parse_expression(f"{longest}*x", ALG) == ALG.from_text(f"{int(longest) % 5}*x")
 
     def test_power_of_parenthesized_group_rejected(self):
         with pytest.raises(ParseError):
