@@ -622,24 +622,19 @@ def _solve(
         out.append(tuple(v for _, v in sorted(point.items())))
         return
     values: Iterable[int]
-    if len(free) == 1 and eqs:
-        # every equation is univariate in the one symbol left
-        (x,) = free
-        values, rest = roots_mod_p(_gcd_in(eqs, x, p), p), []
+    supports = [_support(eq) for eq in eqs]
+    univariate = [(max(map(max, eq)), *sup) for eq, sup in zip(eqs, supports) if len(sup) == 1]
+    if univariate:
+        x = min(univariate)[1]
+        peeled = [eq for eq, sup in zip(eqs, supports) if sup == {x}]
+        values = roots_mod_p(_gcd_in(peeled, x, p), p)
+        rest = [(eq, sup) for eq, sup in zip(eqs, supports) if sup != {x}]
     else:
-        supports = [_support(eq) for eq in eqs]
-        univariate = [(max(map(max, eq)), *sup) for eq, sup in zip(eqs, supports) if len(sup) == 1]
-        if univariate:
-            x = min(univariate)[1]
-            peeled = [eq for eq, sup in zip(eqs, supports) if sup == {x}]
-            values = roots_mod_p(_gcd_in(peeled, x, p), p)
-            rest = [(eq, sup) for eq, sup in zip(eqs, supports) if sup != {x}]
-        else:
-            k = len(free)
-            if p**k > cap:
-                raise SearchSpaceTooLargeError(p**k, cap)
-            x = max(free)
-            values, rest = range(p), list(zip(eqs, supports))
+        k = len(free)
+        if p**k > cap:
+            raise SearchSpaceTooLargeError(p**k, cap)
+        x = max(free)
+        values, rest = range(p), list(zip(eqs, supports))
     free = free - {x}
     for v in values:
         sub = []

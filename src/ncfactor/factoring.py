@@ -365,13 +365,23 @@ def factor_bidegree(
 
     Empty list means no factorization exists at this split.  The top parts
     are forced by the homogeneous algorithm, and with them the head
-    coefficients and every pivot pair's overlaps; pivot pairs are tried in
-    order of increasing overlap count.  An attempt settles the split outright
-    when its recovery steps were all fully determined and no other head pair
-    overlaps (such an overlap admits a cancellation the pivot symbols cannot
-    parametrize); otherwise the answers of every consistent attempt are
-    merged, since a free coefficient zeroed in one attempt can be reached
-    through another pivot pair's overlap symbol.
+    coefficients and every pivot pair's overlaps; pivots are chosen here
+    and nowhere else.  The pivot pair that can settle the split runs first:
+    the first pair when no head pair overlaps, the overlapping pair when
+    exactly one does.  When all its recovery steps were fully determined,
+    its answer is the split's.  A step is underdetermined only when
+    G_top*Y = -X*H_top has a nonzero solution (X, Y).  Free algebras are
+    rigid (P. M. Cohn, Free Rings and Their Relations), so that forces
+    G_top = -X*E and H_top = E*Y for some E, and the leading words of G_top
+    and H_top overlap: with no overlapping pair the first attempt is always
+    determined.
+
+    Otherwise (an underdetermined settling attempt, or two or more
+    overlapping pairs, which admit a cancellation one pair's symbols cannot
+    parametrize) every pivot pair runs, in order of increasing overlap
+    count, and the answers of every consistent attempt are merged, since a
+    free coefficient zeroed in one attempt can be reached through another
+    pivot pair's overlap symbol.
     """
     h, k = split
     if h < 1 or k < 1:
@@ -407,12 +417,19 @@ def factor_bidegree(
         ((u, v, overlap_lengths(u, v)) for u in g_head for v in h_head),
         key=lambda pivot: (len(pivot[2]), pivot[0], pivot[1]),
     )
-    overlapping = sum(1 for _, _, overlaps in pivots if overlaps)
+    overlapping = [pivot for pivot in pivots if pivot[2]]
+    # with two or more overlapping pairs none can settle the split; the
+    # first pair's attempt then only opens the merge
+    settling = overlapping[0] if len(overlapping) == 1 else pivots[0]
+    answer, determined = _attempt_pivot(f, g_top, h_top, g_head, h_head, settling, options)
+    if determined and len(overlapping) <= 1:
+        return answer if answer is not None else []
     merged: dict[tuple[NCPoly, NCPoly], SymbolicFactorization] = {}
     for pivot in pivots:
-        results, determined = _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options)
-        if determined and overlapping == bool(pivot[2]):
-            return results if results is not None else []
+        if pivot == settling:
+            results = answer
+        else:
+            results = _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options)[0]
         for fact in results or ():
             merged.setdefault((fact.left, fact.right), fact)
     return list(merged.values())
@@ -454,43 +471,6 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
         return monomials_by_degree[d]
 
     p = fld.p
-    nsym = c.ring.nsymbols
-
-    def point_filter(poly: CPoly):
-        # a divisor must be nonzero at every point where the dividend is;
-        # evaluating candidates at those points rejects most of them cheaply
-        if p**nsym > 512:
-            return None
-        points = [
-            pt
-            for pt in product(range(p), repeat=nsym)
-            if poly.evaluate_tuple(pt) != 0
-        ]
-        cache: dict[Monomial, list[int]] = {}
-
-        def values(mono: Monomial) -> list[int]:
-            if mono not in cache:
-                row = []
-                for pt in points:
-                    v = 1
-                    for x, e in zip(pt, mono):
-                        for _ in range(e):
-                            v = v * x % p
-                    row.append(v)
-                cache[mono] = row
-            return cache[mono]
-
-        def admissible(cand_terms: dict[Monomial, int]) -> bool:
-            rows = [(values(m), coeff) for m, coeff in cand_terms.items()]
-            for i in range(len(points)):
-                total = 0
-                for row, coeff in rows:
-                    total += row[i] * coeff
-                if total % p == 0:
-                    return False
-            return True
-
-        return admissible
 
     def raw_divides(
         target: dict[Monomial, int], cand_terms: dict[Monomial, int], lead: Monomial
@@ -524,9 +504,7 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
                 degrees.append(1)
             return sorted(degrees)
         lead_c = c.leading_monomial()
-        trail_c = min(c._terms)
         raw_target = dict(c._terms)
-        admissible = point_filter(c)
         found = None
         for d in range(1, deg // 2 + 1):
             monos = monomials_up_to(d)
@@ -535,8 +513,8 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
                     monomial_degree(m) != d for m in monos[lead_idx + 1 :]
                 ):
                     break
-                # leading and trailing monomials are both multiplicative, so a
-                # divisor's must divide the dividend's
+                # the leading monomial is multiplicative, so a divisor's must
+                # divide the dividend's
                 if not monomial_divides(lead, lead_c):
                     continue
                 tail = monos[lead_idx + 1 :]
@@ -549,10 +527,6 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
                         if coeff:
                             cand_terms[m] = coeff
                     if max(monomial_degree(m) for m in cand_terms) != d:
-                        continue
-                    if not monomial_divides(min(cand_terms), trail_c):
-                        continue
-                    if admissible is not None and not admissible(cand_terms):
                         continue
                     quotient = raw_divides(raw_target, cand_terms, lead)
                     if quotient is not None:

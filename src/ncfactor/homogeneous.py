@@ -3,9 +3,12 @@
 For homogeneous F of degree h + k every word splits uniquely into a
 length-h prefix and a length-k suffix, so the product G*H has no
 cancellation and the factor pair at a given split is unique up to a scalar.
-The factor-recovery scan picks a pivot word, reads H off the left-quotients
-by the pivot prefix and G off the right-quotients by the pivot suffix, and
-verifies the product.
+The factor-recovery scan splits the leading word of F into a pivot prefix
+and suffix, reads H off the left-quotients by the prefix and G off the
+right-quotients by the suffix in one pass over F's terms, and verifies the
+product.  Which word is the pivot does not matter for the normalized pair;
+pivot choice for the inhomogeneous recovery belongs to
+`factoring.factor_bidegree`.
 """
 
 from __future__ import annotations
@@ -13,40 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import RefinementError
-from .freealg import (
-    NCPoly,
-    Word,
-    left_quotient,
-    overlap_lengths,
-    right_quotient,
-    word_key,
-)
-
-
-def _check_homogeneous_input(f: NCPoly, h: int, k: int) -> None:
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    if h < 1 or k < 1:
-        raise ValueError(f"factor degrees must be >= 1, got ({h}, {k})")
-    if not f.is_homogeneous():
-        raise ValueError("polynomial is not homogeneous")
-    if f.degree() != h + k:
-        raise ValueError(f"degree {f.degree()} != {h} + {k}")
-
-
-def select_pivot(f: NCPoly, h: int, k: int) -> tuple[Word, Word]:
-    """Split some word of f into (prefix of length h, suffix of length k).
-
-    Among the words of f, picks the split whose prefix/suffix pair has the
-    fewest overlaps (each overlap later costs an extension symbol in the
-    inhomogeneous algorithm); ties go to the canonically smallest word.
-    """
-    _check_homogeneous_input(f, h, k)
-    best_word = min(
-        f.words(),
-        key=lambda w: (len(overlap_lengths(w[:h], w[h:])), word_key(w)),
-    )
-    return best_word[:h], best_word[h:]
+from .freealg import NCPoly, left_quotient
 
 
 def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPoly]]:
@@ -58,27 +28,31 @@ def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPo
     the pair is rescaled to make the product match f exactly before the
     final verification.
     """
-    _check_homogeneous_input(f, h, k)
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    if h < 1 or k < 1:
+        raise ValueError(f"factor degrees must be >= 1, got ({h}, {k})")
+    if not f.is_homogeneous():
+        raise ValueError("polynomial is not homogeneous")
+    if f.degree() != h + k:
+        raise ValueError(f"degree {f.degree()} != {h} + {k}")
     if not f.has_constant_coefficients():
         raise ValueError("homogeneous factorization needs constant coefficients")
-    g_hat, h_hat = select_pivot(f, h, k)
-    alg = f.algebra
-    h_raw = alg.zero()
-    g_raw = alg.zero()
+    pivot = f.leading_word()
+    g_hat, h_hat = pivot[:h], pivot[h:]
+    g_terms = {}
+    h_terms = {}
     for word, coeff in f.terms():
-        r = left_quotient(word, g_hat)
-        if r is not None:
-            h_raw = h_raw + alg.monomial(r, coeff)
-        l = right_quotient(word, h_hat)
-        if l is not None:
-            g_raw = g_raw + alg.monomial(l, coeff)
-    # g_raw = G * eta and h_raw = gamma * H for the true pair (gamma, eta the
-    # pivot coefficients in G, H), so g_raw * h_raw = pivot_coeff * f.
-    pivot_coeff = f.coefficient(g_hat + h_hat).constant_value()
-    fld = alg.field
-    lc = g_raw.leading_coefficient().constant_value()
-    g = g_raw.scale(fld.inv(lc))
-    h = h_raw.scale(fld.div(lc, pivot_coeff))
+        if word[:h] == g_hat:
+            h_terms[word[h:]] = coeff
+        if word[h:] == h_hat:
+            g_terms[word[:h]] = coeff
+    # For the true pair, g_terms = eta*G and h_terms = gamma*H (gamma, eta the
+    # pivot coefficients in G, H).  The pivot is f's leading word, so g_hat
+    # leads g_terms with coefficient gamma*eta: dividing by it makes G monic.
+    lc = g_terms[g_hat].constant_value()
+    g = NCPoly(f.algebra, g_terms).scale(f.algebra.field.inv(lc))
+    h = NCPoly(f.algebra, h_terms)
     if g * h == f:
         return g, h
     return None

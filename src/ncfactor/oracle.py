@@ -2,7 +2,8 @@
 
 Everything here is written to be obviously correct rather than fast, and it
 deliberately shares no code path with the factorization pipeline it is used
-to check: products are recomputed on raw word -> residue dictionaries.
+to check: one factor is enumerated and the other divided out, by long
+division on raw word -> residue dictionaries.
 """
 
 from __future__ import annotations
@@ -19,25 +20,40 @@ from .commutative import SymbolRing
 RawPoly = dict[Word, int]
 
 
-def _raw_mul(a: RawPoly, b: RawPoly, p: int) -> RawPoly:
-    out: RawPoly = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            c = (out.get(w, 0) + ca * cb) % p
-            if c:
-                out[w] = c
+def _raw_left_divide(f: RawPoly, g: RawPoly, p: int) -> Optional[RawPoly]:
+    """q with g*q = f, or None when g does not left-divide f.
+
+    Long division by leading word: g*q leads with lead(g)*lead(q) in the
+    degree-then-lex order, so the leading word of every remainder must start
+    with lead(g), and each step cancels it exactly.
+    """
+    lead = max(g, key=word_key)
+    inv = pow(g[lead], -1, p)
+    r = dict(f)
+    q: RawPoly = {}
+    while r:
+        m = max(r, key=word_key)
+        if m[: len(lead)] != lead:
+            return None
+        w = m[len(lead) :]
+        c = r[m] * inv % p
+        q[w] = c
+        for wg, cg in g.items():
+            key = wg + w
+            v = (r.get(key, 0) - c * cg) % p
+            if v:
+                r[key] = v
             else:
-                out.pop(w, None)
-    return out
+                r.pop(key, None)
+    return q
+
+
+def _reversed(raw: RawPoly) -> RawPoly:
+    return {w[::-1]: c for w, c in raw.items()}
 
 
 def _to_raw(f: NCPoly) -> RawPoly:
     return {w: c.constant_value() for w, c in f.terms()}
-
-
-def _from_raw(raw: RawPoly, algebra: FreeAlgebra) -> NCPoly:
-    return algebra.poly(dict(raw))
 
 
 def _candidate_words(f: NCPoly, max_degree: int, prefixes: bool) -> list[Word]:
@@ -55,6 +71,34 @@ def _all_words(alphabet: Alphabet, max_degree: int) -> list[Word]:
     return sorted(words, key=word_key)
 
 
+def _left_factors(
+    raw_f: RawPoly,
+    words: list[Word],
+    degree: int,
+    quotient_words: list[Word],
+    p: int,
+    budget: int,
+) -> list[tuple[RawPoly, RawPoly]]:
+    """Every (G, H) with G*H = f, deg G = degree and the given supports.
+
+    G runs over every coefficient vector on `words`; H is the exact quotient
+    of f by G, kept when it is supported on `quotient_words`.
+    """
+    needed = p ** len(words)
+    if needed > budget:
+        raise BudgetExceededError(needed, budget)
+    allowed = set(quotient_words)
+    pairs = []
+    for coeffs in product(range(p), repeat=len(words)):
+        if not any(c and len(w) == degree for w, c in zip(words, coeffs)):
+            continue
+        g = {w: c for w, c in zip(words, coeffs) if c}
+        quotient = _raw_left_divide(raw_f, g, p)
+        if quotient is not None and set(quotient) <= allowed:
+            pairs.append((g, quotient))
+    return pairs
+
+
 def brute_force_factor(
     f: NCPoly,
     split: tuple[int, int],
@@ -67,9 +111,12 @@ def brute_force_factor(
     Candidate supports are the prefixes (for G) and suffixes (for H) of the
     words of f, or every word of bounded degree in exhaustive mode; each
     support list is truncated at support_cap in canonical order.  Every
-    coefficient assignment over F_p is tried, so the search space has size
-    p**(len(G support) + len(H support)); exceeding the budget raises.
-    Results are monic-normalized and deduplicated.
+    coefficient assignment over F_p is tried for the factor with fewer
+    candidate words, so the search space has size p**(that many words);
+    exceeding the budget raises.  The other factor is the exact quotient of
+    f by it (right division runs on reversed words), kept when its support
+    lies in its own candidate list.  Results are monic-normalized and
+    deduplicated.
     """
     h, k = split
     if h < 1 or k < 1:
@@ -88,32 +135,18 @@ def brute_force_factor(
         h_words = _candidate_words(f, k, prefixes=False)
     g_words = g_words[:support_cap]
     h_words = h_words[:support_cap]
-    needed = p ** (len(g_words) + len(h_words))
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-
-    raw_f = _to_raw(f)
-    found: set[tuple[NCPoly, NCPoly]] = set()
-    g_options = [
-        dict(zip(g_words, coeffs))
-        for coeffs in product(range(p), repeat=len(g_words))
-        if any(c and len(w) == h for w, c in zip(g_words, coeffs))
-    ]
-    h_options = [
-        dict(zip(h_words, coeffs))
-        for coeffs in product(range(p), repeat=len(h_words))
-        if any(c and len(w) == k for w, c in zip(h_words, coeffs))
-    ]
-    for g_raw in g_options:
-        g_clean = {w: c for w, c in g_raw.items() if c}
-        for h_raw in h_options:
-            h_clean = {w: c for w, c in h_raw.items() if c}
-            if _raw_mul(g_clean, h_clean, p) == raw_f:
-                pair = normalize_pair(
-                    _from_raw(g_clean, f.algebra), _from_raw(h_clean, f.algebra)
-                )
-                found.add(pair)
-    return found
+    if len(g_words) <= len(h_words):
+        pairs = _left_factors(_to_raw(f), g_words, h, h_words, p, budget)
+    else:
+        # G*H = f exactly when rev(H)*rev(G) = rev(f): enumerate rev(H) on the left
+        rev_h, rev_g = ([w[::-1] for w in words] for words in (h_words, g_words))
+        pairs = [
+            (_reversed(g_raw), _reversed(h_raw))
+            for h_raw, g_raw in _left_factors(_reversed(_to_raw(f)), rev_h, k, rev_g, p, budget)
+        ]
+    return {
+        normalize_pair(f.algebra.poly(g_raw), f.algebra.poly(h_raw)) for g_raw, h_raw in pairs
+    }
 
 
 def chain_family(

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from ncfactor import factoring
 from ncfactor.cli import Request, run
 from ncfactor.commutative import SymbolRing
-from ncfactor.errors import SearchSpaceTooLargeError
+from ncfactor.errors import BudgetExceededError, SearchSpaceTooLargeError
 from ncfactor.factoring import (
     DegreeSplit,
     FactorOptions,
@@ -25,6 +27,7 @@ def algebra(p=5):
 
 
 ALG = algebra()
+W = ALG.alphabet.word
 
 
 def pair_set(facts):
@@ -57,6 +60,23 @@ class TestFactorBidegree:
 
     def test_irreducible_head_prunes_split(self):
         assert factor_bidegree(ALG.from_text("x*x - y*y"), (1, 1)) == []
+
+    def test_only_the_settling_pivot_runs(self, monkeypatch):
+        # head pairs (x, yx) and (y, yx); only the second overlaps, so its
+        # determined attempt settles the split without running the first
+        calls = []
+        attempt = factoring._attempt_pivot
+
+        def counted(*args):
+            calls.append(args[5])
+            return attempt(*args)
+
+        monkeypatch.setattr(factoring, "_attempt_pivot", counted)
+        facts = factor_bidegree(ALG.from_text("(x + y + 1)*(y*x + 2)"), (1, 2))
+        assert calls == [(W("y"), W("yx"), (1,))]
+        assert [(str(fact.left), str(fact.right)) for fact in facts] == [
+            ("y + x + 1", "y*x + 2")
+        ]
 
     def test_split_must_match_degree(self):
         with pytest.raises(ValueError):
@@ -179,6 +199,64 @@ class TestScanAmbiguities:
         # exhaustive enumeration is out of budget at degree 6; the
         # prefix/suffix-restricted oracle covers both pairs here
         assert len(self._check(f, (3, 3), exhaustive=False)) == 2
+
+
+def _random_poly(draw, alg, degree, max_terms):
+    """A word of the given degree plus up to max_terms - 1 terms of at most that degree."""
+    letters = st.integers(0, alg.alphabet.size - 1)
+    coeff = st.integers(1, alg.field.p - 1)
+
+    def word(d):
+        return tuple(draw(st.lists(letters, min_size=d, max_size=d)))
+
+    f = alg.monomial(word(degree), draw(coeff))
+    for _ in range(draw(st.integers(0, max_terms - 1))):
+        f = f + alg.monomial(word(draw(st.integers(0, degree))), draw(coeff))
+    return f
+
+
+@st.composite
+def products_and_perturbations(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    names = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    alg = FreeAlgebra(Alphabet(names), SymbolRing(PrimeField(p), ()))
+    if draw(st.booleans()):
+        # factors sharing a middle part E (G_top = A*E, H_top = E*B): the
+        # shape whose recovery steps can be underdetermined
+        e = draw(st.integers(1, 2))
+        a, b = draw(st.integers(0, 3 - e)), draw(st.integers(0, 3 - e))
+        middle = _random_poly(draw, alg, e, 2)
+        left = _random_poly(draw, alg, a, 2) * middle + _random_poly(draw, alg, a + e - 1, 2)
+        right = middle * _random_poly(draw, alg, b, 2) + _random_poly(draw, alg, e + b - 1, 2)
+        f, h, k = left * right, a + e, e + b
+    else:
+        h, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        f = _random_poly(draw, alg, h, 3) * _random_poly(draw, alg, k, 3)
+    if draw(st.booleans()):
+        f = f + _random_poly(draw, alg, draw(st.integers(0, h + k)), 1)
+    return f, (h, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(products_and_perturbations())
+def test_factor_bidegree_matches_oracle(case):
+    # equal to the exhaustive oracle where it fits its budget; otherwise no
+    # pair of the prefix/suffix-restricted oracle may be missing
+    f, split = case
+    assume(not f.is_zero() and f.degree() == sum(split))
+    mine = pair_set(factor_bidegree(f, split))
+    try:
+        exhaustive = brute_force_factor(f, split, exhaustive=True, budget=3000)
+    except BudgetExceededError:
+        pass
+    else:
+        assert mine == exhaustive
+        return
+    try:
+        restricted = brute_force_factor(f, split, budget=3000)
+    except BudgetExceededError:
+        return
+    assert restricted <= mine
 
 
 class TestAssembleConstraints:

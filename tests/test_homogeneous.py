@@ -4,7 +4,7 @@ from ncfactor.commutative import SymbolRing
 from ncfactor.errors import RefinementError
 from ncfactor.fields import PrimeField, RationalField
 from ncfactor.freealg import Alphabet, FreeAlgebra, normalize_pair
-from ncfactor.homogeneous import factor_homogeneous, refine, select_pivot
+from ncfactor.homogeneous import factor_homogeneous, refine
 from ncfactor.oracle import brute_force_factor, random_factorable
 
 
@@ -14,30 +14,6 @@ def algebra(p=5):
 
 
 ALG = algebra()
-W = ALG.alphabet.word
-
-
-class TestSelectPivot:
-    def test_quintic_head(self):
-        f = ALG.from_text("y*x*y*x*y")
-        assert select_pivot(f, 2, 3) == (W("yx"), W("yxy"))
-
-    def test_single_word(self):
-        f = ALG.from_text("x*x*y*y")
-        assert select_pivot(f, 2, 2) == (W("xx"), W("yy"))
-
-    def test_prefers_overlap_free_split(self):
-        f = ALG.from_text("x*y*x*y + x*x*y*y")
-        # (xy, xy) has an overlap of length 2; (xx, yy) has none
-        assert select_pivot(f, 2, 2) == (W("xx"), W("yy"))
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            select_pivot(ALG.zero(), 1, 1)
-
-    def test_rejects_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            select_pivot(ALG.from_text("x*y"), 2, 2)
 
 
 class TestFactorHomogeneous:
@@ -57,6 +33,14 @@ class TestFactorHomogeneous:
     def test_rejects_trivial_degree(self):
         with pytest.raises(ValueError):
             factor_homogeneous(ALG.from_text("x*y"), 0, 2)
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            factor_homogeneous(ALG.zero(), 1, 1)
+
+    def test_rejects_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            factor_homogeneous(ALG.from_text("x*y"), 2, 2)
 
     def test_soundness_on_random_corpus(self):
         # 200 seeded products over F_3: the normalized pair is recovered

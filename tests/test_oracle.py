@@ -22,6 +22,15 @@ class TestBruteForce:
         }
         assert got == expected
 
+    def test_right_factor_enumerated_when_it_has_fewer_words(self):
+        # G has five candidate prefixes and H two suffixes: H is enumerated
+        # and G divided out on the right
+        alg = algebra(3)
+        f = alg.from_text("y*x*y*x*y - y")
+        assert brute_force_factor(f, (4, 1), budget=9) == {
+            (alg.from_text("y*x*y*x - 1"), alg.from_text("y"))
+        }
+
     def test_irreducible_square_difference(self):
         alg = algebra(3)
         assert brute_force_factor(alg.from_text("x*x - y*y"), (1, 1)) == set()
