@@ -12,6 +12,7 @@ the values of a symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from operator import add
 from typing import Iterable
 
 from .errors import (
@@ -27,7 +28,7 @@ Monomial = tuple[int, ...]
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -96,6 +97,8 @@ class SymbolRing:
         return CPoly(self, clean)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, SymbolRing)
             and other.field == self.field

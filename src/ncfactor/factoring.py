@@ -5,7 +5,13 @@ parts are recovered degree by degree from the relation between homogeneous
 parts of F and of the factors.  Where the pivot words of the two top parts
 overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
-all symbols is solved exactly.  Over F_p every point is found by peeling
+all symbols is solved exactly.  The recovery steps and the assembly of the
+system compute on plain coefficient dicts ({word: {monomial: scalar}},
+residues mod p over F_p, Fractions over Q); NCPoly and CPoly values are built
+once per attempt, for what it returns.  A step with an equation that reduces
+to a nonzero constant ends its attempt before assembly: that equation is an
+exact consequence of g*h - f = 0 for every value of the symbols, so the
+system would be inconsistent.  Over F_p every point is found by peeling
 univariate equations (their gcd, then its roots) and branching over a
 symbol's values only where no equation is univariate.  Over Q the reduced
 lex Groebner basis both decides the unit ideal (no factorization) and
@@ -17,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .commutative import (
     CPoly,
     ConstraintSystem,
     Monomial,
+    _is_constant,
     buchberger,
     enumerate_solutions,
     monomial_degree,
@@ -33,7 +40,7 @@ from .commutative import (
 )
 from .errors import ContextMismatchError
 from .fields import PrimeField, Scalar
-from .freealg import NCPoly, Word, normalize_pair, overlap_lengths
+from .freealg import NCPoly, Word, normalize_pair, overlap_lengths, word_key
 from .homogeneous import factor_homogeneous
 
 
@@ -58,8 +65,9 @@ class SymbolicFactorization:
     `reduced_basis` is the reduced lex Groebner basis of `system` (None for an
     empty system), computed on first read and cached; the facts of one pivot
     attempt share one system and one cache, so it is computed once per system.
-    Over Q the solver reads it on every attempt; over F_p only callers that
-    display it do.
+    Over Q the solver reads it on every attempt that reaches assembly (an
+    attempt stopped at a contradictory recovery step computes none); over
+    F_p only callers that display it do.
     """
 
     left: NCPoly
@@ -103,30 +111,86 @@ class FactorOptions:
 DEFAULT_OPTIONS = FactorOptions()
 
 
+# Inside a pivot attempt a coefficient is the term dict of a CPoly (monomial
+# -> nonzero scalar) and a polynomial part maps words to such dicts.  Values
+# are reduced with `_reducer(field)`: residues mod p over F_p, Fractions over Q.
+Coeff = dict[Monomial, Scalar]
+
+
+def _reducer(fld) -> Callable[[Scalar], Scalar]:
+    if fld.is_finite:
+        p = fld.p
+        return lambda v: v % p
+    return lambda v: v
+
+
+def _axpy(acc: Coeff, s: Scalar, c: Coeff, red) -> None:
+    """acc += s*c, in place."""
+    for m, v in c.items():
+        nv = red(acc.get(m, 0) + s * v)
+        if nv:
+            acc[m] = nv
+        else:
+            acc.pop(m, None)
+
+
+def _add_product(
+    acc: dict[Word, Coeff], s: Scalar, a: dict[Word, Coeff], b: dict[Word, Coeff], red
+) -> None:
+    """acc += s*a*b for word -> coefficient dicts, in place; no empty entry is kept."""
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            word = w1 + w2
+            t = acc.setdefault(word, {})
+            for m1, v1 in c1.items():
+                for m2, v2 in c2.items():
+                    m = monomial_mul(m1, m2)
+                    nv = red(t.get(m, 0) + s * v1 * v2)
+                    if nv:
+                        t[m] = nv
+                    else:
+                        t.pop(m, None)
+            if not t:
+                del acc[word]
+
+
 def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
     """Coefficient-matching system for f = g*h.
 
     Expands g*h - f and returns one equation per word with a nonzero
     coefficient (possibly a nonzero constant, which makes the system
-    inconsistent).  Empty system means g*h = f identically.
+    inconsistent), in descending word order.  Empty system means g*h = f
+    identically.  The expansion runs on plain coefficient dicts.
     """
     if g.algebra != h.algebra:
         raise ContextMismatchError("factors live in different algebras")
     if not f.has_constant_coefficients():
         raise ValueError("f must have constant coefficients")
-    diff = g * h - f.lift(g.algebra)
-    equations = tuple(coeff for _, coeff in diff.terms())
-    return ConstraintSystem(g.algebra.ring, equations)
+    ring = g.algebra.ring
+    own = f.algebra.alphabet.names
+    if g.algebra.alphabet.names[: len(own)] != own or f.algebra.field != ring.field:
+        raise ContextMismatchError(f"{g.algebra!r} does not extend {f.algebra!r}")
+    red = _reducer(ring.field)
+    zero = (0,) * ring.nsymbols
+    diff = {w: {zero: red(-c.constant_value())} for w, c in f._terms.items()}
+    _add_product(
+        diff, 1, {w: c._terms for w, c in g._terms.items()},
+        {w: c._terms for w, c in h._terms.items()}, red,
+    )
+    return ConstraintSystem(
+        ring, tuple(CPoly(ring, diff[w]) for w in sorted(diff, key=word_key, reverse=True))
+    )
 
 
 def _solve_step(
-    fhat: NCPoly,
+    fhat: dict[Word, Coeff],
     g_words: dict[Word, Scalar],
     h_words: dict[Word, Scalar],
     h_minus_j: int,
     k_minus_j: int,
-    known: dict[tuple[str, Word], CPoly],
-) -> tuple[dict[tuple[str, Word], CPoly], bool]:
+    known: dict[tuple[str, Word], Coeff],
+    fld,
+) -> Optional[tuple[dict[tuple[str, Word], Coeff], bool]]:
     """Solve one degree step of the recovery for the unknown factor parts.
 
     The relation fhat = G_top * H_new + G_new * H_top is linear in the
@@ -141,15 +205,20 @@ def _solve_step(
     sparse system is solved by Gaussian elimination over the base field;
     right-hand sides may involve extension symbols from earlier steps.
     Unconstrained unknowns are set to zero; entries fixed by the overlap
-    symbol arrive through `known`.
+    symbol arrive through `known`.  Coefficients are plain dicts (see
+    `Coeff`).
 
-    Returns (solution, underdetermined).  When `underdetermined` is True the
-    zeroed unknowns were genuinely free, so the step may have dropped
-    admissible factorizations and the caller must not treat this attempt's
-    answer as exhaustive.
+    Returns None when an equation of the step reduces to a nonzero
+    constant: a word left with no unknown once the `known` entries are
+    substituted, or a row that elimination empties.  That equation is an
+    exact consequence of g*h - f = 0 in this degree for every value of the
+    symbols, so no factorization with these top parts and these earlier
+    steps exists.  Otherwise returns (solution, underdetermined).  When
+    `underdetermined` is True the zeroed unknowns were genuinely free, so
+    the step may have dropped admissible factorizations and the caller must
+    not treat this attempt's answer as exhaustive.
     """
-    alg = fhat.algebra
-    fld = alg.field
+    red = _reducer(fld)
     h = len(next(iter(g_words)))
 
     def equation_monomials(unknown: tuple[str, Word]) -> list[Word]:
@@ -158,12 +227,13 @@ def _solve_step(
             return [u + word for u in g_words]
         return [word + v for v in h_words]
 
-    def monomial_unknowns(m: Word) -> list[tuple[str, Word]]:
+    def monomial_unknowns(m: Word) -> list[tuple[tuple[str, Word], Scalar]]:
+        # the unknowns in the equation of m, with their head coefficients
         out = []
         if k_minus_j >= 0 and m[:h] in g_words:
-            out.append(("H", m[h:]))
+            out.append((("H", m[h:]), g_words[m[:h]]))
         if h_minus_j >= 0 and m[h_minus_j:] in h_words:
-            out.append(("G", m[:h_minus_j]))
+            out.append((("G", m[:h_minus_j]), h_words[m[h_minus_j:]]))
         return out
 
     unknowns: set[tuple[str, Word]] = set()
@@ -174,56 +244,57 @@ def _solve_step(
             unknowns.add(unk)
             frontier.append(unk)
 
-    for word in fhat.words():
-        for unk in monomial_unknowns(word):
+    for word in fhat:
+        for unk, _ in monomial_unknowns(word):
             discover(unk)
     # Entries fixed by the overlap symbol are nonzero data: equations through
     # them can reach unknowns invisible in the support of fhat.
     frontier.extend(known)
     while frontier:
         for m in equation_monomials(frontier.pop()):
-            for other in monomial_unknowns(m):
+            for other, _ in monomial_unknowns(m):
                 discover(other)
 
     monomials: set[Word] = set()
     for unk in unknowns:
         monomials.update(equation_monomials(unk))
-
-    # Rows: scalar coefficients on the unknowns, CPoly right-hand side
-    # (symbols from earlier overlap steps may appear there).
     order = sorted(unknowns)
     index = {unk: i for i, unk in enumerate(order)}
-    rows: list[tuple[dict[int, Scalar], CPoly]] = []
-    for m in sorted(monomials):
+
+    def equation(m: Word) -> tuple[dict[int, Scalar], Coeff]:
+        # scalar coefficients on the unknowns; the right-hand side may hold
+        # symbols from earlier overlap steps
         coeffs: dict[int, Scalar] = {}
-        rhs = fhat.coefficient(m)
-        if k_minus_j >= 0 and m[:h] in g_words:
-            unk = ("H", m[h:])
+        rhs = dict(fhat.get(m, {}))
+        for unk, c in monomial_unknowns(m):
             if unk in known:
-                rhs = rhs - known[unk].scale(g_words[m[:h]])
+                _axpy(rhs, -c, known[unk], red)
             else:
-                coeffs[index[unk]] = g_words[m[:h]]
-        if h_minus_j >= 0 and m[h_minus_j:] in h_words:
-            unk = ("G", m[:h_minus_j])
-            if unk in known:
-                rhs = rhs - known[unk].scale(h_words[m[h_minus_j:]])
-            else:
-                coeffs[index[unk]] = h_words[m[h_minus_j:]]
-        if coeffs:
-            rows.append((coeffs, rhs))
+                coeffs[index[unk]] = c
+        return coeffs, rhs
+
+    # Words with no unknown left are conditions on the symbols alone.
+    conditions = set(fhat)
+    for unk in known:
+        conditions.update(equation_monomials(unk))
+    for m in conditions - monomials:
+        if _is_constant(equation(m)[1]):
+            return None
+    rows = [equation(m) for m in sorted(monomials)]
 
     # Forward elimination to row echelon form.  Rows that empty out state
     # conditions on earlier symbols; they reappear in the final
-    # coefficient-matching system, so they are dropped here.
-    echelon: dict[int, tuple[dict[int, Scalar], CPoly]] = {}
+    # coefficient-matching system, so they are dropped here unless they are
+    # a nonzero constant.
+    echelon: dict[int, tuple[dict[int, Scalar], Coeff]] = {}
     for col in range(len(order)):
         sel = next((ri for ri, (coeffs, _) in enumerate(rows) if col in coeffs), None)
         if sel is None:
             continue
         coeffs, rhs = rows.pop(sel)
         inv = fld.inv(coeffs[col])
-        coeffs = {i: fld.mul(c, inv) for i, c in coeffs.items()}
-        rhs = rhs.scale(inv)
+        coeffs = {i: red(c * inv) for i, c in coeffs.items()}
+        rhs = {m: red(v * inv) for m, v in rhs.items()}
         echelon[col] = (coeffs, rhs)
         remaining = []
         for other_coeffs, other_rhs in rows:
@@ -231,28 +302,31 @@ def _solve_step(
                 factor = other_coeffs[col]
                 merged = dict(other_coeffs)
                 for i, c in coeffs.items():
-                    nc = fld.sub(merged.get(i, fld.zero), fld.mul(factor, c))
-                    if nc == 0:
-                        merged.pop(i, None)
-                    else:
+                    nc = red(merged.get(i, 0) - factor * c)
+                    if nc:
                         merged[i] = nc
-                other_rhs = other_rhs - rhs.scale(factor)
+                    else:
+                        merged.pop(i, None)
+                other_rhs = dict(other_rhs)
+                _axpy(other_rhs, -factor, rhs, red)
                 if merged:
                     remaining.append((merged, other_rhs))
+                elif _is_constant(other_rhs):
+                    return None
             else:
                 remaining.append((other_coeffs, other_rhs))
         rows = remaining
 
     # Back-substitute; free unknowns stay zero.
-    solution: dict[tuple[str, Word], CPoly] = dict(known)
+    solution: dict[tuple[str, Word], Coeff] = dict(known)
     for unk in order:
-        solution.setdefault(unk, alg.ring.zero())
+        solution.setdefault(unk, {})
     for col in sorted(echelon, reverse=True):
         coeffs, rhs = echelon[col]
-        value = rhs
+        value = dict(rhs)
         for i, c in coeffs.items():
             if i != col:
-                value = value - solution[order[i]].scale(c)
+                _axpy(value, -c, solution[order[i]], red)
         solution[order[col]] = value
     underdetermined = any(col not in echelon for col in range(len(order)))
     return solution, underdetermined
@@ -272,56 +346,73 @@ def _attempt_pivot(
 ) -> tuple[Optional[list[SymbolicFactorization]], bool]:
     """Run the degree-by-degree recovery for one pivot pair.
 
-    Returns (results, determined).  `results` is None when the assembled
-    system is inconsistent.  `determined` is True when every recovery step
-    was fully determined (given the overlap symbols); otherwise zeroed free
+    Returns (results, determined).  `results` is None when the system is
+    inconsistent.  `determined` is True when every recovery step was fully
+    determined (given the overlap symbols); otherwise zeroed free
     coefficients may have dropped factorizations.
+
+    The steps run on plain coefficient dicts; NCPoly and CPoly values are
+    built once, for the symbolic pair, its system and the facts.  A step
+    with a contradictory equation (see `_solve_step`) ends the attempt
+    before assembly with (None, determined), where `determined` covers the
+    steps before it.  This cannot change an answer: when those steps were
+    determined, no factorization with these top parts exists, and
+    otherwise the caller merges across pivot pairs as for any failed
+    attempt.
     """
     g_hat, h_hat, overlaps = pivot
     n = f.degree()
     h, k = g_top.degree(), h_top.degree()
     fld = f.algebra.field
+    red = _reducer(fld)
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
-    symbol_at = dict(zip(overlaps, symbols))
-    alg = f.algebra.extend_symbols(symbols)
-    f_ext = f.lift(alg)
+    symbol_at = {j: i for i, j in enumerate(overlaps)}
+    zero = (0,) * len(symbols)
+    f_parts: dict[int, dict[Word, Coeff]] = {}
+    for w, c in f._terms.items():
+        f_parts.setdefault(len(w), {})[w] = {zero: c.constant_value()}
     gamma = g_head[g_hat]
     eta = h_head[h_hat]
-    g_parts: dict[int, NCPoly] = {h: g_top.lift(alg)}
-    h_parts: dict[int, NCPoly] = {k: h_top.lift(alg)}
+    g_parts: dict[int, dict[Word, Coeff]] = {h: {w: {zero: c} for w, c in g_head.items()}}
+    h_parts: dict[int, dict[Word, Coeff]] = {k: {w: {zero: c} for w, c in h_head.items()}}
     determined = True
 
     for j in range(1, max(h, k) + 1):
-        fhat = f_ext.homogeneous_part(n - j)
+        fhat = {w: dict(c) for w, c in f_parts.get(n - j, {}).items()}
         for i in range(1, j):
             if h - i in g_parts and k - j + i in h_parts:
-                fhat = fhat - g_parts[h - i] * h_parts[k - j + i]
-        known: dict[tuple[str, Word], CPoly] = {}
+                _add_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], red)
+        known: dict[tuple[str, Word], Coeff] = {}
         if j in symbol_at:
             # The fused word g_hat * h_hat[j:] is left-divisible by g_hat and
             # right-divisible by h_hat at once, so its coefficient c splits
             # into an undetermined part alpha (to G) and (c - alpha*eta)/gamma
             # (to H) for a fresh symbol alpha.
-            fused = g_hat + h_hat[j:]
-            c = fhat.coefficient(fused)
-            alpha = alg.ring.symbol(symbol_at[j])
+            alpha = {tuple(int(i == symbol_at[j]) for i in range(len(symbols))): fld.one}
+            rest = dict(fhat.get(g_hat + h_hat[j:], {}))
+            _axpy(rest, -eta, alpha, red)
+            inv_gamma = fld.inv(gamma)
             known[("G", g_hat[: h - j])] = alpha
-            known[("H", h_hat[j:])] = (c - alpha.scale(eta)).scale(fld.inv(gamma))
-        solution, underdetermined = _solve_step(fhat, g_head, h_head, h - j, k - j, known)
+            known[("H", h_hat[j:])] = {m: red(v * inv_gamma) for m, v in rest.items()}
+        step = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)
+        if step is None:
+            return None, determined
+        solution, underdetermined = step
         if underdetermined:
             determined = False
-        parts: dict[str, dict[Word, CPoly]] = {"G": {}, "H": {}}
+        parts: dict[str, dict[Word, Coeff]] = {"G": {}, "H": {}}
         for (kind, word), value in solution.items():
-            if not value.is_zero():
+            if value:
                 parts[kind][word] = value
         if h - j >= 0:
-            g_parts[h - j] = NCPoly(alg, parts["G"])
+            g_parts[h - j] = parts["G"]
         if k - j >= 0:
-            h_parts[k - j] = NCPoly(alg, parts["H"])
+            h_parts[k - j] = parts["H"]
 
-    # parts of one factor have distinct degrees, so their terms never collide
-    g_sym = NCPoly(alg, {w: c for part in g_parts.values() for w, c in part._terms.items()})
-    h_sym = NCPoly(alg, {w: c for part in h_parts.values() for w, c in part._terms.items()})
+    # parts of one factor have distinct degrees, so their words never collide
+    alg = f.algebra.extend_symbols(symbols)
+    g_sym = NCPoly(alg, {w: CPoly(alg.ring, c) for part in g_parts.values() for w, c in part.items()})
+    h_sym = NCPoly(alg, {w: CPoly(alg.ring, c) for part in h_parts.values() for w, c in part.items()})
 
     system = assemble_constraints(f, g_sym, h_sym)
 
@@ -382,6 +473,12 @@ def factor_bidegree(
     count, and the answers of every consistent attempt are merged, since a
     free coefficient zeroed in one attempt can be reached through another
     pivot pair's overlap symbol.
+
+    An attempt whose recovery step has a contradictory equation stops there
+    and reports only the earlier steps as determined (see `_attempt_pivot`):
+    a settling attempt stopped after determined steps proves the split has
+    no factorization, and one stopped after an underdetermined step leads
+    to the merge as before.
     """
     h, k = split
     if h < 1 or k < 1:

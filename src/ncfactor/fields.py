@@ -91,6 +91,8 @@ class PrimeField:
         return str(a)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self) -> int:

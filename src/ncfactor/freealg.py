@@ -149,6 +149,8 @@ class FreeAlgebra:
         return FreeAlgebra(self.alphabet.extend(name), self.ring)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, FreeAlgebra)
             and other.alphabet == self.alphabet

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -77,6 +79,28 @@ class TestFactorBidegree:
         assert [(str(fact.left), str(fact.right)) for fact in facts] == [
             ("y + x + 1", "y*x + 2")
         ]
+
+    @pytest.mark.parametrize("p", [2, 5, None])
+    def test_contradictory_step_ends_the_attempt(self, p, monkeypatch):
+        # the top x*y factors as x * y, but the degree-1 word z has no
+        # unknown in the first recovery step: no system is assembled or solved
+        calls = []
+
+        def counting(name):
+            fn = getattr(factoring, name)
+
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return counted
+
+        for name in ("assemble_constraints", "enumerate_solutions", "buchberger"):
+            monkeypatch.setattr(factoring, name, counting(name))
+        field = PrimeField(p) if p else RationalField()
+        alg = FreeAlgebra(Alphabet(("x", "y", "z")), SymbolRing(field, ()))
+        assert factor_bidegree(alg.from_text("x*y + z"), (1, 1)) == []
+        assert calls == []
 
     def test_split_must_match_degree(self):
         with pytest.raises(ValueError):
@@ -275,6 +299,40 @@ class TestAssembleConstraints:
         h = ALG.from_text("y*x*y + y")
         f = g * h
         assert assemble_constraints(f, g, h).equations == ()
+
+    @pytest.mark.parametrize("p", [2, 5, 101, None])
+    def test_matches_ncpoly_expansion(self, p):
+        # seeded symbolic pairs with 0-3 symbols; f keeps the constant part of
+        # g*h, so some words cancel, plus one random monomial
+        field = PrimeField(p) if p else RationalField()
+        base = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(field, ()))
+        for seed in range(40):
+            rng = random.Random(seed)
+            sym = base.extend_symbols(tuple(f"a{i + 1}" for i in range(seed % 4)))
+            ring = sym.ring
+
+            def coeff():
+                value = ring.constant(rng.choice([-2, -1, 1, 2, 3]))
+                for name in ring.symbols:
+                    if rng.random() < 0.4:
+                        value = value + ring.symbol(name) * rng.randint(1, 3)
+                return value
+
+            def poly(degree):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    word = tuple(rng.randrange(2) for _ in range(rng.randint(0, degree)))
+                    terms[word] = coeff()
+                return sym.poly(terms)
+
+            g, h = poly(2), poly(3)
+            zero = (0,) * ring.nsymbols
+            f = base.poly({w: c.coefficient(zero) for w, c in (g * h)._terms.items()})
+            f = f + base.monomial(tuple(rng.randrange(2) for _ in range(rng.randint(0, 4))), 1)
+            if f.is_zero():
+                f = base.one()
+            expected = tuple(c for _, c in (g * h - f.lift(sym)).terms())
+            assert assemble_constraints(f, g, h).equations == expected
 
     def test_wrong_product_gives_constant_contradiction(self):
         g = ALG.from_text("y*x")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -25,3 +26,16 @@ def test_script_runs(script, args, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_fact_digest_matches_golden():
+    # every fact of factor_all on 300 seeded inputs over F_2, F_3, F_5, F_101
+    # and Q; the 3000-input digest is checked the same way in CI
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "fact_digest.py"), "--count", "300"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "fact_digest_300.txt").read_text()
