@@ -2,18 +2,20 @@
 
 Sparse multivariate polynomials in a fixed ordered tuple of symbols, under
 pure lexicographic monomial order (first declared symbol most significant).
-Provides ring arithmetic, multivariate division, Buchberger's algorithm,
-the reduced lexicographic Groebner basis, and the exact solution set of a
-system over a prime field: univariate equations are peeled off by gcd and
-root finding, and only a system with no univariate equation branches over
-the values of a symbol.
+Provides the term-dict arithmetic kernel (`axpy`, `add_product`) that CPoly,
+NCPoly (through `freealg.add_word_product`) and the pivot attempts of
+`factoring` all compute with, ring arithmetic, multivariate division,
+Buchberger's algorithm, the reduced lexicographic Groebner basis, and the
+exact solution set of a system over a prime field: univariate equations are
+peeled off by gcd and root finding, and only a system with no univariate
+equation branches over the values of a symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from operator import add
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     ContextMismatchError,
@@ -46,6 +48,36 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_degree(a: Monomial) -> int:
     return sum(a)
+
+
+# -- term-dict arithmetic: every sum and product of polynomial coefficients is
+# taken here, on dicts of nonzero scalars; a zero sum leaves the dict.
+
+TermDict = dict[Monomial, Scalar]  # a CPoly's terms
+Reduce = Callable[[Scalar], Scalar]
+
+
+def axpy(acc: dict, s: Scalar, c: dict, reduce: Reduce) -> None:
+    """acc += s*c, in place; the keys may be monomials or anything else."""
+    for m, v in c.items():
+        nv = reduce(acc.get(m, 0) + s * v)
+        if nv:
+            acc[m] = nv
+        else:
+            acc.pop(m, None)
+
+
+def add_product(acc: TermDict, s: Scalar, a: TermDict, b: TermDict, reduce: Reduce) -> None:
+    """acc += s*a*b, in place."""
+    for m1, v1 in a.items():
+        sv1 = s * v1
+        for m2, v2 in b.items():
+            m = monomial_mul(m1, m2)
+            nv = reduce(acc.get(m, 0) + sv1 * v2)
+            if nv:
+                acc[m] = nv
+            else:
+                acc.pop(m, None)
 
 
 class SymbolRing:
@@ -199,52 +231,40 @@ class CPoly:
             return other
         return self.ring.constant(other)
 
-    def __add__(self, other) -> "CPoly":
+    def _plus(self, other, s: int) -> "CPoly":
         other = self._coerce_operand(other)
-        f = self.ring.field
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = f.add(terms.get(mono, f.zero), coeff)
-            if s == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
+        axpy(terms, s, other._terms, self.ring.field.reduce)
         return CPoly(self.ring, terms)
+
+    def __add__(self, other) -> "CPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
+    # Multiplying by a nonzero scalar or shifting by a monomial cancels
+    # nothing, so negation and `mul_term` only reduce each term.
+
     def __neg__(self) -> "CPoly":
-        f = self.ring.field
-        return CPoly(self.ring, {m: f.neg(c) for m, c in self._terms.items()})
+        reduce = self.ring.field.reduce
+        return CPoly(self.ring, {m: reduce(-c) for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "CPoly":
-        return self + (-self._coerce_operand(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "CPoly":
         return self._coerce_operand(other) - self
 
     def __mul__(self, other) -> "CPoly":
         other = self._coerce_operand(other)
-        f = self.ring.field
-        terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = monomial_mul(m1, m2)
-                s = f.add(terms.get(mono, f.zero), f.mul(c1, c2))
-                if s == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = s
+        terms: TermDict = {}
+        add_product(terms, 1, self._terms, other._terms, self.ring.field.reduce)
         return CPoly(self.ring, terms)
 
     __rmul__ = __mul__
 
     def scale(self, s: Scalar) -> "CPoly":
-        f = self.ring.field
-        s = f.coerce(s)
-        if s == 0:
-            return CPoly(self.ring, {})
-        return CPoly(self.ring, {m: f.mul(c, s) for m, c in self._terms.items()})
+        return self.mul_term((0,) * self.ring.nsymbols, s)
 
     def monic(self) -> "CPoly":
         if not self._terms:
@@ -257,7 +277,7 @@ class CPoly:
         if coeff == 0:
             return CPoly(self.ring, {})
         return CPoly(
-            self.ring, {monomial_mul(m, mono): f.mul(c, coeff) for m, c in self._terms.items()}
+            self.ring, {monomial_mul(m, mono): f.reduce(c * coeff) for m, c in self._terms.items()}
         )
 
     # -- evaluation and context changes -------------------------------------
@@ -274,8 +294,8 @@ class CPoly:
             term = coeff
             for v, e in zip(values, mono):
                 if e:
-                    term = f.mul(term, f.pow(v, e))
-            acc = f.add(acc, term)
+                    term = f.reduce(term * v**e)
+            acc = f.reduce(acc + term)
         return acc
 
     def lift(self, ring: SymbolRing) -> "CPoly":

@@ -7,40 +7,54 @@ overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
 all symbols is solved exactly.  The recovery steps and the assembly of the
 system compute on plain coefficient dicts ({word: {monomial: scalar}},
-residues mod p over F_p, Fractions over Q); NCPoly and CPoly values are built
-once per attempt, for what it returns.  A step with an equation that reduces
-to a nonzero constant ends its attempt before assembly: that equation is an
-exact consequence of g*h - f = 0 for every value of the symbols, so the
-system would be inconsistent.  Over F_p every point is found by peeling
-univariate equations (their gcd, then its roots) and branching over a
-symbol's values only where no equation is univariate.  Over Q the reduced
-lex Groebner basis both decides the unit ideal (no factorization) and
-describes the admissible symbol values.  Over F_p the basis is never needed
-for the answer and is computed only when read.
+residues mod p over F_p, Fractions over Q) with the arithmetic NCPoly and
+CPoly use (`freealg.add_word_product`, `commutative.axpy` and the field's
+`reduce`); NCPoly and CPoly values are built once per attempt, for what it
+returns.  A step with an equation that reduces to a nonzero constant ends
+its attempt before assembly: that equation is an exact consequence of
+g*h - f = 0 for every value of the symbols, so the system would be
+inconsistent.  Over F_p every point is found by peeling univariate
+equations (their gcd, then its roots) and branching over a symbol's values
+only where no equation is univariate.  Over Q the reduced lex Groebner basis
+both decides the unit ideal (no factorization) and describes the admissible
+symbol values.  Over F_p the basis is never needed for the answer and is
+computed only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .commutative import (
     CPoly,
     ConstraintSystem,
     Monomial,
+    TermDict,
     _is_constant,
+    add_product,
+    axpy,
     buchberger,
     enumerate_solutions,
     monomial_degree,
     monomial_divides,
-    monomial_mul,
     monomial_quotient,
     reduce_groebner,
 )
 from .errors import ContextMismatchError
 from .fields import PrimeField, Scalar
-from .freealg import NCPoly, Word, normalize_pair, overlap_lengths, word_key
+from .freealg import (
+    NCPoly,
+    Word,
+    WordTerms,
+    add_word_product,
+    from_term_dicts,
+    normalize_pair,
+    overlap_lengths,
+    term_dicts,
+    word_key,
+)
 from .homogeneous import factor_homogeneous
 
 
@@ -111,49 +125,6 @@ class FactorOptions:
 DEFAULT_OPTIONS = FactorOptions()
 
 
-# Inside a pivot attempt a coefficient is the term dict of a CPoly (monomial
-# -> nonzero scalar) and a polynomial part maps words to such dicts.  Values
-# are reduced with `_reducer(field)`: residues mod p over F_p, Fractions over Q.
-Coeff = dict[Monomial, Scalar]
-
-
-def _reducer(fld) -> Callable[[Scalar], Scalar]:
-    if fld.is_finite:
-        p = fld.p
-        return lambda v: v % p
-    return lambda v: v
-
-
-def _axpy(acc: Coeff, s: Scalar, c: Coeff, red) -> None:
-    """acc += s*c, in place."""
-    for m, v in c.items():
-        nv = red(acc.get(m, 0) + s * v)
-        if nv:
-            acc[m] = nv
-        else:
-            acc.pop(m, None)
-
-
-def _add_product(
-    acc: dict[Word, Coeff], s: Scalar, a: dict[Word, Coeff], b: dict[Word, Coeff], red
-) -> None:
-    """acc += s*a*b for word -> coefficient dicts, in place; no empty entry is kept."""
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            word = w1 + w2
-            t = acc.setdefault(word, {})
-            for m1, v1 in c1.items():
-                for m2, v2 in c2.items():
-                    m = monomial_mul(m1, m2)
-                    nv = red(t.get(m, 0) + s * v1 * v2)
-                    if nv:
-                        t[m] = nv
-                    else:
-                        t.pop(m, None)
-            if not t:
-                del acc[word]
-
-
 def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
     """Coefficient-matching system for f = g*h.
 
@@ -170,27 +141,24 @@ def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
     own = f.algebra.alphabet.names
     if g.algebra.alphabet.names[: len(own)] != own or f.algebra.field != ring.field:
         raise ContextMismatchError(f"{g.algebra!r} does not extend {f.algebra!r}")
-    red = _reducer(ring.field)
+    reduce = ring.field.reduce
     zero = (0,) * ring.nsymbols
-    diff = {w: {zero: red(-c.constant_value())} for w, c in f._terms.items()}
-    _add_product(
-        diff, 1, {w: c._terms for w, c in g._terms.items()},
-        {w: c._terms for w, c in h._terms.items()}, red,
-    )
+    diff = {w: {zero: reduce(-c.constant_value())} for w, c in f._terms.items()}
+    add_word_product(diff, 1, term_dicts(g), term_dicts(h), reduce)
     return ConstraintSystem(
         ring, tuple(CPoly(ring, diff[w]) for w in sorted(diff, key=word_key, reverse=True))
     )
 
 
 def _solve_step(
-    fhat: dict[Word, Coeff],
+    fhat: WordTerms,
     g_words: dict[Word, Scalar],
     h_words: dict[Word, Scalar],
     h_minus_j: int,
     k_minus_j: int,
-    known: dict[tuple[str, Word], Coeff],
+    known: dict[tuple[str, Word], TermDict],
     fld,
-) -> Optional[tuple[dict[tuple[str, Word], Coeff], bool]]:
+) -> Optional[tuple[dict[tuple[str, Word], TermDict], bool]]:
     """Solve one degree step of the recovery for the unknown factor parts.
 
     The relation fhat = G_top * H_new + G_new * H_top is linear in the
@@ -205,8 +173,8 @@ def _solve_step(
     sparse system is solved by Gaussian elimination over the base field;
     right-hand sides may involve extension symbols from earlier steps.
     Unconstrained unknowns are set to zero; entries fixed by the overlap
-    symbol arrive through `known`.  Coefficients are plain dicts (see
-    `Coeff`).
+    symbol arrive through `known`.  Coefficients are plain dicts
+    (`TermDict`).
 
     Returns None when an equation of the step reduces to a nonzero
     constant: a word left with no unknown once the `known` entries are
@@ -218,7 +186,7 @@ def _solve_step(
     the step may have dropped admissible factorizations and the caller must
     not treat this attempt's answer as exhaustive.
     """
-    red = _reducer(fld)
+    reduce = fld.reduce
     h = len(next(iter(g_words)))
 
     def equation_monomials(unknown: tuple[str, Word]) -> list[Word]:
@@ -261,14 +229,14 @@ def _solve_step(
     order = sorted(unknowns)
     index = {unk: i for i, unk in enumerate(order)}
 
-    def equation(m: Word) -> tuple[dict[int, Scalar], Coeff]:
+    def equation(m: Word) -> tuple[dict[int, Scalar], TermDict]:
         # scalar coefficients on the unknowns; the right-hand side may hold
         # symbols from earlier overlap steps
         coeffs: dict[int, Scalar] = {}
         rhs = dict(fhat.get(m, {}))
         for unk, c in monomial_unknowns(m):
             if unk in known:
-                _axpy(rhs, -c, known[unk], red)
+                axpy(rhs, -c, known[unk], reduce)
             else:
                 coeffs[index[unk]] = c
         return coeffs, rhs
@@ -286,29 +254,24 @@ def _solve_step(
     # conditions on earlier symbols; they reappear in the final
     # coefficient-matching system, so they are dropped here unless they are
     # a nonzero constant.
-    echelon: dict[int, tuple[dict[int, Scalar], Coeff]] = {}
+    echelon: dict[int, tuple[dict[int, Scalar], TermDict]] = {}
     for col in range(len(order)):
         sel = next((ri for ri, (coeffs, _) in enumerate(rows) if col in coeffs), None)
         if sel is None:
             continue
         coeffs, rhs = rows.pop(sel)
         inv = fld.inv(coeffs[col])
-        coeffs = {i: red(c * inv) for i, c in coeffs.items()}
-        rhs = {m: red(v * inv) for m, v in rhs.items()}
+        coeffs = {i: reduce(c * inv) for i, c in coeffs.items()}
+        rhs = {m: reduce(v * inv) for m, v in rhs.items()}
         echelon[col] = (coeffs, rhs)
         remaining = []
         for other_coeffs, other_rhs in rows:
             if col in other_coeffs:
                 factor = other_coeffs[col]
                 merged = dict(other_coeffs)
-                for i, c in coeffs.items():
-                    nc = red(merged.get(i, 0) - factor * c)
-                    if nc:
-                        merged[i] = nc
-                    else:
-                        merged.pop(i, None)
+                axpy(merged, -factor, coeffs, reduce)
                 other_rhs = dict(other_rhs)
-                _axpy(other_rhs, -factor, rhs, red)
+                axpy(other_rhs, -factor, rhs, reduce)
                 if merged:
                     remaining.append((merged, other_rhs))
                 elif _is_constant(other_rhs):
@@ -318,7 +281,7 @@ def _solve_step(
         rows = remaining
 
     # Back-substitute; free unknowns stay zero.
-    solution: dict[tuple[str, Word], Coeff] = dict(known)
+    solution: dict[tuple[str, Word], TermDict] = dict(known)
     for unk in order:
         solution.setdefault(unk, {})
     for col in sorted(echelon, reverse=True):
@@ -326,7 +289,7 @@ def _solve_step(
         value = dict(rhs)
         for i, c in coeffs.items():
             if i != col:
-                _axpy(value, -c, solution[order[i]], red)
+                axpy(value, -c, solution[order[i]], reduce)
         solution[order[col]] = value
     underdetermined = any(col not in echelon for col in range(len(order)))
     return solution, underdetermined
@@ -364,25 +327,24 @@ def _attempt_pivot(
     n = f.degree()
     h, k = g_top.degree(), h_top.degree()
     fld = f.algebra.field
-    red = _reducer(fld)
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
     symbol_at = {j: i for i, j in enumerate(overlaps)}
     zero = (0,) * len(symbols)
-    f_parts: dict[int, dict[Word, Coeff]] = {}
+    f_parts: dict[int, WordTerms] = {}
     for w, c in f._terms.items():
         f_parts.setdefault(len(w), {})[w] = {zero: c.constant_value()}
     gamma = g_head[g_hat]
     eta = h_head[h_hat]
-    g_parts: dict[int, dict[Word, Coeff]] = {h: {w: {zero: c} for w, c in g_head.items()}}
-    h_parts: dict[int, dict[Word, Coeff]] = {k: {w: {zero: c} for w, c in h_head.items()}}
+    g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
+    h_parts: dict[int, WordTerms] = {k: {w: {zero: c} for w, c in h_head.items()}}
     determined = True
 
     for j in range(1, max(h, k) + 1):
         fhat = {w: dict(c) for w, c in f_parts.get(n - j, {}).items()}
         for i in range(1, j):
             if h - i in g_parts and k - j + i in h_parts:
-                _add_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], red)
-        known: dict[tuple[str, Word], Coeff] = {}
+                add_word_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], fld.reduce)
+        known: dict[tuple[str, Word], TermDict] = {}
         if j in symbol_at:
             # The fused word g_hat * h_hat[j:] is left-divisible by g_hat and
             # right-divisible by h_hat at once, so its coefficient c splits
@@ -390,17 +352,17 @@ def _attempt_pivot(
             # (to H) for a fresh symbol alpha.
             alpha = {tuple(int(i == symbol_at[j]) for i in range(len(symbols))): fld.one}
             rest = dict(fhat.get(g_hat + h_hat[j:], {}))
-            _axpy(rest, -eta, alpha, red)
+            axpy(rest, -eta, alpha, fld.reduce)
             inv_gamma = fld.inv(gamma)
             known[("G", g_hat[: h - j])] = alpha
-            known[("H", h_hat[j:])] = {m: red(v * inv_gamma) for m, v in rest.items()}
+            known[("H", h_hat[j:])] = {m: fld.reduce(v * inv_gamma) for m, v in rest.items()}
         step = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)
         if step is None:
             return None, determined
         solution, underdetermined = step
         if underdetermined:
             determined = False
-        parts: dict[str, dict[Word, Coeff]] = {"G": {}, "H": {}}
+        parts: dict[str, WordTerms] = {"G": {}, "H": {}}
         for (kind, word), value in solution.items():
             if value:
                 parts[kind][word] = value
@@ -411,8 +373,8 @@ def _attempt_pivot(
 
     # parts of one factor have distinct degrees, so their words never collide
     alg = f.algebra.extend_symbols(symbols)
-    g_sym = NCPoly(alg, {w: CPoly(alg.ring, c) for part in g_parts.values() for w, c in part.items()})
-    h_sym = NCPoly(alg, {w: CPoly(alg.ring, c) for part in h_parts.values() for w, c in part.items()})
+    g_sym = from_term_dicts(alg, {w: c for part in g_parts.values() for w, c in part.items()})
+    h_sym = from_term_dicts(alg, {w: c for part in h_parts.values() for w, c in part.items()})
 
     system = assemble_constraints(f, g_sym, h_sym)
 
@@ -567,12 +529,10 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
             monomials_by_degree[d] = monos
         return monomials_by_degree[d]
 
-    p = fld.p
-
     def raw_divides(
-        target: dict[Monomial, int], cand_terms: dict[Monomial, int], lead: Monomial
+        target: dict[Monomial, int], rest: dict[Monomial, int], lead: Monomial
     ) -> Optional[dict[Monomial, int]]:
-        # exact division on plain dicts, candidate monic in `lead`: the
+        # exact division on plain dicts by the candidate lead + rest: the
         # quotient's terms, or None when there is a remainder
         r = dict(target)
         quotient: dict[Monomial, int] = {}
@@ -583,15 +543,7 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
             q = monomial_quotient(lm, lead)
             coeff = r.pop(lm)
             quotient[q] = coeff
-            for m, cc in cand_terms.items():
-                if m == lead:
-                    continue
-                key = monomial_mul(m, q)
-                nv = (r.get(key, 0) - coeff * cc) % p
-                if nv:
-                    r[key] = nv
-                else:
-                    r.pop(key, None)
+            add_product(r, -coeff, {q: 1}, rest, fld.reduce)
         return quotient
 
     while True:
@@ -619,15 +571,12 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
                 if trials > budget:
                     return None
                 for coeffs in product(fld.elements(), repeat=len(tail)):
-                    cand_terms = {lead: fld.one}
-                    for m, coeff in zip(tail, coeffs):
-                        if coeff:
-                            cand_terms[m] = coeff
-                    if max(monomial_degree(m) for m in cand_terms) != d:
+                    rest = {m: coeff for m, coeff in zip(tail, coeffs) if coeff}
+                    if max(map(monomial_degree, (lead, *rest))) != d:
                         continue
-                    quotient = raw_divides(raw_target, cand_terms, lead)
+                    quotient = raw_divides(raw_target, rest, lead)
                     if quotient is not None:
-                        found = CPoly(c.ring, cand_terms)
+                        found = CPoly(c.ring, {lead: fld.one, **rest})
                         break
                 if found is not None:
                     break

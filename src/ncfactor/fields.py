@@ -1,7 +1,11 @@
 """Exact coefficient fields: prime fields F_p and the rationals Q.
 
 Elements are plain Python values (``int`` residues in ``[0, p)`` for F_p,
-reduced ``Fraction`` for Q); the field object supplies the arithmetic.
+reduced ``Fraction`` for Q), and sums and products are plain ``int`` and
+``Fraction`` arithmetic.  The field object coerces values into the field,
+reduces a computed value to its canonical form (``reduce``: ``v % p`` over
+F_p, the identity over Q) and inverts; the term-dict arithmetic built on
+``reduce`` lives in ``commutative`` (``axpy``, ``add_product``).
 """
 
 from __future__ import annotations
@@ -61,17 +65,9 @@ class PrimeField:
             return x.numerator * self.inv(x.denominator % self.p) % self.p
         return x % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
+    def reduce(self, v: int) -> int:
+        """The canonical residue of an integer computed from residues."""
+        return v % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -79,10 +75,7 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
+        return a * self.inv(b) % self.p
 
     def elements(self) -> range:
         return range(self.p)
@@ -122,17 +115,9 @@ class RationalField:
     def coerce(self, x: Scalar) -> Fraction:
         return Fraction(x)
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
+    def reduce(self, v: Fraction) -> Fraction:
+        """The identity: Fraction arithmetic keeps values reduced."""
+        return v
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
@@ -141,9 +126,6 @@ class RationalField:
 
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         return Fraction(a) / b
-
-    def pow(self, a: Fraction, e: int) -> Fraction:
-        return Fraction(a) ** e
 
     def format(self, a: Fraction) -> str:
         return str(a)

@@ -7,17 +7,34 @@ candidates whose coefficients involve extension symbols.
 
 Canonical word order is degree first, then lexicographic by alphabet
 position; "leading word" always means the maximum in this order.
+
+NCPoly arithmetic runs on plain dicts, {word: {monomial: scalar}}, through
+`add_terms` and `add_word_product`, which take coefficient sums and products
+with the commutative module's kernel; the pivot attempts of `factoring`
+compute on the same dicts with the same functions.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .commutative import CPoly, Monomial, SymbolRing, join_terms, scalar_term
+from .commutative import (
+    CPoly,
+    Reduce,
+    SymbolRing,
+    TermDict,
+    add_product,
+    axpy,
+    join_terms,
+    scalar_term,
+)
 from .errors import ContextMismatchError
 from .fields import Scalar
 
 Word = tuple[int, ...]
+# An NCPoly's terms as plain dicts.  The functions below update acc's
+# coefficient dicts in place, so those must be acc's own.
+WordTerms = dict[Word, TermDict]
 
 EMPTY_WORD: Word = ()
 
@@ -47,6 +64,30 @@ def overlap_lengths(g: Word, h: Word) -> tuple[int, ...]:
 
 def word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
+
+
+def add_terms(
+    acc: WordTerms, s: Scalar, terms: Iterable[tuple[Word, TermDict]], reduce: Reduce
+) -> None:
+    """acc += s * (the sum of terms), in place; a word may occur more than once."""
+    for word, c in terms:
+        t = acc.setdefault(word, {})
+        axpy(t, s, c, reduce)
+        if not t:
+            del acc[word]
+
+
+def add_word_product(
+    acc: WordTerms, s: Scalar, a: WordTerms, b: WordTerms, reduce: Reduce
+) -> None:
+    """acc += s*a*b, in place: words concatenate, coefficients multiply."""
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            word = w1 + w2
+            t = acc.setdefault(word, {})
+            add_product(t, s, c1, c2, reduce)
+            if not t:
+                del acc[word]
 
 
 class Alphabet:
@@ -122,10 +163,10 @@ class FreeAlgebra:
         return NCPoly(self, {tuple(word): c})
 
     def poly(self, terms: dict[Word, Union[CPoly, Scalar]]) -> "NCPoly":
-        acc = self.zero()
-        for word, coeff in terms.items():
-            acc = acc + self.monomial(word, coeff)
-        return acc
+        acc: WordTerms = {}
+        pairs = ((tuple(word), self._coerce_coeff(c)._terms) for word, c in terms.items())
+        add_terms(acc, 1, pairs, self.field.reduce)
+        return from_term_dicts(self, acc)
 
     def from_text(self, text: str) -> "NCPoly":
         """Parse expression text in this algebra (see the parsing module)."""
@@ -229,17 +270,20 @@ class NCPoly:
             return other
         return self.algebra.monomial(EMPTY_WORD, other)
 
-    def __add__(self, other) -> "NCPoly":
+    def _plus(self, other, s: int) -> "NCPoly":
         other = self._coerce_operand(other)
         terms = dict(self._terms)
-        for word, coeff in other._terms.items():
-            s = terms.get(word)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                terms.pop(word, None)
+        for word, c in other._terms.items():
+            old = terms.get(word)
+            total = old._plus(c, s) if old is not None else (c if s > 0 else -c)
+            if total:
+                terms[word] = total
             else:
-                terms[word] = s
+                terms.pop(word, None)
         return NCPoly(self.algebra, terms)
+
+    def __add__(self, other) -> "NCPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -247,7 +291,7 @@ class NCPoly:
         return NCPoly(self.algebra, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other) -> "NCPoly":
-        return self + (-self._coerce_operand(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "NCPoly":
         return self._coerce_operand(other) - self
@@ -255,30 +299,15 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         """Concatenation product, bilinear over the coefficient ring."""
         other = self._coerce_operand(other)
-        terms: dict[Word, CPoly] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
-                c = c1 * c2
-                s = terms.get(word)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(word, None)
-                else:
-                    terms[word] = s
-        return NCPoly(self.algebra, terms)
+        terms: WordTerms = {}
+        add_word_product(terms, 1, term_dicts(self), term_dicts(other), self.algebra.field.reduce)
+        return from_term_dicts(self.algebra, terms)
 
     def __rmul__(self, other) -> "NCPoly":
         return self._coerce_operand(other) * self
 
     def scale(self, coeff: Union[CPoly, Scalar]) -> "NCPoly":
-        c = self.algebra._coerce_coeff(coeff)
-        terms = {}
-        for word, old in self._terms.items():
-            s = old * c
-            if not s.is_zero():
-                terms[word] = s
-        return NCPoly(self.algebra, terms)
+        return self * self.algebra.monomial(EMPTY_WORD, coeff)
 
     # -- structure maps ------------------------------------------------------
 
@@ -290,18 +319,12 @@ class NCPoly:
         if not self.has_constant_coefficients():
             raise ValueError("commutative image needs constant coefficients")
         ring = SymbolRing(self.algebra.field, self.algebra.alphabet.names)
-        terms: dict[Monomial, Scalar] = {}
-        fld = ring.field
+        terms: TermDict = {}
         for word, coeff in self._terms.items():
             expo = [0] * ring.nsymbols
             for letter in word:
                 expo[letter] += 1
-            mono = tuple(expo)
-            s = fld.add(terms.get(mono, fld.zero), coeff.constant_value())
-            if s == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
+            axpy(terms, 1, {tuple(expo): coeff.constant_value()}, ring.field.reduce)
         return CPoly(ring, terms)
 
     def substitute_symbols(self, assignment: dict[str, Scalar]) -> "NCPoly":
@@ -320,11 +343,10 @@ class NCPoly:
     def substitute_variable_one(self, name: str) -> "NCPoly":
         """Set one alphabet variable to 1, deleting its letters from every word."""
         idx = self.algebra.alphabet.index(name)
-        acc = self.algebra.zero()
-        for word, coeff in self._terms.items():
-            stripped = tuple(l for l in word if l != idx)
-            acc = acc + self.algebra.monomial(stripped, coeff)
-        return acc
+        acc: WordTerms = {}
+        stripped = ((tuple(l for l in w if l != idx), c._terms) for w, c in self._terms.items())
+        add_terms(acc, 1, stripped, self.algebra.field.reduce)
+        return from_term_dicts(self.algebra, acc)
 
     def lift(self, algebra: FreeAlgebra) -> "NCPoly":
         """Re-express in an algebra extending this one's alphabet and symbols."""
@@ -372,6 +394,17 @@ class NCPoly:
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"
+
+
+def term_dicts(f: NCPoly) -> WordTerms:
+    """f's terms as plain dicts; they are f's own, so read them only."""
+    return {w: c._terms for w, c in f._terms.items()}
+
+
+def from_term_dicts(algebra: FreeAlgebra, terms: WordTerms) -> NCPoly:
+    """The NCPoly with these terms, none of them empty; the dicts become its own."""
+    ring = algebra.ring
+    return NCPoly(algebra, {w: CPoly(ring, c) for w, c in terms.items()})
 
 
 def normalize_pair(g: NCPoly, h: NCPoly) -> tuple[NCPoly, NCPoly]:

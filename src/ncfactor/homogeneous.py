@@ -80,12 +80,12 @@ def refine(g1: NCPoly, h1: NCPoly, g2: NCPoly, h2: NCPoly) -> NCPoly:
     anchor = g1.leading_word()
     if left_quotient(g2.leading_word(), anchor) is None:
         raise RefinementError("no common leading-word prefix relation")
-    alg = f.algebra
-    j = alg.zero()
-    for word, coeff in g2.terms():
-        r = left_quotient(word, anchor)
-        if r is not None:
-            j = j + alg.monomial(r, coeff)
+    # distinct words with the prefix `anchor` have distinct quotients, so no
+    # two terms of J meet
+    j = NCPoly(
+        f.algebra,
+        {r: c for word, c in g2._terms.items() if (r := left_quotient(word, anchor)) is not None},
+    )
     if g1 * j != g2 or j * h2 != h1:
         raise RefinementError("refinement identities G2 = G1*J, H1 = J*H2 fail")
     return j

@@ -22,7 +22,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ParseError
-from .freealg import FreeAlgebra, NCPoly
+from .freealg import FreeAlgebra, NCPoly, WordTerms, add_terms, add_word_product, from_term_dicts
 
 # The largest N in `x^N`: the power is one N-letter word, allocated at once.
 MAX_EXPONENT = 10**6
@@ -69,9 +69,13 @@ def identifiers_in(text: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive descent; subexpressions are term dicts (see freealg), wrapped once."""
+
     def __init__(self, text: str, algebra: FreeAlgebra):
         self.text = text
         self.algebra = algebra
+        self.reduce = algebra.field.reduce
+        self.constant = (0,) * algebra.ring.nsymbols  # the monomial of a scalar
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -90,50 +94,50 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> NCPoly:
-        poly = self.expr()
+        terms = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.pos, ("'+'", "'-'", "'*'", "end of input"))
-        return poly
+        return from_term_dicts(self.algebra, terms)
 
-    def expr(self) -> NCPoly:
+    def expr(self) -> WordTerms:
+        acc: WordTerms = {}
         sign = 1
         tok = self.peek()
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             sign = -1 if tok.text == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            acc = -acc
         while True:
+            add_terms(acc, sign, self.term().items(), self.reduce)
             tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                acc = acc - rhs if tok.text == "-" else acc + rhs
-            else:
+            if tok.kind != "op" or tok.text not in "+-":
                 return acc
+            self.advance()
+            sign = -1 if tok.text == "-" else 1
 
-    def term(self) -> NCPoly:
+    def term(self) -> WordTerms:
         acc = self.atom()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                acc = acc * self.atom()
+                prod: WordTerms = {}
+                add_word_product(prod, 1, acc, self.atom(), self.reduce)
+                acc = prod
             else:
                 return acc
 
-    def atom(self) -> NCPoly:
+    def atom(self) -> WordTerms:
         tok = self.peek()
         if tok.kind == "int":
             return self.coefficient()
         if tok.kind == "ident":
             self.advance()
             try:
-                var = self.algebra.variable(tok.text)
+                letter = self.algebra.alphabet.index(tok.text)
             except KeyError:
                 raise ParseError(f"unknown identifier {tok.text!r}", tok.pos) from None
+            power = 1
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "^":
                 self.advance()
@@ -145,8 +149,8 @@ class _Parser:
                 digits = exp_tok.text.lstrip("0")
                 if len(digits) > len(str(MAX_EXPONENT)) or int(exp_tok.text) > MAX_EXPONENT:
                     raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.pos)
-                return self.algebra.monomial(var.leading_word() * int(exp_tok.text), 1)
-            return var
+                power = int(exp_tok.text)
+            return {(letter,) * power: {self.constant: self.algebra.field.one}}
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.expr()
@@ -168,7 +172,7 @@ class _Parser:
             raise ParseError(f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits", tok.pos)
         return int(digits or "0")
 
-    def coefficient(self) -> NCPoly:
+    def coefficient(self) -> WordTerms:
         tok = self.advance()
         num = self.integer(tok)
         nxt = self.peek()
@@ -190,8 +194,9 @@ class _Parser:
                     f"coefficient {num}/{den} is not reducible in {self.algebra.field!r}",
                     tok.pos,
                 ) from None
-            return self.algebra.one().scale(value)
-        return self.algebra.one().scale(num)
+        else:
+            value = self.algebra.field.coerce(num)
+        return {(): {self.constant: value}} if value else {}
 
 
 def parse_expression(text: str, algebra: FreeAlgebra) -> NCPoly:

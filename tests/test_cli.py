@@ -243,3 +243,23 @@ def test_rationals_request_symbolic_description():
     assert code == 0
     assert "(x + (a1)) * (x + (-a1))" in report
     assert "reduced basis: a1^2 - 1" in report
+
+
+def test_runs_without_test_only_dependencies():
+    # sympy and hypothesis are test dependencies; the package and the CLI
+    # must import and answer without them
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = sys.modules['hypothesis'] = None\n"
+        "import ncfactor, ncfactor.cli\n"
+        "sys.exit(ncfactor.cli.main(['--field', '5', 'y*x*y*x*y - y']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "(y*x + 1) * (y*x*y + 4*y)" in proc.stdout

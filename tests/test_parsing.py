@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +133,25 @@ class TestErrors:
 
 def test_identifiers_in_source_order():
     assert identifiers_in("y*x + b*y") == ["y", "x", "b"]
+
+
+@pytest.mark.parametrize("p", [5, None], ids=["F_5", "Q"])
+def test_long_sum_matches_monomial_sum(p):
+    # 3000 terms over the 15 words of length <= 3, so words repeat (and over
+    # F_5 some sums cancel); the last two terms cancel exactly
+    alg = algebra(p)
+    rng = random.Random(7)
+    chunks, expected = [], alg.zero()
+    for _ in range(3000):
+        word = tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
+        num, den = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])
+        body = "*".join([f"{abs(num)}/{den}"] + [alg.alphabet.names[i] for i in word])
+        chunks.append(("- " if num < 0 else "+ ") + body)
+        expected = expected + alg.monomial(word, Fraction(num, den))
+    chunks += ["+ 2*x*y*x*y", "- 2*x*y*x*y"]
+    parsed = parse_expression(" ".join(chunks), alg)
+    assert parsed == expected
+    assert parsed.degree() == 3
 
 
 @st.composite
