@@ -16,9 +16,10 @@ g*h - f = 0 for every value of the symbols, so the system would be
 inconsistent.  Over F_p every point is found by peeling univariate
 equations (their gcd, then its roots) and branching over a symbol's values
 only where no equation is univariate.  Over Q the reduced lex Groebner basis
-both decides the unit ideal (no factorization) and describes the admissible
-symbol values.  Over F_p the basis is never needed for the answer and is
-computed only when read.
+of a system with symbols both decides the unit ideal (no factorization) and
+describes the admissible symbol values; a system without symbols is empty
+or a nonzero constant, and needs no basis.  Over F_p the basis is never
+needed for the answer and is computed only when read.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ class SymbolicFactorization:
     `reduced_basis` is the reduced lex Groebner basis of `system` (None for an
     empty system), computed on first read and cached; the facts of one pivot
     attempt share one system and one cache, so it is computed once per system.
-    Over Q the solver reads it on every attempt that reaches assembly (an
-    attempt stopped at a contradictory recovery step computes none); over
-    F_p only callers that display it do.
+    Over Q the solver reads it on every attempt with symbols (an attempt
+    stopped at a contradictory recovery step computes none); over F_p only
+    callers that display it do.
     """
 
     left: NCPoly
@@ -158,7 +159,7 @@ def _solve_step(
     k_minus_j: int,
     known: dict[tuple[str, Word], TermDict],
     fld,
-) -> Optional[tuple[dict[tuple[str, Word], TermDict], bool]]:
+) -> Optional[dict[tuple[str, Word], TermDict]]:
     """Solve one degree step of the recovery for the unknown factor parts.
 
     The relation fhat = G_top * H_new + G_new * H_top is linear in the
@@ -174,17 +175,16 @@ def _solve_step(
     right-hand sides may involve extension symbols from earlier steps.
     Unconstrained unknowns are set to zero; entries fixed by the overlap
     symbol arrive through `known`.  Coefficients are plain dicts
-    (`TermDict`).
+    (`TermDict`).  An unknown can be free only at a j where the leading
+    head words overlap; in the attempt that settles a split, the leading
+    pair's symbol fixes it (see `factor_bidegree`).
 
     Returns None when an equation of the step reduces to a nonzero
     constant: a word left with no unknown once the `known` entries are
     substituted, or a row that elimination empties.  That equation is an
     exact consequence of g*h - f = 0 in this degree for every value of the
     symbols, so no factorization with these top parts and these earlier
-    steps exists.  Otherwise returns (solution, underdetermined).  When
-    `underdetermined` is True the zeroed unknowns were genuinely free, so
-    the step may have dropped admissible factorizations and the caller must
-    not treat this attempt's answer as exhaustive.
+    steps exists.  Otherwise returns the solution.
     """
     reduce = fld.reduce
     h = len(next(iter(g_words)))
@@ -291,8 +291,7 @@ def _solve_step(
             if i != col:
                 axpy(value, -c, solution[order[i]], reduce)
         solution[order[col]] = value
-    underdetermined = any(col not in echelon for col in range(len(order)))
-    return solution, underdetermined
+    return solution
 
 
 Pivot = tuple[Word, Word, tuple[int, ...]]  # (g_hat, h_hat, overlap lengths)
@@ -306,22 +305,20 @@ def _attempt_pivot(
     h_head: dict[Word, Scalar],
     pivot: Pivot,
     options: FactorOptions,
-) -> tuple[Optional[list[SymbolicFactorization]], bool]:
+) -> Optional[list[SymbolicFactorization]]:
     """Run the degree-by-degree recovery for one pivot pair.
 
-    Returns (results, determined).  `results` is None when the system is
-    inconsistent.  `determined` is True when every recovery step was fully
-    determined (given the overlap symbols); otherwise zeroed free
-    coefficients may have dropped factorizations.
+    Returns the attempt's factorizations, or None when its system is
+    inconsistent.  The attempt that settles a split zeroes no free
+    coefficient (see `factor_bidegree`); in a merge, a coefficient one
+    attempt zeroes is reached through another pair's overlap symbol.
 
     The steps run on plain coefficient dicts; NCPoly and CPoly values are
     built once, for the symbolic pair, its system and the facts.  A step
     with a contradictory equation (see `_solve_step`) ends the attempt
-    before assembly with (None, determined), where `determined` covers the
-    steps before it.  This cannot change an answer: when those steps were
-    determined, no factorization with these top parts exists, and
-    otherwise the caller merges across pivot pairs as for any failed
-    attempt.
+    before assembly.  Over Q an attempt with symbols returns one symbolic
+    fact, described by its reduced basis; every other attempt returns its
+    concrete pairs, each multiplied back to f.
     """
     g_hat, h_hat, overlaps = pivot
     n = f.degree()
@@ -337,7 +334,6 @@ def _attempt_pivot(
     eta = h_head[h_hat]
     g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
     h_parts: dict[int, WordTerms] = {k: {w: {zero: c} for w, c in h_head.items()}}
-    determined = True
 
     for j in range(1, max(h, k) + 1):
         fhat = {w: dict(c) for w, c in f_parts.get(n - j, {}).items()}
@@ -348,20 +344,17 @@ def _attempt_pivot(
         if j in symbol_at:
             # The fused word g_hat * h_hat[j:] is left-divisible by g_hat and
             # right-divisible by h_hat at once, so its coefficient c splits
-            # into an undetermined part alpha (to G) and (c - alpha*eta)/gamma
-            # (to H) for a fresh symbol alpha.
+            # into a free part alpha (to G) and (c - alpha*eta)/gamma (to H)
+            # for a fresh symbol alpha.
             alpha = {tuple(int(i == symbol_at[j]) for i in range(len(symbols))): fld.one}
             rest = dict(fhat.get(g_hat + h_hat[j:], {}))
             axpy(rest, -eta, alpha, fld.reduce)
             inv_gamma = fld.inv(gamma)
             known[("G", g_hat[: h - j])] = alpha
             known[("H", h_hat[j:])] = {m: fld.reduce(v * inv_gamma) for m, v in rest.items()}
-        step = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)
-        if step is None:
-            return None, determined
-        solution, underdetermined = step
-        if underdetermined:
-            determined = False
+        solution = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)
+        if solution is None:
+            return None
         parts: dict[str, WordTerms] = {"G": {}, "H": {}}
         for (kind, word), value in solution.items():
             if value:
@@ -378,19 +371,18 @@ def _attempt_pivot(
 
     system = assemble_constraints(f, g_sym, h_sym)
 
-    if not fld.is_finite:
-        if symbols:
-            fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
-        else:
-            left, right = normalize_pair(g_sym, h_sym)
-            fact = SymbolicFactorization(left, right, system, (dict(),), (g_hat, h_hat))
+    if fld.is_finite:
+        solutions = enumerate_solutions(system, cap=options.enumeration_cap)
+    elif symbols:
+        fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
         if fact.reduced_basis == (alg.ring.one(),):
-            return None, determined  # unit ideal: no admissible symbol values
-        return [fact], determined
-
-    solutions = enumerate_solutions(system, cap=options.enumeration_cap)
+            return None  # unit ideal: no admissible symbol values
+        return [fact]
+    else:
+        # no symbols: every equation is a nonzero constant
+        solutions = [] if system.equations else [{}]
     if not solutions:
-        return None, determined
+        return None
     cache: dict = {}
     results: list[SymbolicFactorization] = []
     seen: set[tuple[NCPoly, NCPoly]] = set()
@@ -406,7 +398,7 @@ def _attempt_pivot(
         results.append(
             SymbolicFactorization(left, right, system, (sol,), (g_hat, h_hat), _cache=cache)
         )
-    return results, determined
+    return results
 
 
 def factor_bidegree(
@@ -419,28 +411,23 @@ def factor_bidegree(
     Empty list means no factorization exists at this split.  The top parts
     are forced by the homogeneous algorithm, and with them the head
     coefficients and every pivot pair's overlaps; pivots are chosen here
-    and nowhere else.  The pivot pair that can settle the split runs first:
-    the first pair when no head pair overlaps, the overlapping pair when
-    exactly one does.  When all its recovery steps were fully determined,
-    its answer is the split's.  A step is underdetermined only when
-    G_top*Y = -X*H_top has a nonzero solution (X, Y).  Free algebras are
-    rigid (P. M. Cohn, Free Rings and Their Relations), so that forces
-    G_top = -X*E and H_top = E*Y for some E, and the leading words of G_top
-    and H_top overlap: with no overlapping pair the first attempt is always
-    determined.
+    and nowhere else.  When at most one head pair overlaps, one attempt
+    settles the split: the overlapping pair's if there is one, otherwise
+    the first pair's.
 
-    Otherwise (an underdetermined settling attempt, or two or more
-    overlapping pairs, which admit a cancellation one pair's symbols cannot
-    parametrize) every pivot pair runs, in order of increasing overlap
-    count, and the answers of every consistent attempt are merged, since a
-    free coefficient zeroed in one attempt can be reached through another
-    pivot pair's overlap symbol.
+    That attempt zeroes no free coefficient.  Recovery step j has a free
+    coefficient only when G_top*Y = -X*H_top has a nonzero solution (X, Y)
+    of degrees (h - j, k - j).  Free algebras are rigid (P. M. Cohn, Free
+    Rings and Their Relations), so then G_top = -X*E and H_top = E*Y for
+    some E of degree j, unique up to a scalar because the top pair at a
+    split is unique.  The kernel is therefore one-dimensional and the
+    leading words of G_top and H_top overlap at j: that is the settling
+    pair, and its overlap symbol at j fixes the free coefficient.
 
-    An attempt whose recovery step has a contradictory equation stops there
-    and reports only the earlier steps as determined (see `_attempt_pivot`):
-    a settling attempt stopped after determined steps proves the split has
-    no factorization, and one stopped after an underdetermined step leads
-    to the merge as before.
+    With two or more overlapping pairs, which admit a cancellation one
+    pair's symbols cannot parametrize, every pivot pair runs once, in order
+    of increasing overlap count, and the answers of every consistent
+    attempt are merged.
     """
     h, k = split
     if h < 1 or k < 1:
@@ -477,19 +464,12 @@ def factor_bidegree(
         key=lambda pivot: (len(pivot[2]), pivot[0], pivot[1]),
     )
     overlapping = [pivot for pivot in pivots if pivot[2]]
-    # with two or more overlapping pairs none can settle the split; the
-    # first pair's attempt then only opens the merge
-    settling = overlapping[0] if len(overlapping) == 1 else pivots[0]
-    answer, determined = _attempt_pivot(f, g_top, h_top, g_head, h_head, settling, options)
-    if determined and len(overlapping) <= 1:
-        return answer if answer is not None else []
+    if len(overlapping) <= 1:
+        settling = (overlapping or pivots)[0]
+        return _attempt_pivot(f, g_top, h_top, g_head, h_head, settling, options) or []
     merged: dict[tuple[NCPoly, NCPoly], SymbolicFactorization] = {}
     for pivot in pivots:
-        if pivot == settling:
-            results = answer
-        else:
-            results = _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options)[0]
-        for fact in results or ():
+        for fact in _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options) or ():
             merged.setdefault((fact.left, fact.right), fact)
     return list(merged.values())
 

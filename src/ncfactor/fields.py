@@ -39,10 +39,11 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        # the bound first: trial division of a large p would not finish
+        if p >= 2**31:
+            raise ValueError(f"{p} too large (need a prime p < 2**31)")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p >= 2**31:
-            raise ValueError(f"prime {p} too large (need p < 2**31)")
         self.p = p
 
     @property

@@ -63,9 +63,38 @@ class TestFactorBidegree:
     def test_irreducible_head_prunes_split(self):
         assert factor_bidegree(ALG.from_text("x*x - y*y"), (1, 1)) == []
 
-    def test_only_the_settling_pivot_runs(self, monkeypatch):
-        # head pairs (x, yx) and (y, yx); only the second overlaps, so its
-        # determined attempt settles the split without running the first
+    @pytest.mark.parametrize(
+        "text,split,pivots,pairs",
+        [
+            # head pairs (xy, x) and (yy, x); neither overlaps, so the first
+            # pair's attempt settles the split
+            (
+                "(x*y + y*y + 1)*(x + 2)", (2, 1),
+                [(W("xy"), W("x"), ())],
+                [("y^2 + x*y + 1", "x + 2")],
+            ),
+            # head pairs (x, yx) and (y, yx); only the second overlaps, so its
+            # attempt settles the split without running the first
+            (
+                "(x + y + 1)*(y*x + 2)", (1, 2),
+                [(W("y"), W("yx"), (1,))],
+                [("y + x + 1", "y*x + 2")],
+            ),
+            # (x, xy) and (y, yy) both overlap: every pair runs once, in order
+            (
+                "(y + x + 1)*(y^2 + x*y)", (1, 2),
+                [
+                    (W("x"), W("yy"), ()),
+                    (W("y"), W("xy"), ()),
+                    (W("x"), W("xy"), (1,)),
+                    (W("y"), W("yy"), (1,)),
+                ],
+                [("y + x + 1", "y^2 + x*y"), ("y + x", "y^2 + x*y + y")],
+            ),
+        ],
+        ids=["no-overlap", "one-overlap", "two-overlaps"],
+    )
+    def test_only_the_settling_pivot_runs(self, text, split, pivots, pairs, monkeypatch):
         calls = []
         attempt = factoring._attempt_pivot
 
@@ -74,11 +103,9 @@ class TestFactorBidegree:
             return attempt(*args)
 
         monkeypatch.setattr(factoring, "_attempt_pivot", counted)
-        facts = factor_bidegree(ALG.from_text("(x + y + 1)*(y*x + 2)"), (1, 2))
-        assert calls == [(W("y"), W("yx"), (1,))]
-        assert [(str(fact.left), str(fact.right)) for fact in facts] == [
-            ("y + x + 1", "y*x + 2")
-        ]
+        facts = factor_bidegree(ALG.from_text(text), split)
+        assert calls == pivots
+        assert [(str(fact.left), str(fact.right)) for fact in facts] == pairs
 
     @pytest.mark.parametrize("p", [2, 5, None])
     def test_contradictory_step_ends_the_attempt(self, p, monkeypatch):
@@ -165,6 +192,16 @@ class TestFactorBidegree:
     )
     def test_rationals_unit_ideal_has_no_factorization(self, text, split):
         assert factor_bidegree(algebra(None).from_text(text), split) == []
+
+    def test_rationals_without_symbols_take_no_basis(self, monkeypatch):
+        # a system without symbols is empty or a nonzero constant
+        def no_basis(*args):
+            raise AssertionError("Groebner basis of a symbol-free system")
+
+        monkeypatch.setattr(factoring, "buchberger", no_basis)
+        assert factor_bidegree(algebra(None).from_text("x*y + 1"), (1, 1)) == []
+        facts = factor_bidegree(algebra(None).from_text("y*x*y*x*y - y"), (1, 4))
+        assert [(str(fact.left), str(fact.right)) for fact in facts] == [("y", "x*y*x*y - 1")]
 
     def test_symbol_economy(self):
         # pivots minimize the overlap count and produce one symbol per overlap

@@ -18,7 +18,7 @@ def test_prime_field_basics(p):
     assert fld.reduce(fld.inv(a) * a) == 1
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 2**31])
+@pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 2**31, 2**61 - 1])
 def test_rejects_non_prime_or_large(n):
     with pytest.raises(ValueError):
         PrimeField(n)
