@@ -22,12 +22,13 @@ from typing import Optional, Sequence
 from .commutative import SymbolRing
 from .errors import NCFactorError, ParseError
 from .factoring import (
+    DEFAULT_DEPTH_CAP,
     DegreeSplit,
     FactorOptions,
     SymbolicFactorization,
+    _complete_chains,
     factor_all,
     factor_bidegree,
-    factor_completely,
 )
 from .fields import Field, PrimeField, RationalField
 from .freealg import Alphabet, FreeAlgebra
@@ -130,7 +131,11 @@ def run(request: Request) -> tuple[int, str]:
             split_results = {DegreeSplit(h, k): factor_bidegree(poly, (h, k), options)}
         else:
             split_results = factor_all(poly, options)
-        chains = factor_completely(poly, options=options) if request.complete else None
+        chains = None
+        if request.complete:
+            # the chains start from factor_all's splits: reuse them when reported
+            found = split_results if request.degrees is None else factor_all(poly, options)
+            chains = _complete_chains(poly, found, DEFAULT_DEPTH_CAP, options)
     except NCFactorError as e:
         return 3, f"error: {e}"
     except ValueError as e:

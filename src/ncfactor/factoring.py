@@ -20,6 +20,13 @@ of a system with symbols both decides the unit ideal (no factorization) and
 describes the admissible symbol values; a system without symbols is empty
 or a nonzero constant, and needs no basis.  Over F_p the basis is never
 needed for the answer and is computed only when read.
+
+`factor_completely` walks the lattice of the input's left divisors: a free
+algebra is a domain, so the divisors of a factor L^-1*M are the quotients
+by L of the divisors between L and M.  Over F_p one `factor_all` of the
+input lists them all and exact left division relates them; over Q a split
+with symbols stays symbolic and hides divisors, so each quotient on a chain
+is factored on its own.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .freealg import (
     WordTerms,
     add_word_product,
     from_term_dicts,
+    left_divide,
     normalize_pair,
     overlap_lengths,
     term_dicts,
@@ -124,6 +132,7 @@ class FactorOptions:
 
 
 DEFAULT_OPTIONS = FactorOptions()
+DEFAULT_DEPTH_CAP = 8
 
 
 def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
@@ -624,9 +633,20 @@ def factor_all(
 
 
 def factor_completely(
-    f: NCPoly, depth_cap: int = 8, options: FactorOptions = DEFAULT_OPTIONS
+    f: NCPoly, depth_cap: int = DEFAULT_DEPTH_CAP, options: FactorOptions = DEFAULT_OPTIONS
 ) -> list[FactorChain]:
-    """Maximal factorization chains of f, recursing through concrete factors.
+    """Maximal factorization chains of f, recursing over intervals of its divisors.
+
+    A free algebra is a domain, so the left divisors of a factor L^-1*M are
+    L^-1*D for the left divisors D of f with L | D | M (P. M. Cohn, Free
+    Rings and Their Relations).  A chain is a path 1 = D_0 | D_1 | ... | D_m
+    = f with irreducible steps D_(i-1)^-1*D_i, and the recursion runs over
+    intervals (D, M) of these divisors.  Over F_p `factor_all(f)` lists every
+    monic left divisor of f, so it runs once, and an interval's inner
+    divisors are found by exact left division among them.  Over Q it reports
+    splits with symbols symbolically, so the root's concrete facts miss
+    divisors; there an interval's inner divisors come from the concrete
+    facts of `factor_all` on its quotient, once per distinct quotient.
 
     Chains are deduplicated and sorted by the text of their factors; a branch
     cut by the depth cap is reported as an incomplete chain rather than an
@@ -634,38 +654,103 @@ def factor_completely(
     """
     if depth_cap < 1:
         raise ValueError("depth cap must be >= 1")
+    found = factor_all(f, options) if f.degree() >= 2 else {}
+    return _complete_chains(f, found, depth_cap, options)
+
+
+def _complete_chains(
+    f: NCPoly,
+    found: dict[DegreeSplit, list[SymbolicFactorization]],
+    depth_cap: int,
+    options: FactorOptions,
+) -> list[FactorChain]:
+    """`factor_completely` for f, given `found = factor_all(f, options)`."""
+    alg = f.algebra
+    reduce = alg.field.reduce
+    # divisors by index: 1 and f first, then each monic left divisor as found
+    elems = [alg.one(), f]
+    degree = [0, f.degree()]
+    position: dict[NCPoly, int] = {}
+    # quotient elems[i]^-1 * elems[j] per interval (i, j), None when there is none
+    quotients: dict[tuple[int, int], Optional[NCPoly]] = {(0, 1): f}
+    found_at: dict[NCPoly, dict[DegreeSplit, list[SymbolicFactorization]]] = {f: found}
+    inner: dict[tuple[int, int], list[int]] = {}
+
+    def add_divisor(i: int, j: int, left: NCPoly, right: NCPoly) -> int:
+        # the index of elems[i]*left, which splits (i, j) into left and right
+        d = elems[i] * left if i else left
+        m = position.setdefault(d, len(elems))
+        if m == len(elems):
+            elems.append(d)
+            degree.append(d.degree())
+        quotients[(i, m)] = left
+        quotients[(m, j)] = right
+        return m
+
+    def quotient(i: int, j: int) -> Optional[NCPoly]:
+        if (i, j) not in quotients:
+            q = left_divide(term_dicts(elems[j]), term_dicts(elems[i]), reduce)
+            quotients[(i, j)] = None if q is None else from_term_dicts(alg, q)
+        return quotients[(i, j)]
+
+    def divisors_between(i: int, j: int) -> list[int]:
+        if (i, j) not in inner:
+            if alg.field.is_finite and (i, j) != (0, 1):
+                inner[(i, j)] = [
+                    m
+                    for m in range(2, len(elems))
+                    if degree[i] < degree[m] < degree[j]
+                    and quotient(i, m) is not None
+                    and quotient(m, j) is not None
+                ]
+            else:
+                q = quotients[(i, j)]
+                if q not in found_at:
+                    found_at[q] = factor_all(q, options)
+                inner[(i, j)] = []
+                for facts in found_at[q].values():
+                    for fact in facts:
+                        if fact.is_concrete:
+                            inner[(i, j)].append(add_divisor(i, j, fact.left, fact.right))
+        return inner[(i, j)]
+
     memo: dict = {}
 
-    def chains(poly: NCPoly, budget: int) -> list[FactorChain]:
-        if poly.degree() < 2:
-            return [FactorChain((poly,), True)]
+    def chains(i: int, j: int, budget: int) -> dict[tuple[int, ...], bool]:
+        # boundary index paths i, ..., j -> complete
+        gap = degree[j] - degree[i]
+        if gap < 2:
+            return {(i, j): True}
         if budget <= 0:
-            return [FactorChain((poly,), False)]
-        # a maximal chain has at most degree(poly) factors, so a budget of at
-        # least the degree can never truncate and the answer is budget-free
-        memo_key = (poly, budget if budget < poly.degree() else None)
+            return {(i, j): False}
+        # a maximal chain has at most gap factors, so a budget of at least the
+        # gap can never truncate and the answer is budget-free
+        memo_key = (i, j, budget if budget < gap else None)
         if memo_key in memo:
             return memo[memo_key]
-        collected: dict = {}
-        split_map = factor_all(poly, options)
-        concrete = [
-            fact
-            for results in split_map.values()
-            for fact in results
-            if fact.is_concrete
-        ]
-        if not concrete:
-            memo[memo_key] = [FactorChain((poly,), True)]
-            return memo[memo_key]
-        for fact in concrete:
-            for lc in chains(fact.left, budget - 1):
-                for rc in chains(fact.right, budget - 1):
-                    factors = lc.factors + rc.factors
-                    complete = lc.complete and rc.complete
-                    prev = collected.get(factors)
-                    if prev is None or (complete and not prev.complete):
-                        collected[factors] = FactorChain(factors, complete)
-        memo[memo_key] = list(collected.values())
+        collected: dict[tuple[int, ...], bool] = {}
+        for m in divisors_between(i, j):
+            left, right = chains(i, m, budget - 1), chains(m, j, budget - 1)
+            for lpath, lcomplete in left.items():
+                for rpath, rcomplete in right.items():
+                    path = lpath + rpath[1:]
+                    collected[path] = collected.get(path, False) or (lcomplete and rcomplete)
+        # no inner divisor: the interval's quotient is irreducible
+        memo[memo_key] = collected or {(i, j): True}
         return memo[memo_key]
 
-    return sorted(chains(f, depth_cap), key=lambda ch: tuple(str(p) for p in ch.factors))
+    texts: dict[tuple[int, int], str] = {}
+
+    def text(step: tuple[int, int]) -> str:
+        if step not in texts:
+            texts[step] = str(quotients[step])
+        return texts[step]
+
+    paths = sorted(
+        chains(0, 1, depth_cap).items(),
+        key=lambda item: tuple(text(step) for step in zip(item[0], item[0][1:])),
+    )
+    return [
+        FactorChain(tuple(quotients[step] for step in zip(path, path[1:])), complete)
+        for path, complete in paths
+    ]

@@ -90,6 +90,26 @@ def add_word_product(
                 del acc[word]
 
 
+def left_divide(a: WordTerms, d: WordTerms, reduce: Reduce) -> Optional[WordTerms]:
+    """q with a = d*q exactly, or None when d does not left-divide a.
+
+    d must be monic in its leading word.  The leading word is multiplicative,
+    so each step cancels the remainder's leading term against d times one
+    term of q; a leading word without d's as a prefix leaves a remainder.
+    """
+    lead = max(d, key=word_key)
+    r = {w: dict(c) for w, c in a.items()}
+    q: WordTerms = {}
+    while r:
+        rest = left_quotient(max(r, key=word_key), lead)
+        if rest is None:
+            return None
+        c = r[lead + rest]
+        q[rest] = dict(c)
+        add_word_product(r, -1, d, {rest: q[rest]}, reduce)
+    return q
+
+
 class Alphabet:
     """Ordered tuple of distinct variable names; order fixes word comparison."""
 

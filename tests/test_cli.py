@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ncfactor import cli, factoring
 from ncfactor.cli import Request, _render_text, main, run
 from ncfactor.fields import PrimeField, RationalField
 
@@ -109,6 +110,21 @@ class TestBehavior:
         assert code == 0
         assert "complete factorizations:" in out
         assert "(y) * (x*y + 4) * (x*y + 1)" in out
+
+    def test_complete_chains_reuse_the_reported_splits(self, monkeypatch):
+        calls = []
+        real = factoring.factor_all
+
+        def counting(poly, options):
+            calls.append(poly)
+            return real(poly, options)
+
+        monkeypatch.setattr(cli, "factor_all", counting)
+        monkeypatch.setattr(factoring, "factor_all", counting)
+        code, out, _ = capture(["--field", "5", "--complete", "y*x*y*x*y - y"])
+        assert code == 0
+        assert out == (GOLDEN / "quintic_chains.txt").read_text()
+        assert len(calls) == 1
 
     def test_explicit_vars_order(self):
         code, out, _ = capture(["--field", "5", "--vars", "y,x", "y*x*y*x*y - y"])

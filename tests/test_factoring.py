@@ -522,10 +522,52 @@ class TestFactorCompletely:
         chains = factor_completely(f, depth_cap=1)
         assert chains and any(not ch.complete for ch in chains)
 
+    def test_one_factor_all_over_fp(self, monkeypatch):
+        # factor_all(f) lists every monic left divisor of f, and the chains
+        # are paths through them: no sub-factor is factored again
+        calls = []
+        real = factoring.factor_all
+        monkeypatch.setattr(
+            factoring, "factor_all", lambda poly, options: calls.append(poly) or real(poly, options)
+        )
+        f, _ = chain_family(PrimeField(7), [1, 2, 3, 4])
+        chains = factor_completely(f)
+        assert calls == [f]
+        assert len(chains) == 120 and all(ch.complete for ch in chains)
+        for ch in chains:
+            prod = ch.factors[0]
+            for part in ch.factors[1:]:
+                prod = prod * part
+            assert prod == f
+
+    @pytest.mark.parametrize(
+        "text,quotient,expected",
+        [
+            ("3*y*x^2 - 3*x^2", "3*x^2", ("y - 1", "x", "3*x")),
+            ("y^3*x + 2*y^3", "y^3", ("y", "y", "y", "x + 2")),
+        ],
+    )
+    def test_rationals_factor_each_quotient(self, monkeypatch, text, quotient, expected):
+        # the root answers some splits only symbolically, so its concrete
+        # facts miss divisors; a quotient's own concrete split supplies them
+        # (chains as recorded before the divisor-interval recursion)
+        alg = algebra(None)
+        calls = []
+        real = factoring.factor_all
+        monkeypatch.setattr(
+            factoring, "factor_all", lambda poly, options: calls.append(poly) or real(poly, options)
+        )
+        f = alg.from_text(text)
+        chains = factor_completely(f)
+        assert [(tuple(str(p) for p in ch.factors), ch.complete) for ch in chains] == [
+            (expected, True)
+        ]
+        assert calls[0] == f and alg.from_text(quotient) in calls[1:]
+
 
 class TestChainFamilyProperty:
     @pytest.mark.parametrize(
-        "p,roots", [(5, [1, -1]), (7, [1, 2]), (7, [1, 2, 3])]
+        "p,roots", [(5, [1, -1]), (7, [1, 2]), (7, [1, 2, 3]), (7, [1, 2, 3, 4])]
     )
     def test_every_chain_boundary_is_found(self, p, roots):
         field = PrimeField(p)

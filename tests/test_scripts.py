@@ -39,3 +39,16 @@ def test_fact_digest_matches_golden():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "fact_digest_300.txt").read_text()
+
+
+def test_chain_digest_matches_golden():
+    # every factor_completely chain on the same 300 inputs at depth caps 1, 2,
+    # 3 and 8; the 3000-input digest is checked the same way in CI
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "chain_digest.py"), "--count", "300"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "chain_digest_300.txt").read_text()
