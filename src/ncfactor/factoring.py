@@ -319,8 +319,8 @@ def _attempt_pivot(
 
     Returns the attempt's factorizations, or None when its system is
     inconsistent.  The attempt that settles a split zeroes no free
-    coefficient (see `factor_bidegree`); in a merge, a coefficient one
-    attempt zeroes is reached through another pair's overlap symbol.
+    coefficient (see `factor_bidegree`); in a merge that is the leading
+    pair's attempt, and any pair another attempt finds, it finds too.
 
     The steps run on plain coefficient dicts; NCPoly and CPoly values are
     built once, for the symbolic pair, its system and the facts.  A step
@@ -433,10 +433,18 @@ def factor_bidegree(
     leading words of G_top and H_top overlap at j: that is the settling
     pair, and its overlap symbol at j fixes the free coefficient.
 
-    With two or more overlapping pairs, which admit a cancellation one
-    pair's symbols cannot parametrize, every pivot pair runs once, in order
-    of increasing overlap count, and the answers of every consistent
-    attempt are merged.
+    With two or more overlapping pairs the same argument makes the leading
+    pair's attempt, (lead G_top, lead H_top), complete on its own: every
+    free coefficient sits at an overlap of the leading words, where its
+    symbol fixes it, so any pair another attempt finds, it finds too.
+    That attempt runs first, and when it answers nothing neither does the
+    split.  Otherwise the pivot pairs run in order of increasing overlap
+    count, the leading pair's result is reused at its turn, and each pair
+    is kept from the first attempt that reports it.  Over F_p the merge
+    stops once it holds as many pairs as the leading attempt returned: no
+    later attempt can add a pair or change which attempt reported one.
+    Over Q symbolic facts differ from pair to pair, so the merge runs to
+    the end.
     """
     h, k = split
     if h < 1 or k < 1:
@@ -476,10 +484,21 @@ def factor_bidegree(
     if len(overlapping) <= 1:
         settling = (overlapping or pivots)[0]
         return _attempt_pivot(f, g_top, h_top, g_head, h_head, settling, options) or []
+    lead = (g_top.leading_word(), h_top.leading_word())
+    leading = next(pivot for pivot in pivots if pivot[:2] == lead)
+    lead_facts = _attempt_pivot(f, g_top, h_top, g_head, h_head, leading, options)
+    if not lead_facts:
+        return []
     merged: dict[tuple[NCPoly, NCPoly], SymbolicFactorization] = {}
     for pivot in pivots:
-        for fact in _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options) or ():
+        if pivot is leading:
+            facts = lead_facts
+        else:
+            facts = _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options) or ()
+        for fact in facts:
             merged.setdefault((fact.left, fact.right), fact)
+        if f.algebra.field.is_finite and len(merged) == len(lead_facts):
+            break
     return list(merged.values())
 
 

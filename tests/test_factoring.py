@@ -8,6 +8,7 @@ from ncfactor.cli import Request, run
 from ncfactor.commutative import SymbolRing
 from ncfactor.errors import BudgetExceededError, SearchSpaceTooLargeError
 from ncfactor.factoring import (
+    DEFAULT_OPTIONS,
     DegreeSplit,
     FactorOptions,
     assemble_constraints,
@@ -19,6 +20,7 @@ from ncfactor.factoring import (
 )
 from ncfactor.fields import PrimeField, RationalField
 from ncfactor.freealg import Alphabet, FreeAlgebra, normalize_pair, overlap_lengths
+from ncfactor.homogeneous import factor_homogeneous
 from ncfactor.oracle import brute_force_factor, chain_family, random_factorable
 from ncfactor.commutative import reduce_groebner, buchberger
 
@@ -64,37 +66,54 @@ class TestFactorBidegree:
         assert factor_bidegree(ALG.from_text("x*x - y*y"), (1, 1)) == []
 
     @pytest.mark.parametrize(
-        "text,split,pivots,pairs",
+        "p,text,split,pivots,pairs",
         [
             # head pairs (xy, x) and (yy, x); neither overlaps, so the first
             # pair's attempt settles the split
             (
-                "(x*y + y*y + 1)*(x + 2)", (2, 1),
+                5, "(x*y + y*y + 1)*(x + 2)", (2, 1),
                 [(W("xy"), W("x"), ())],
                 [("y^2 + x*y + 1", "x + 2")],
             ),
             # head pairs (x, yx) and (y, yx); only the second overlaps, so its
             # attempt settles the split without running the first
             (
-                "(x + y + 1)*(y*x + 2)", (1, 2),
+                5, "(x + y + 1)*(y*x + 2)", (1, 2),
                 [(W("y"), W("yx"), (1,))],
                 [("y + x + 1", "y*x + 2")],
             ),
-            # (x, xy) and (y, yy) both overlap: every pair runs once, in order
+            # (x, xy) and (y, yy) both overlap: the leading pair (y, yy) runs
+            # first, then the others in order, and its result is reused
             (
-                "(y + x + 1)*(y^2 + x*y)", (1, 2),
+                5, "(y + x + 1)*(y^2 + x*y)", (1, 2),
                 [
+                    (W("y"), W("yy"), (1,)),
                     (W("x"), W("yy"), ()),
                     (W("y"), W("xy"), ()),
                     (W("x"), W("xy"), (1,)),
-                    (W("y"), W("yy"), (1,)),
                 ],
                 [("y + x + 1", "y^2 + x*y"), ("y + x", "y^2 + x*y + y")],
             ),
+            # the same heads, and the leading pair's attempt answers nothing,
+            # so no other attempt runs (the exhaustive oracle finds no pair
+            # over F_5 either)
+            (
+                5, "(y + x + 1)*(y^2 + x*y) + x", (1, 2),
+                [(W("y"), W("yy"), (1,))],
+                [],
+            ),
+            (
+                None, "(y + x + 1)*(y^2 + x*y) + x", (1, 2),
+                [(W("y"), W("yy"), (1,))],
+                [],
+            ),
         ],
-        ids=["no-overlap", "one-overlap", "two-overlaps"],
+        ids=[
+            "no-overlap", "one-overlap", "two-overlaps",
+            "leading-answers-nothing-F5", "leading-answers-nothing-Q",
+        ],
     )
-    def test_only_the_settling_pivot_runs(self, text, split, pivots, pairs, monkeypatch):
+    def test_only_the_settling_pivot_runs(self, p, text, split, pivots, pairs, monkeypatch):
         calls = []
         attempt = factoring._attempt_pivot
 
@@ -103,7 +122,7 @@ class TestFactorBidegree:
             return attempt(*args)
 
         monkeypatch.setattr(factoring, "_attempt_pivot", counted)
-        facts = factor_bidegree(ALG.from_text(text), split)
+        facts = factor_bidegree(algebra(p).from_text(text), split)
         assert calls == pivots
         assert [(str(fact.left), str(fact.right)) for fact in facts] == pairs
 
@@ -251,6 +270,12 @@ class TestScanAmbiguities:
         f = alg.from_text("(y + x + 1) * (y^2 + x*y)")
         assert len(self._check(f, (1, 2))) == 2
 
+    def test_leading_pair_answering_nothing(self):
+        # (x, xy) and (y, yy) both overlap and the leading pair (y, yy)
+        # answers nothing, so factor_bidegree runs no other attempt
+        f = ALG.from_text("(y + x + 1)*(y^2 + x*y) + x")
+        assert self._check(f, (1, 2)) == set()
+
     def test_cancellation_kernel_invisible_in_support(self):
         # (y^3+yxy)(y^3+1) = (y^3+yxy+y^2+yx)(y^3+y^2+y): the second pair's
         # middle parts cancel entirely in degree 5, so the step system is
@@ -265,7 +290,10 @@ class TestScanAmbiguities:
 def _random_poly(draw, alg, degree, max_terms):
     """A word of the given degree plus up to max_terms - 1 terms of at most that degree."""
     letters = st.integers(0, alg.alphabet.size - 1)
-    coeff = st.integers(1, alg.field.p - 1)
+    if alg.field.is_finite:
+        coeff = st.integers(1, alg.field.p - 1)
+    else:
+        coeff = st.sampled_from([-2, -1, 1, 2])
 
     def word(d):
         return tuple(draw(st.lists(letters, min_size=d, max_size=d)))
@@ -277,10 +305,11 @@ def _random_poly(draw, alg, degree, max_terms):
 
 
 @st.composite
-def products_and_perturbations(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
+def products_and_perturbations(draw, primes=(2, 3, 5)):
+    # a prime of None draws the product over Q
+    p = draw(st.sampled_from(primes))
     names = ("x", "y", "z")[: draw(st.integers(2, 3))]
-    alg = FreeAlgebra(Alphabet(names), SymbolRing(PrimeField(p), ()))
+    alg = FreeAlgebra(Alphabet(names), SymbolRing(PrimeField(p) if p else RationalField(), ()))
     if draw(st.booleans()):
         # factors sharing a middle part E (G_top = A*E, H_top = E*B): the
         # shape whose recovery steps can be underdetermined
@@ -318,6 +347,53 @@ def test_factor_bidegree_matches_oracle(case):
     except BudgetExceededError:
         return
     assert restricted <= mine
+
+
+def _every_pivot_attempt(f, split):
+    """The leading pair's attempt and every pivot's attempt at a split, or None
+    when the split has no top pair or nothing below it."""
+    top = factor_homogeneous(f.homogeneous_part(f.degree()), *split)
+    if top is None or f.is_homogeneous():
+        return None
+    g_top, h_top = top
+    g_head = {w: g_top.coefficient(w).constant_value() for w in g_top.words()}
+    h_head = {w: h_top.coefficient(w).constant_value() for w in h_top.words()}
+    attempts = {
+        (u, v): factoring._attempt_pivot(
+            f, g_top, h_top, g_head, h_head, (u, v, overlap_lengths(u, v)), DEFAULT_OPTIONS
+        )
+        for u in g_head
+        for v in h_head
+    }
+    return attempts[g_top.leading_word(), h_top.leading_word()], attempts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(products_and_perturbations())
+def test_leading_pair_attempt_is_complete(case):
+    # every pair any pivot attempt finds, the leading pair's attempt finds,
+    # and factor_bidegree returns exactly those pairs
+    f, split = case
+    assume(not f.is_zero() and f.degree() == sum(split))
+    found = _every_pivot_attempt(f, split)
+    assume(found is not None)
+    leading, attempts = found
+    union = set().union(*(pair_set(facts or ()) for facts in attempts.values()))
+    assert pair_set(leading or ()) == union
+    assert pair_set(factor_bidegree(f, split)) == union
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(products_and_perturbations(primes=(None,)))
+def test_leading_pair_answering_nothing_over_rationals(case):
+    f, split = case
+    assume(not f.is_zero() and f.degree() == sum(split))
+    found = _every_pivot_attempt(f, split)
+    assume(found is not None)
+    leading, attempts = found
+    if leading is None:
+        assert all(facts is None for facts in attempts.values())
+        assert factor_bidegree(f, split) == []
 
 
 class TestAssembleConstraints:
@@ -474,6 +550,21 @@ class TestFactorAll:
             result = factor_all(f)
             assert {s: pair_set(v) for s, v in result.items()} == expected
             assert set(result) <= knapsack_splits(f)
+
+    def test_skipped_attempt_cannot_stop_the_input(self):
+        # a merge attempt after the leading pair's needs 101^3 points here;
+        # the leading pair's attempt answers every split without it
+        alg = algebra(101)
+        f = alg.from_text(
+            "26*x^5*y + 41*x^6 + 92*x^4*y + 16*x^5 + 65*x^4 + 6*x^2*y + 25*x^3 + 24*x^2"
+        )
+        result = factor_all(f)
+        assert {tuple(split): len(facts) for split, facts in result.items()} == {
+            (1, 5): 2, (2, 4): 3, (3, 3): 3, (4, 2): 2, (5, 1): 1,
+        }
+        for facts in result.values():
+            for fact in facts:
+                assert fact.left * fact.right == f
 
     def test_irreducible_polynomial_empty(self):
         assert factor_all(ALG.from_text("x*x - y*y")) == {}
