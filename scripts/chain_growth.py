@@ -33,7 +33,7 @@ def main() -> int:
         f, predicted = chain_family(field, roots)
         t0 = time.perf_counter()
         by_split = factor_all(f)
-        chains = factor_completely(f, depth_cap=2 * k + 2)
+        chains = factor_completely(f)
         elapsed = time.perf_counter() - t0
         two_factor = sum(len(v) for v in by_split.values())
         print(f"k={k}  deg={f.degree()}  F = {f}")

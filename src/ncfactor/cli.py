@@ -6,7 +6,8 @@ The report is built once, as the JSON object of a stable schema:
         [{G, H, symbols, system, reduced_basis, solutions}]}],
      chains: [{factors, complete}]}        (chains only with --complete)
 
-JSON mode emits it; text mode renders it as one parenthesized product per
+Every chain is maximal, so `complete` is always true.  JSON mode emits the
+report; text mode renders it as one parenthesized product per
 factorization, reading nothing but its strings.  Both modes are
 byte-deterministic for a fixed invocation.
 """
@@ -22,7 +23,6 @@ from typing import Optional, Sequence
 from .commutative import SymbolRing
 from .errors import NCFactorError, ParseError
 from .factoring import (
-    DEFAULT_DEPTH_CAP,
     DegreeSplit,
     FactorOptions,
     SymbolicFactorization,
@@ -102,8 +102,7 @@ def _render_text(input_text: str, report: dict, all_splits: bool) -> str:
     if "chains" in report:
         lines.append("complete factorizations:")
         for chain in report["chains"]:
-            suffix = "" if chain["complete"] else "   [depth cap reached]"
-            lines.append("  " + " * ".join(f"({p})" for p in chain["factors"]) + suffix)
+            lines.append("  " + " * ".join(f"({p})" for p in chain["factors"]))
     return "\n".join(lines)
 
 
@@ -135,7 +134,7 @@ def run(request: Request) -> tuple[int, str]:
         if request.complete:
             # the chains start from factor_all's splits: reuse them when reported
             found = split_results if request.degrees is None else factor_all(poly, options)
-            chains = _complete_chains(poly, found, DEFAULT_DEPTH_CAP, options)
+            chains = _complete_chains(poly, found, options)
     except NCFactorError as e:
         return 3, f"error: {e}"
     except ValueError as e:

@@ -114,10 +114,11 @@ class SymbolicFactorization:
 
 @dataclass(frozen=True)
 class FactorChain:
-    """A maximal multiplication chain; `complete` is False when the depth cap cut it."""
+    """A maximal multiplication chain: a product of irreducible factors."""
 
     factors: tuple[NCPoly, ...]
-    complete: bool
+    # always True: every chain is maximal (callers and the JSON report read it)
+    complete = True
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,6 @@ class FactorOptions:
 
 
 DEFAULT_OPTIONS = FactorOptions()
-DEFAULT_DEPTH_CAP = 8
 
 
 def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
@@ -651,9 +651,7 @@ def factor_all(
     return out
 
 
-def factor_completely(
-    f: NCPoly, depth_cap: int = DEFAULT_DEPTH_CAP, options: FactorOptions = DEFAULT_OPTIONS
-) -> list[FactorChain]:
+def factor_completely(f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS) -> list[FactorChain]:
     """Maximal factorization chains of f, recursing over intervals of its divisors.
 
     A free algebra is a domain, so the left divisors of a factor L^-1*M are
@@ -667,20 +665,17 @@ def factor_completely(
     divisors; there an interval's inner divisors come from the concrete
     facts of `factor_all` on its quotient, once per distinct quotient.
 
-    Chains are deduplicated and sorted by the text of their factors; a branch
-    cut by the depth cap is reported as an incomplete chain rather than an
-    error.
+    Every step of an interval lowers the degree, so the recursion ends
+    without a cap.  Chains are deduplicated and sorted by the text of their
+    factors.
     """
-    if depth_cap < 1:
-        raise ValueError("depth cap must be >= 1")
     found = factor_all(f, options) if f.degree() >= 2 else {}
-    return _complete_chains(f, found, depth_cap, options)
+    return _complete_chains(f, found, options)
 
 
 def _complete_chains(
     f: NCPoly,
     found: dict[DegreeSplit, list[SymbolicFactorization]],
-    depth_cap: int,
     options: FactorOptions,
 ) -> list[FactorChain]:
     """`factor_completely` for f, given `found = factor_all(f, options)`."""
@@ -733,30 +728,22 @@ def _complete_chains(
                             inner[(i, j)].append(add_divisor(i, j, fact.left, fact.right))
         return inner[(i, j)]
 
-    memo: dict = {}
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    def chains(i: int, j: int, budget: int) -> dict[tuple[int, ...], bool]:
-        # boundary index paths i, ..., j -> complete
-        gap = degree[j] - degree[i]
-        if gap < 2:
-            return {(i, j): True}
-        if budget <= 0:
-            return {(i, j): False}
-        # a maximal chain has at most gap factors, so a budget of at least the
-        # gap can never truncate and the answer is budget-free
-        memo_key = (i, j, budget if budget < gap else None)
-        if memo_key in memo:
-            return memo[memo_key]
-        collected: dict[tuple[int, ...], bool] = {}
-        for m in divisors_between(i, j):
-            left, right = chains(i, m, budget - 1), chains(m, j, budget - 1)
-            for lpath, lcomplete in left.items():
-                for rpath, rcomplete in right.items():
-                    path = lpath + rpath[1:]
-                    collected[path] = collected.get(path, False) or (lcomplete and rcomplete)
-        # no inner divisor: the interval's quotient is irreducible
-        memo[memo_key] = collected or {(i, j): True}
-        return memo[memo_key]
+    def chains(i: int, j: int) -> list[tuple[int, ...]]:
+        # the index paths i, ..., j whose steps are irreducible
+        if degree[j] - degree[i] < 2:
+            return [(i, j)]
+        if (i, j) not in memo:
+            paths = dict.fromkeys(
+                left + right[1:]
+                for m in divisors_between(i, j)
+                for left in chains(i, m)
+                for right in chains(m, j)
+            )
+            # no inner divisor: the interval's quotient is irreducible
+            memo[(i, j)] = list(paths) or [(i, j)]
+        return memo[(i, j)]
 
     texts: dict[tuple[int, int], str] = {}
 
@@ -765,11 +752,5 @@ def _complete_chains(
             texts[step] = str(quotients[step])
         return texts[step]
 
-    paths = sorted(
-        chains(0, 1, depth_cap).items(),
-        key=lambda item: tuple(text(step) for step in zip(item[0], item[0][1:])),
-    )
-    return [
-        FactorChain(tuple(quotients[step] for step in zip(path, path[1:])), complete)
-        for path, complete in paths
-    ]
+    paths = sorted(chains(0, 1), key=lambda path: tuple(text(step) for step in zip(path, path[1:])))
+    return [FactorChain(tuple(quotients[step] for step in zip(path, path[1:]))) for path in paths]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncfactor import cli, factoring
-from ncfactor.cli import Request, _render_text, main, run
+from ncfactor.cli import Request, main, run
 from ncfactor.fields import PrimeField, RationalField
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,18 +87,6 @@ class TestBehavior:
         code, out, _ = capture(["--field", "5", "--degrees", "1,1", "x*x - y*y"])
         assert code == 0
         assert "irreducible at (1, 1)" in out
-
-    def test_chain_cut_by_depth_cap_is_marked(self):
-        report = {
-            "field": "F_2",
-            "splits": [],
-            "chains": [
-                {"factors": ["x", "x*x"], "complete": False},
-                {"factors": ["x", "x", "x"], "complete": True},
-            ],
-        }
-        lines = _render_text("x^3", report, all_splits=False).splitlines()
-        assert lines[-2:] == ["  (x) * (x*x)   [depth cap reached]", "  (x) * (x) * (x)"]
 
     def test_monomial_square(self):
         code, out, _ = capture(["--field", "3", "x*x"])

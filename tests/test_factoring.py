@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -32,6 +33,17 @@ def algebra(p=5):
 
 ALG = algebra()
 W = ALG.alphabet.word
+
+
+def one_letter(p):
+    return FreeAlgebra(Alphabet(("x",)), SymbolRing(PrimeField(p), ()))
+
+
+def product_of(factors):
+    prod = factors[0]
+    for part in factors[1:]:
+        prod = prod * part
+    return prod
 
 
 def pair_set(facts):
@@ -584,34 +596,64 @@ class TestFactorAll:
 class TestFactorCompletely:
     def test_quintic_chains(self):
         f = ALG.from_text("y*x*y*x*y - y")
-        chains = factor_completely(f, depth_cap=5)
+        chains = factor_completely(f)
         rendered = {tuple(str(p) for p in ch.factors) for ch in chains if ch.complete}
         assert ("y", "x*y + 4", "x*y + 1") in rendered
         assert ("y*x + 4", "y", "x*y + 1") in rendered
         assert ("y*x + 4", "y*x + 1", "y") in rendered
-        assert all(ch.complete for ch in chains)
-        for ch in chains:
-            prod = ch.factors[0]
-            for part in ch.factors[1:]:
-                prod = prod * part
-            assert prod == f
+        assert all(ch.complete and product_of(ch.factors) == f for ch in chains)
 
     def test_irreducible_single_chain(self):
         f = ALG.from_text("x*x - y*y")
-        chains = factor_completely(f, depth_cap=5)
+        chains = factor_completely(f)
         assert len(chains) == 1
         assert chains[0].factors == (f,) and chains[0].complete
 
     def test_monomial_cube(self):
         f = ALG.from_text("x*x*x")
-        chains = factor_completely(f, depth_cap=5)
+        chains = factor_completely(f)
         assert len(chains) == 1
         assert tuple(str(p) for p in chains[0].factors) == ("x", "x", "x")
 
-    def test_depth_cap_marks_incomplete(self):
-        f = ALG.from_text("y*x*y*x*y - y")
-        chains = factor_completely(f, depth_cap=1)
-        assert chains and any(not ch.complete for ch in chains)
+    def test_ten_factors_make_one_whole_chain(self):
+        # a chain longer than any fixed depth is listed whole, never cut
+        f = one_letter(2).from_text("x^10")
+        chains = factor_completely(f)
+        assert len(chains) == 1 and chains[0].complete
+        assert tuple(str(p) for p in chains[0].factors) == ("x",) * 10
+
+    def test_repeated_factor_chains_are_the_orderings_of_its_factors(self):
+        # x^9 * (x^2 + x + 1) over F_2: one chain per place of the quadratic
+        alg = one_letter(2)
+        f = alg.from_text("x^11 + x^10 + x^9")
+        chains = factor_completely(f)
+        assert len(chains) == 10 and all(ch.complete for ch in chains)
+        for ch in chains:
+            assert sorted(str(p) for p in ch.factors) == ["x"] * 9 + ["x^2 + x + 1"]
+            assert product_of(ch.factors) == f
+
+    # sympy warns from its own sort of the factors it returns mod p
+    @pytest.mark.filterwarnings("ignore:(?s).*Ordered comparisons with modular integers")
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_letter_chain_counts_match_sympy(self, p):
+        # K<x> is K[x], a UFD: the maximal chains are the distinct orderings
+        # of the irreducible factors, (sum m_i)! / prod m_i! of them
+        sympy = pytest.importorskip("sympy")
+        alg = one_letter(p)
+        rng = random.Random(p)
+        for _ in range(40):
+            degree = rng.randint(2, 8)
+            coeffs = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(degree)]
+            f = alg.zero()
+            for k, c in enumerate(reversed(coeffs)):
+                f = f + alg.monomial((0,) * k, c)
+            x = sympy.Symbol("x")
+            _, factors = sympy.factor_list(sum(c * x**k for k, c in enumerate(reversed(coeffs))), modulus=p)
+            mults = [m for _, m in factors]
+            expected = math.factorial(sum(mults)) // math.prod(math.factorial(m) for m in mults)
+            chains = factor_completely(f)
+            assert len(chains) == expected, f
+            assert all(product_of(ch.factors) == f for ch in chains)
 
     def test_one_factor_all_over_fp(self, monkeypatch):
         # factor_all(f) lists every monic left divisor of f, and the chains
@@ -624,12 +666,8 @@ class TestFactorCompletely:
         f, _ = chain_family(PrimeField(7), [1, 2, 3, 4])
         chains = factor_completely(f)
         assert calls == [f]
-        assert len(chains) == 120 and all(ch.complete for ch in chains)
-        for ch in chains:
-            prod = ch.factors[0]
-            for part in ch.factors[1:]:
-                prod = prod * part
-            assert prod == f
+        assert len(chains) == 120
+        assert all(ch.complete and product_of(ch.factors) == f for ch in chains)
 
     @pytest.mark.parametrize(
         "text,quotient,expected",
