@@ -6,7 +6,8 @@ monomial, or a product whose factors share a middle part (G = A*E + lower,
 H = E*B + lower, the shape with underdetermined recovery steps), in turn.
 Each fact contributes its split, left, right, system (equations in order),
 solutions and pivots; an enumeration cap stop contributes one line.  Two
-checkouts that print the same digest returned the same facts.
+checkouts that print the same digest returned the same facts.  One digest
+per field precedes the total, so a changed total names the fields it moved.
 
 Usage: python scripts/fact_digest.py [--count N]
 """
@@ -103,14 +104,19 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=300)
     args = parser.parse_args()
     digest = hashlib.sha256()
+    by_field = {field: hashlib.sha256() for field in FIELDS}
     facts = 0
     for index in range(args.count):
-        lines = fact_lines(make_input(index))
+        f = make_input(index)
+        lines = fact_lines(f)
         facts += sum(line.startswith("(") for line in lines)
         for line in lines:
             digest.update(line.encode() + b"\n")
+            by_field[f.algebra.field].update(line.encode() + b"\n")
     print(f"inputs: {args.count}")
     print(f"facts: {facts}")
+    for field, field_digest in by_field.items():
+        print(f"sha256 {field!r}: {field_digest.hexdigest()}")
     print(f"sha256: {digest.hexdigest()}")
     return 0
 

@@ -382,20 +382,18 @@ def normal_form(f: CPoly, basis: Iterable[CPoly]) -> CPoly:
             raise ValueError("zero polynomial in division basis")
         divisors.append((g.leading_monomial(), g.leading_coefficient(), g))
     fld = f.ring.field
-    p = f
-    remainder = f.ring.zero()
-    while not p.is_zero():
-        lm = p.leading_monomial()
-        lc = p._terms[lm]
+    p = dict(f._terms)
+    remainder: TermDict = {}
+    while p:
+        lm = max(p)
         for gm, gc, g in divisors:
             if monomial_divides(gm, lm):
-                p = p - g.mul_term(monomial_quotient(lm, gm), fld.div(lc, gc))
+                quotient = {monomial_quotient(lm, gm): 1}
+                add_product(p, -fld.div(p[lm], gc), quotient, g._terms, fld.reduce)
                 break
         else:
-            head = CPoly(f.ring, {lm: lc})
-            remainder = remainder + head
-            p = p - head
-    return remainder
+            remainder[lm] = p.pop(lm)
+    return CPoly(f.ring, remainder)
 
 
 def s_polynomial(f: CPoly, g: CPoly) -> CPoly:

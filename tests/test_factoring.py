@@ -119,10 +119,24 @@ class TestFactorBidegree:
                 [(W("y"), W("yy"), (1,))],
                 [],
             ),
+            # (x, xy) and (x, xx) overlap, so the leading pair (y, xy) settles;
+            # the merge runs (y, xx), reaches the settling result and stops,
+            # on both fields, once it holds every pair of the settling attempt
+            (
+                None, "(y - 3*x - 1)*(3*x*y - 2*x^2)", (1, 2),
+                [(W("y"), W("xy"), ()), (W("y"), W("xx"), ())],
+                [("y - 3*x - 1", "3*x*y - 2*x^2")],
+            ),
+            (
+                5, "(y - 3*x - 1)*(3*x*y - 2*x^2)", (1, 2),
+                [(W("y"), W("xy"), ()), (W("y"), W("xx"), ())],
+                [("y + 2*x + 4", "3*x*y + 3*x^2")],
+            ),
         ],
         ids=[
             "no-overlap", "one-overlap", "two-overlaps",
             "leading-answers-nothing-F5", "leading-answers-nothing-Q",
+            "merge-stops-Q", "merge-stops-F5",
         ],
     )
     def test_only_the_settling_pivot_runs(self, p, text, split, pivots, pairs, monkeypatch):
@@ -406,6 +420,46 @@ def test_leading_pair_answering_nothing_over_rationals(case):
     if leading is None:
         assert all(facts is None for facts in attempts.values())
         assert factor_bidegree(f, split) == []
+
+
+def _is_point_of(pair, fact):
+    """Whether a concrete pair is the symbolic fact at a root of its system."""
+    left, right = pair
+    # each symbol is the fact's G-coefficient at one word; read its value off left
+    point = {
+        name: left.coefficient(w).constant_value()
+        for name in fact.system.symbols
+        for w in fact.left.words()
+        if fact.left.coefficient(w) == fact.system.ring.symbol(name)
+    }
+    return (
+        len(point) == len(fact.system.symbols)
+        and all(eq.evaluate(point) == 0 for eq in fact.system.equations)
+        and (fact.left.substitute_symbols(point), fact.right.substitute_symbols(point)) == pair
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(products_and_perturbations(primes=(None,)))
+def test_merge_over_rationals_keeps_every_reported_pair(case):
+    # every fact of the settling attempt, and every concrete pair any pivot
+    # attempt returns, appears in factor_bidegree's answer; only a split
+    # settled by one attempt may describe such a pair by its symbolic fact
+    f, split = case
+    assume(not f.is_zero() and f.degree() == sum(split))
+    found = _every_pivot_attempt(f, split)
+    assume(found is not None)
+    leading, attempts = found
+    overlapping = [pivot for pivot in attempts if overlap_lengths(*pivot)]
+    settled = leading if len(overlapping) > 1 else attempts[min(overlapping or attempts)]
+    facts = factor_bidegree(f, split)
+    answer = pair_set(facts)
+    assert pair_set(settled or ()) <= answer
+    for attempt in attempts.values():
+        for fact in attempt or ():
+            if fact.is_concrete and (fact.left, fact.right) not in answer:
+                assert len(overlapping) <= 1
+                assert any(_is_point_of((fact.left, fact.right), kept) for kept in facts)
 
 
 class TestAssembleConstraints:

@@ -30,7 +30,7 @@ def test_script_runs(script, args, expected):
 
 def test_fact_digest_matches_golden():
     # every fact of factor_all on 300 seeded inputs over F_2, F_3, F_5, F_101
-    # and Q; the 3000-input digest is checked the same way in CI
+    # and Q; the 3000- and 20000-input digests are checked the same way in CI
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "fact_digest.py"), "--count", "300"],
         capture_output=True,
