@@ -4,7 +4,8 @@ Input i is `fact_digest.make_input(i)` (F_2, F_3, F_5, F_101 or Q, i mod 5),
 factored completely once.  Each chain contributes its factor texts, in
 returned order; an enumeration cap stop contributes one line to the digest
 and is printed as one line.  Two checkouts that print the same output
-returned the same chains.
+returned the same chains.  One digest per field precedes the total, so a
+changed total names the fields it moved.
 
 Usage: python scripts/chain_digest.py [--count N]
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fact_digest import make_input
+from fact_digest import FIELDS, make_input
 from ncfactor import SearchSpaceTooLargeError, factor_completely
 
 
@@ -34,24 +35,27 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=300)
     args = parser.parse_args()
     digest = hashlib.sha256()
+    by_field = {field: hashlib.sha256() for field in FIELDS}
     chains = 0
     stops = []
     for index in range(args.count):
         f = make_input(index)
         if f.is_zero() or f.degree() < 2:
             continue
-        digest.update(f"input {f} over {f.algebra.field!r}\n".encode())
         lines = chain_lines(f)
         if lines[0].startswith("cap stop"):
             stops.append(f"input {index}: {lines[0]}")
         else:
             chains += len(lines)
-        for line in lines:
+        for line in [f"input {f} over {f.algebra.field!r}", *lines]:
             digest.update(line.encode() + b"\n")
+            by_field[f.algebra.field].update(line.encode() + b"\n")
     print(f"inputs: {args.count}")
     print(f"chains: {chains}")
     for stop in stops:
         print(stop)
+    for field, field_digest in by_field.items():
+        print(f"sha256 {field!r}: {field_digest.hexdigest()}")
     print(f"sha256: {digest.hexdigest()}")
     return 0
 

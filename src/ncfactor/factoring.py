@@ -24,7 +24,8 @@ needed for the answer and is computed only when read.
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
 by L of the divisors between L and M.  Over F_p one `factor_all` of the
-input lists them all and exact left division relates them; over Q a split
+input lists them all, exact left division relates them where transitivity
+does not, and the chains are the paths of their cover graph; over Q a split
 with symbols stays symbolic and hides divisors, so each quotient on a chain
 is factored on its own.
 """
@@ -646,22 +647,24 @@ def factor_all(
 
 
 def factor_completely(f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS) -> list[FactorChain]:
-    """Maximal factorization chains of f, recursing over intervals of its divisors.
+    """Maximal factorization chains of f: the maximal chains of its left divisors.
 
-    A free algebra is a domain, so the left divisors of a factor L^-1*M are
-    L^-1*D for the left divisors D of f with L | D | M (P. M. Cohn, Free
-    Rings and Their Relations).  A chain is a path 1 = D_0 | D_1 | ... | D_m
-    = f with irreducible steps D_(i-1)^-1*D_i, and the recursion runs over
-    intervals (D, M) of these divisors.  Over F_p `factor_all(f)` lists every
-    monic left divisor of f, so it runs once, and an interval's inner
-    divisors are found by exact left division among them.  Over Q it reports
-    splits with symbols symbolically, so the root's concrete facts miss
-    divisors; there an interval's inner divisors come from the concrete
-    facts of `factor_all` on its quotient, once per distinct quotient.
+    A chain is a path 1 = D_0 | D_1 | ... | D_m = f through the monic left
+    divisors of f whose steps D_(i-1)^-1*D_i are irreducible.  A free algebra
+    is a domain, so the left divisors of a factor L^-1*M are L^-1*D for the
+    left divisors D of f with L | D | M (P. M. Cohn, Free Rings and Their
+    Relations), and a step is irreducible exactly when D_(i-1) is a lower
+    cover of D_i.  Over F_p `factor_all(f)` lists every monic left divisor
+    of f, so it runs once; each divisor's down-set is filled by exact left
+    division where transitivity does not already decide it, and the chains
+    are the paths from 1 to f in the cover graph, each built once.  Over Q
+    it reports splits with symbols symbolically, so the root's concrete
+    facts miss divisors; there the chains recurse over intervals (L, M) of
+    divisors, whose inner divisors come from the concrete facts of
+    `factor_all` on the interval's quotient, once per distinct quotient.
 
-    Every step of an interval lowers the degree, so the recursion ends
-    without a cap.  Chains are deduplicated and sorted by the text of their
-    factors.
+    Every step lowers the degree, so both walks end without a cap.  Chains
+    are distinct and sorted by the text of their factors.
     """
     found = factor_all(f, options) if f.degree() >= 2 else {}
     return _complete_chains(f, found, options)
@@ -674,15 +677,12 @@ def _complete_chains(
 ) -> list[FactorChain]:
     """`factor_completely` for f, given `found = factor_all(f, options)`."""
     alg = f.algebra
-    reduce = alg.field.reduce
     # divisors by index: 1 and f first, then each monic left divisor as found
     elems = [alg.one(), f]
     degree = [0, f.degree()]
     position: dict[NCPoly, int] = {}
-    # quotient elems[i]^-1 * elems[j] per interval (i, j), None when there is none
-    quotients: dict[tuple[int, int], Optional[NCPoly]] = {(0, 1): f}
-    found_at: dict[NCPoly, dict[DegreeSplit, list[SymbolicFactorization]]] = {f: found}
-    inner: dict[tuple[int, int], list[int]] = {}
+    # quotient elems[i]^-1 * elems[j] of each step (i, j) a chain may take
+    quotients: dict[tuple[int, int], NCPoly] = {(0, 1): f}
 
     def add_divisor(i: int, j: int, left: NCPoly, right: NCPoly) -> int:
         # the index of elems[i]*left, which splits (i, j) into left and right
@@ -695,49 +695,43 @@ def _complete_chains(
         quotients[(m, j)] = right
         return m
 
-    def quotient(i: int, j: int) -> Optional[NCPoly]:
-        if (i, j) not in quotients:
-            q = left_divide(term_dicts(elems[j]), term_dicts(elems[i]), reduce)
-            quotients[(i, j)] = None if q is None else from_term_dicts(alg, q)
-        return quotients[(i, j)]
+    def concrete_splits(
+        i: int, j: int, facts: dict[DegreeSplit, list[SymbolicFactorization]]
+    ) -> list[int]:
+        # the indices of the divisors that the concrete facts on (i, j) split it at
+        return [
+            add_divisor(i, j, fact.left, fact.right)
+            for split_facts in facts.values()
+            for fact in split_facts
+            if fact.is_concrete
+        ]
 
-    def divisors_between(i: int, j: int) -> list[int]:
-        if (i, j) not in inner:
-            if alg.field.is_finite and (i, j) != (0, 1):
-                inner[(i, j)] = [
-                    m
-                    for m in range(2, len(elems))
-                    if degree[i] < degree[m] < degree[j]
-                    and quotient(i, m) is not None
-                    and quotient(m, j) is not None
-                ]
-            else:
+    if alg.field.is_finite:
+        concrete_splits(0, 1, found)
+        paths = _cover_paths(elems, degree, quotients)
+    else:
+        found_at: dict[NCPoly, dict[DegreeSplit, list[SymbolicFactorization]]] = {f: found}
+        memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+        def chains(i: int, j: int) -> list[tuple[int, ...]]:
+            # the index paths i, ..., j whose steps are irreducible
+            if degree[j] - degree[i] < 2:
+                return [(i, j)]
+            if (i, j) not in memo:
                 q = quotients[(i, j)]
                 if q not in found_at:
                     found_at[q] = factor_all(q, options)
-                inner[(i, j)] = []
-                for facts in found_at[q].values():
-                    for fact in facts:
-                        if fact.is_concrete:
-                            inner[(i, j)].append(add_divisor(i, j, fact.left, fact.right))
-        return inner[(i, j)]
+                found_paths = dict.fromkeys(
+                    left + right[1:]
+                    for m in concrete_splits(i, j, found_at[q])
+                    for left in chains(i, m)
+                    for right in chains(m, j)
+                )
+                # no inner divisor: the interval's quotient is irreducible
+                memo[(i, j)] = list(found_paths) or [(i, j)]
+            return memo[(i, j)]
 
-    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def chains(i: int, j: int) -> list[tuple[int, ...]]:
-        # the index paths i, ..., j whose steps are irreducible
-        if degree[j] - degree[i] < 2:
-            return [(i, j)]
-        if (i, j) not in memo:
-            paths = dict.fromkeys(
-                left + right[1:]
-                for m in divisors_between(i, j)
-                for left in chains(i, m)
-                for right in chains(m, j)
-            )
-            # no inner divisor: the interval's quotient is irreducible
-            memo[(i, j)] = list(paths) or [(i, j)]
-        return memo[(i, j)]
+        paths = chains(0, 1)
 
     texts: dict[tuple[int, int], str] = {}
 
@@ -746,5 +740,48 @@ def _complete_chains(
             texts[step] = str(quotients[step])
         return texts[step]
 
-    paths = sorted(chains(0, 1), key=lambda path: tuple(text(step) for step in zip(path, path[1:])))
+    paths = sorted(paths, key=lambda path: tuple(text(step) for step in zip(path, path[1:])))
     return [FactorChain(tuple(quotients[step] for step in zip(path, path[1:]))) for path in paths]
+
+
+def _cover_paths(
+    elems: list[NCPoly], degree: list[int], quotients: dict[tuple[int, int], NCPoly]
+) -> list[tuple[int, ...]]:
+    """The index paths 0, ..., 1 through the cover graph of every left divisor of f.
+
+    `elems` holds 1, f and every other monic left divisor of f, with the
+    quotients by 1 and of f in `quotients`.  Each divisor's down-set (its
+    proper divisors) is filled in ascending degree, and so is the scan over
+    its candidates: a candidate i with a divisor already known not to divide
+    m cannot divide m, so only the candidates whose own down-set lies in m's
+    are divided.  The lower covers of m are the maximal members of its
+    down-set; the quotient of each cover step is added to `quotients`.  The
+    paths up to f are memoized per divisor, so each chain is built once.
+    """
+    alg = elems[0].algebra
+    reduce = alg.field.reduce
+    terms = [term_dicts(d) for d in elems]
+    order = sorted(range(2, len(elems)), key=degree.__getitem__)
+    below: list[set[int]] = [set() for _ in elems]
+    divided: dict[tuple[int, int], WordTerms] = {}
+    for m in order:
+        below[m].add(0)
+        for i in order:
+            if degree[i] >= degree[m]:
+                break
+            if below[i] <= below[m]:
+                q = left_divide(terms[m], terms[i], reduce)
+                if q is not None:
+                    below[m].add(i)
+                    divided[(i, m)] = q
+    below[1] = set(range(len(elems))) - {1}
+    above: list[list[int]] = [[] for _ in elems]
+    for m, down in enumerate(below):
+        for i in down.difference(*(below[k] for k in down)):
+            above[i].append(m)
+            if (i, m) not in quotients:
+                quotients[(i, m)] = from_term_dicts(alg, divided[(i, m)])
+    up: dict[int, list[tuple[int, ...]]] = {1: [(1,)]}
+    for i in reversed([0] + order):
+        up[i] = [(i,) + path for m in above[i] for path in up[m]]
+    return up[0]

@@ -723,6 +723,20 @@ class TestFactorCompletely:
         assert len(chains) == 120
         assert all(ch.complete and product_of(ch.factors) == f for ch in chains)
 
+    def test_divisions_only_where_transitivity_does_not_decide(self, monkeypatch):
+        # y*(xy - 1)(xy - 2)(xy - 3)(xy - 4) over F_7 has 32 monic left
+        # divisors; a pair is divided only when the pairs already decided do
+        # not decide it by transitivity
+        calls = []
+        real = factoring.left_divide
+        monkeypatch.setattr(
+            factoring, "left_divide", lambda a, d, reduce: calls.append(d) or real(a, d, reduce)
+        )
+        f, _ = chain_family(PrimeField(7), [1, 2, 3, 4])
+        chains = factor_completely(f)
+        assert len(chains) == 120
+        assert len(calls) == 209
+
     @pytest.mark.parametrize(
         "text,quotient,expected",
         [
@@ -746,6 +760,60 @@ class TestFactorCompletely:
             (expected, True)
         ]
         assert calls[0] == f and alg.from_text(quotient) in calls[1:]
+
+
+def _reference_chains(f):
+    # every maximal chain, by factoring both sides of every split of every
+    # factor met on the way with factor_all; no division
+    memo = {}
+
+    def chains(g):
+        if g not in memo:
+            found = factor_all(g) if g.degree() >= 2 else {}
+            memo[g] = {
+                left + right
+                for facts in found.values()
+                for fact in facts
+                for left in chains(fact.left)
+                for right in chains(fact.right)
+            } or {(g,)}
+        return memo[g]
+
+    return chains(f)
+
+
+def _chain_input(seed):
+    # a product of 2-3 random monic factors of degree 1-2 over F_2, F_3 or
+    # F_5, half of them in x alone (such factors commute), with one factor
+    # repeated for even seeds
+    rng = random.Random(seed)
+    p = (2, 3, 5)[seed % 3]
+    alg = FreeAlgebra(Alphabet(("x", "y", "z")[: rng.randint(2, 3)]), SymbolRing(PrimeField(p), ()))
+
+    def factor(degree):
+        size = alg.alphabet.size if rng.random() < 0.5 else 1
+        g = alg.monomial(tuple(rng.randrange(size) for _ in range(degree)), 1)
+        for _ in range(rng.randrange(3)):
+            word = tuple(rng.randrange(size) for _ in range(rng.randrange(degree)))
+            g = g + alg.monomial(word, rng.randrange(1, p))
+        return g
+
+    parts = [factor(rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+    if seed % 2 == 0:
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(parts))
+    return product_of(parts)
+
+
+def test_complete_chains_match_recursive_factoring():
+    counts = set()
+    for seed in range(60):
+        f = _chain_input(seed)
+        chains = [ch.factors for ch in factor_completely(f)]
+        assert len(set(chains)) == len(chains), f
+        assert set(chains) == _reference_chains(f), f
+        counts.add(len(chains))
+    # lattices that are not Boolean (their chain count is no factorial) are covered
+    assert counts - {1, 2, 6, 24, 120}
 
 
 class TestChainFamilyProperty:

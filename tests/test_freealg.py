@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -10,12 +11,16 @@ from ncfactor.freealg import (
     Alphabet,
     FreeAlgebra,
     concat,
+    from_term_dicts,
     homogenize,
+    left_divide,
     left_quotient,
     normalize_pair,
     overlap_lengths,
     right_quotient,
+    term_dicts,
 )
+from ncfactor.oracle import _raw_left_divide, _to_raw, random_factorable
 
 
 def algebra(p=5, names=("x", "y")):
@@ -88,6 +93,46 @@ class TestArithmetic:
     def test_degree_of_zero_flagged(self):
         with pytest.raises(ValueError):
             ALG.zero().degree()
+
+
+def divide(a, d):
+    q = left_divide(term_dicts(a), term_dicts(d), a.algebra.field.reduce)
+    return None if q is None else from_term_dicts(a.algebra, q)
+
+
+class TestLeftDivide:
+    def test_exact_quotient(self):
+        d = ALG.from_text("x*y + 1")
+        q = ALG.from_text("2*y*x + y + 3")
+        assert divide(d * q, d) == q
+
+    def test_non_divisor_sharing_the_leading_prefix(self):
+        # the leading word x*y*x starts with x*y, but the remainder y - x
+        # after one step leads with a word that does not
+        assert divide(ALG.from_text("x*y*x + y"), ALG.from_text("x*y + 1")) is None
+
+    def test_division_by_one(self):
+        a = ALG.from_text("3*y*x*y + x + 4")
+        assert divide(a, ALG.one()) == a
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_agrees_with_oracle_division(self, p):
+        # seeded products g*h divide exactly; with one monomial added they
+        # mostly do not, and both divisions must agree either way
+        rng = random.Random(p)
+        exact = refused = 0
+        for seed in range(60):
+            f, g, h = random_factorable(seed, PrimeField(p), rng.randint(1, 3), rng.randint(1, 3), 3)
+            g, h = normalize_pair(g, h)
+            word = tuple(rng.randrange(2) for _ in range(rng.randint(0, f.degree())))
+            for a in (f, f + f.algebra.monomial(word, 1)):
+                want = _raw_left_divide(_to_raw(a), _to_raw(g), p)
+                got = divide(a, g)
+                assert (None if got is None else _to_raw(got)) == want, (a, g)
+                exact += got is not None
+                refused += got is None
+            assert divide(f, g) == h
+        assert exact >= 60 and refused > 0
 
 
 class TestIdentity:
