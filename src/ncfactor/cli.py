@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -155,10 +156,7 @@ def run(request: Request) -> tuple[int, str]:
         ],
     }
     if chains is not None:
-        report["chains"] = [
-            {"factors": [str(p) for p in chain.factors], "complete": chain.complete}
-            for chain in chains
-        ]
+        report["chains"] = [{"factors": list(ch.texts), "complete": ch.complete} for ch in chains]
 
     if request.json_mode:
         return 0, json.dumps(report, indent=2)
@@ -218,7 +216,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_solutions=args.max_solutions,
     )
     code, report = run(request)
-    print(report, file=sys.stderr if code else sys.stdout)
+    try:
+        print(report, file=sys.stderr if code else sys.stdout, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: devnull keeps the flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -24,15 +24,16 @@ needed for the answer and is computed only when read.
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
 by L of the divisors between L and M.  Over F_p one `factor_all` of the
-input lists them all, exact left division relates them where transitivity
-does not, and the chains are the paths of their cover graph; over Q a split
-with symbols stays symbolic and hides divisors, so each quotient on a chain
-is factored on its own.
+input lists them all; over Q a split with symbols stays symbolic and hides
+divisors, so the quotient of every interval they reach is factored too.
+Over both fields exact left division relates the divisors where
+transitivity does not, and the chains are the paths of their cover graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
@@ -115,9 +116,10 @@ class SymbolicFactorization:
 
 @dataclass(frozen=True)
 class FactorChain:
-    """A maximal multiplication chain: a product of irreducible factors."""
+    """A maximal multiplication chain: irreducible factors and their `str()` texts."""
 
     factors: tuple[NCPoly, ...]
+    texts: tuple[str, ...] = dataclass_field(compare=False)
     # always True: every chain is maximal (callers and the JSON report read it)
     complete = True
 
@@ -655,16 +657,15 @@ def factor_completely(f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS) -> li
     left divisors D of f with L | D | M (P. M. Cohn, Free Rings and Their
     Relations), and a step is irreducible exactly when D_(i-1) is a lower
     cover of D_i.  Over F_p `factor_all(f)` lists every monic left divisor
-    of f, so it runs once; each divisor's down-set is filled by exact left
-    division where transitivity does not already decide it, and the chains
-    are the paths from 1 to f in the cover graph, each built once.  Over Q
-    it reports splits with symbols symbolically, so the root's concrete
-    facts miss divisors; there the chains recurse over intervals (L, M) of
-    divisors, whose inner divisors come from the concrete facts of
-    `factor_all` on the interval's quotient, once per distinct quotient.
+    of f, so it runs once.  Over Q symbolic splits hide divisors, so every
+    interval (L, M) of found divisors with a degree gap of 2 or more has its
+    quotient factored too, once per distinct quotient, and its concrete
+    facts add inner divisors.  Then one walk serves both fields:
+    `_cover_paths` relates the divisors and lists the paths from 1 to f in
+    their cover graph, each built once.
 
-    Every step lowers the degree, so both walks end without a cap.  Chains
-    are distinct and sorted by the text of their factors.
+    Every step lowers the degree, so the walk ends without a cap.  Chains
+    are distinct, sorted by the text of their factors, and carry that text.
     """
     found = factor_all(f, options) if f.degree() >= 2 else {}
     return _complete_chains(f, found, options)
@@ -708,55 +709,50 @@ def _complete_chains(
 
     if alg.field.is_finite:
         concrete_splits(0, 1, found)
-        paths = _cover_paths(elems, degree, quotients)
     else:
-        found_at: dict[NCPoly, dict[DegreeSplit, list[SymbolicFactorization]]] = {f: found}
-        memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        # symbolic splits hide divisors: factor every interval's quotient too
+        found_at = {f: found}
+        reached: set[tuple[int, int]] = set()
 
-        def chains(i: int, j: int) -> list[tuple[int, ...]]:
-            # the index paths i, ..., j whose steps are irreducible
-            if degree[j] - degree[i] < 2:
-                return [(i, j)]
-            if (i, j) not in memo:
-                q = quotients[(i, j)]
-                if q not in found_at:
-                    found_at[q] = factor_all(q, options)
-                found_paths = dict.fromkeys(
-                    left + right[1:]
-                    for m in concrete_splits(i, j, found_at[q])
-                    for left in chains(i, m)
-                    for right in chains(m, j)
-                )
-                # no inner divisor: the interval's quotient is irreducible
-                memo[(i, j)] = list(found_paths) or [(i, j)]
-            return memo[(i, j)]
+        def discover(i: int, j: int) -> None:
+            if degree[j] - degree[i] < 2 or (i, j) in reached:
+                return
+            reached.add((i, j))
+            q = quotients[(i, j)]
+            if q not in found_at:
+                found_at[q] = factor_all(q, options)
+            for m in concrete_splits(i, j, found_at[q]):
+                discover(i, m)
+                discover(m, j)
 
-        paths = chains(0, 1)
+        discover(0, 1)
+    paths = _cover_paths(elems, degree, quotients)
 
-    texts: dict[tuple[int, int], str] = {}
+    @cache
+    def text(i: int, m: int) -> str:
+        return str(quotients[(i, m)])
 
-    def text(step: tuple[int, int]) -> str:
-        if step not in texts:
-            texts[step] = str(quotients[step])
-        return texts[step]
-
-    paths = sorted(paths, key=lambda path: tuple(text(step) for step in zip(path, path[1:])))
-    return [FactorChain(tuple(quotients[step] for step in zip(path, path[1:]))) for path in paths]
+    ranked = sorted((tuple(map(text, path, path[1:])), path) for path in paths)
+    return [
+        FactorChain(tuple(quotients[step] for step in zip(path, path[1:])), texts)
+        for texts, path in ranked
+    ]
 
 
 def _cover_paths(
     elems: list[NCPoly], degree: list[int], quotients: dict[tuple[int, int], NCPoly]
 ) -> list[tuple[int, ...]]:
-    """The index paths 0, ..., 1 through the cover graph of every left divisor of f.
+    """The index paths 0, ..., 1 through the cover graph of the divisors in `elems`.
 
-    `elems` holds 1, f and every other monic left divisor of f, with the
-    quotients by 1 and of f in `quotients`.  Each divisor's down-set (its
-    proper divisors) is filled in ascending degree, and so is the scan over
-    its candidates: a candidate i with a divisor already known not to divide
-    m cannot divide m, so only the candidates whose own down-set lies in m's
-    are divided.  The lower covers of m are the maximal members of its
-    down-set; the quotient of each cover step is added to `quotients`.  The
-    paths up to f are memoized per divisor, so each chain is built once.
+    `elems` holds 1, f and the monic left divisors of f that were found
+    (over F_p all of them, over Q those that concrete pairs show), with the
+    quotients the pairs gave in `quotients`.  Each divisor's down-set is
+    filled in ascending degree, and so is the scan over its candidates: a
+    candidate i with a divisor known not to divide m cannot divide m, so
+    only the candidates whose own down-set lies in m's are divided.  The
+    lower covers of m are the maximal members of its down-set; a cover
+    step's quotient no pair gave is divided out into `quotients`.  The paths
+    up to f are memoized per divisor, so each chain is built once.
     """
     alg = elems[0].algebra
     reduce = alg.field.reduce
@@ -780,7 +776,8 @@ def _cover_paths(
         for i in down.difference(*(below[k] for k in down)):
             above[i].append(m)
             if (i, m) not in quotients:
-                quotients[(i, m)] = from_term_dicts(alg, divided[(i, m)])
+                q = divided.get((i, m)) or left_divide(terms[m], terms[i], reduce)
+                quotients[(i, m)] = from_term_dicts(alg, q)
     up: dict[int, list[tuple[int, ...]]] = {1: [(1,)]}
     for i in reversed([0] + order):
         up[i] = [(i,) + path for m in above[i] for path in up[m]]

@@ -184,6 +184,25 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr == "parse error: exponent exceeds 1000000 at position 2\n"
 
+    def test_closed_stdout_exits_quietly(self):
+        # the reader is gone before the report is written, as under `| head`:
+        # the exit is nonzero, with no traceback and no "Exception ignored"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ncfactor", "--field", "5", "--complete", "y*x*y*x*y - y"],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert proc.stderr == ""
+
     def test_overlong_coefficient_is_parse_error(self):
         code, out, err = capture(["--field", "5", "1" + "0" * 5000 + "*x - 1"])
         assert (code, out) == (2, "")

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -760,6 +762,79 @@ class TestFactorCompletely:
             (expected, True)
         ]
         assert calls[0] == f and alg.from_text(quotient) in calls[1:]
+
+    @pytest.mark.parametrize(
+        "names,text,expected",
+        [
+            (
+                ("x", "y"),
+                "3*y*x*y - 2*y*x^2 - 9*x^2*y + 6*x^3 - 3*x*y + 2*x^2",
+                [("y - 3*x - 1", "x", "3*y - 2*x")],
+            ),
+            (
+                ("y", "z"),
+                "-9*z^2*y*z + 3*z^2",
+                [("z", "z", "-9*y*z + 3"), ("z", "z*y - 1/3", "-9*z")],
+            ),
+        ],
+    )
+    def test_rationals_list_no_chain_beside_its_refinement(self, names, text, expected):
+        # (y*x - 3*x^2 - x) * (3*y - 2*x) and (z^2*y - 1/3*z) * (-9*z) have
+        # a first step with a concrete split, so they are not maximal
+        alg = FreeAlgebra(Alphabet(names), SymbolRing(RationalField(), ()))
+        chains = factor_completely(alg.from_text(text))
+        assert [tuple(str(p) for p in ch.factors) for ch in chains] == expected
+
+    def test_rationals_chains_are_maximal(self):
+        # no chain's divisors are a proper subset of another chain's, on
+        # the Q inputs of the fact digest (every fifth index)
+        make_input = _load_script("fact_digest").make_input
+
+        def divisors(chain):
+            out, prefix = set(), chain.factors[0]
+            for part in chain.factors[1:]:
+                out.add(prefix.scale(1 / prefix.leading_coefficient().constant_value()))
+                prefix = prefix * part
+            return frozenset(out)
+
+        for index in range(4, 1000, 5):
+            f = make_input(index)
+            if f.is_zero() or f.degree() < 2:
+                continue
+            sets = [divisors(ch) for ch in factor_completely(f)]
+            assert not any(a < b for a in sets for b in sets), (index, f)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: chain_family(PrimeField(7), [1, 2, 3, 4])[0],
+            lambda: one_letter(5).from_text("x^12 - 1"),
+            lambda: algebra(None).from_text("3*y*x^2 - 3*x^2"),
+            lambda: FreeAlgebra(Alphabet(("y", "z")), SymbolRing(RationalField(), ())).from_text(
+                "-9*z^2*y*z + 3*z^2"
+            ),
+        ],
+        ids=["chain-family-F7", "x12-F5", "Q-quotient", "Q-refined"],
+    )
+    def test_chain_texts_render_the_factors(self, make):
+        # a chain's factors are shared by cover step, so each object is
+        # rendered once here, independently of the texts the chains carry
+        chains = factor_completely(make())
+        rendered: dict[int, str] = {}
+        for ch in chains:
+            for p in ch.factors:
+                if id(p) not in rendered:
+                    rendered[id(p)] = str(p)
+        assert all(ch.texts == tuple(rendered[id(p)] for p in ch.factors) for ch in chains)
+
+
+def _load_script(name):
+    # a module of scripts/, which is not a package
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _reference_chains(f):
