@@ -112,7 +112,10 @@ def run(request: Request) -> tuple[int, str]:
     if request.variables is not None:
         names = request.variables
     else:
-        names = tuple(sorted(identifiers_in(request.expression)))
+        try:
+            names = tuple(sorted(identifiers_in(request.expression)))
+        except ParseError as e:
+            return 2, f"parse error: {e}"
     if not names:
         return 2, "error: expression has no variables and none were declared"
     try:

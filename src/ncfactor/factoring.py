@@ -9,29 +9,35 @@ all symbols is solved exactly.  The recovery steps and the assembly of the
 system compute on plain coefficient dicts ({word: {monomial: scalar}},
 residues mod p over F_p, Fractions over Q) with the arithmetic NCPoly and
 CPoly use (`freealg.add_word_product`, `commutative.axpy` and the field's
-`reduce`); NCPoly and CPoly values are built once per attempt, for what it
-returns.  A step with an equation that reduces to a nonzero constant ends
-its attempt before assembly: that equation is an exact consequence of
-g*h - f = 0 for every value of the symbols, so the system would be
-inconsistent.  Over F_p every point is found by peeling univariate
-equations (their gcd, then its roots) and branching over a symbol's values
-only where no equation is univariate.  Over Q the reduced lex Groebner basis
-of a system with symbols both decides the unit ideal (no factorization) and
-describes the admissible symbol values; a system without symbols is empty
-or a nonzero constant, and needs no basis.  Over F_p the basis is never
-needed for the answer and is computed only when read.
+`reduce`).  Each point of a system becomes a concrete pair on scalar dicts
+({word: scalar}): it is evaluated (`freealg.evaluate_terms`), scaled monic,
+and multiplied back (`freealg.scalar_product`).  NCPoly and CPoly values
+are built once per attempt for the symbolic pair and its system, and once
+per returned fact for a concrete pair.  A step with an equation that
+reduces to a nonzero constant ends its attempt before assembly: that
+equation is an exact consequence of g*h - f = 0 for every value of the
+symbols, so the system would be inconsistent.  Over F_p every point is
+found by peeling univariate equations (their gcd, then its roots) and
+branching over a symbol's values only where no equation is univariate.
+Over Q the reduced lex Groebner basis of a system with symbols both
+decides the unit ideal (no factorization) and describes the admissible
+symbol values; a system without symbols is empty or a nonzero constant,
+and needs no basis.  Over F_p the basis is never needed for the answer and
+is computed only when read.
 
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
 by L of the divisors between L and M.  Over F_p one `factor_all` of the
 input lists them all; over Q a split with symbols stays symbolic and hides
 divisors, so the quotient of every interval they reach is factored too.
-Over both fields exact left division relates the divisors where
-transitivity does not, and the chains are the paths of their cover graph.
+Over both fields exact left division on scalar dicts (`freealg.left_divide`)
+relates the divisors where transitivity does not, and the chains are the
+paths of their cover graph; each cover quotient is built as an NCPoly once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from itertools import product
@@ -56,13 +62,17 @@ from .errors import ContextMismatchError
 from .fields import PrimeField, Scalar
 from .freealg import (
     NCPoly,
+    ScalarTerms,
     Word,
     WordTerms,
     add_word_product,
+    evaluate_terms,
+    from_scalar_terms,
     from_term_dicts,
     left_divide,
-    normalize_pair,
     overlap_lengths,
+    scalar_product,
+    scalar_terms,
     term_dicts,
     word_key,
 )
@@ -325,12 +335,13 @@ def _attempt_pivot(
     coefficient (see `factor_bidegree`); in a merge that is the leading
     pair's attempt, and any pair another attempt finds, it finds too.
 
-    The steps run on plain coefficient dicts; NCPoly and CPoly values are
-    built once, for the symbolic pair, its system and the facts.  A step
-    with a contradictory equation (see `_solve_step`) ends the attempt
-    before assembly.  Over Q an attempt with symbols returns one symbolic
-    fact, described by its reduced basis; every other attempt returns its
-    concrete pairs, each multiplied back to f.
+    The steps run on plain coefficient dicts, and each concrete pair on
+    scalar dicts; NCPoly and CPoly values are built once, for the symbolic
+    pair, its system and the facts.  A step with a contradictory equation
+    (see `_solve_step`) ends the attempt before assembly.  Over Q an
+    attempt with symbols returns one symbolic fact, described by its
+    reduced basis; every other attempt returns its concrete pairs, each
+    multiplied back to f.
     """
     g_hat, h_hat, overlaps = pivot
     n = f.degree()
@@ -378,8 +389,10 @@ def _attempt_pivot(
 
     # parts of one factor have distinct degrees, so their words never collide
     alg = f.algebra.extend_symbols(symbols)
-    g_sym = from_term_dicts(alg, {w: c for part in g_parts.values() for w, c in part.items()})
-    h_sym = from_term_dicts(alg, {w: c for part in h_parts.values() for w, c in part.items()})
+    g_terms = {w: c for part in g_parts.values() for w, c in part.items()}
+    h_terms = {w: c for part in h_parts.values() for w, c in part.items()}
+    g_sym = from_term_dicts(alg, g_terms)
+    h_sym = from_term_dicts(alg, h_terms)
 
     system = assemble_constraints(f, g_sym, h_sym)
 
@@ -395,16 +408,26 @@ def _attempt_pivot(
         solutions = [] if system.equations else [{}]
     if not solutions:
         return None
+    # the gauge of `normalize_pair`: G_top's constant leading coefficient
+    # leads every concrete G
+    c = g_head[g_top.leading_word()]
+    inv_c = fld.inv(c)
+    f_terms = scalar_terms(f)
     cache: dict = {}
     results: list[SymbolicFactorization] = []
     for sol in solutions:
-        left = g_sym.substitute_symbols(sol)
-        right = h_sym.substitute_symbols(sol)
-        left, right = normalize_pair(left, right)
-        if left * right != f:
+        point = tuple(sol[name] for name in symbols)
+        g_at = evaluate_terms(g_terms, point, fld.reduce)
+        h_at = evaluate_terms(h_terms, point, fld.reduce)
+        left = {w: fld.reduce(v * inv_c) for w, v in g_at.items()}
+        right = {w: fld.reduce(v * c) for w, v in h_at.items()}
+        if scalar_product(left, right, fld.reduce) != f_terms:
             raise AssertionError("solved factor pair fails to multiply back to f")
         results.append(
-            SymbolicFactorization(left, right, system, (sol,), (g_hat, h_hat), _cache=cache)
+            SymbolicFactorization(
+                from_scalar_terms(f.algebra, left), from_scalar_terms(f.algebra, right),
+                system, (sol,), (g_hat, h_hat), _cache=cache,
+            )
         )
     return results
 
@@ -452,6 +475,9 @@ def factor_bidegree(
             f"input algebra declares symbols {f.algebra.ring.symbols}; "
             "factor over a symbol-free algebra"
         )
+    reserved = [name for name in f.algebra.alphabet.names if re.fullmatch("a[0-9]+", name)]
+    if reserved:
+        raise ValueError(f"variable names {tuple(reserved)} are reserved for extension symbols")
     if f.degree() != h + k:
         raise ValueError(f"degree {f.degree()} != {h} + {k}")
 
@@ -756,10 +782,10 @@ def _cover_paths(
     """
     alg = elems[0].algebra
     reduce = alg.field.reduce
-    terms = [term_dicts(d) for d in elems]
+    terms = [scalar_terms(d) for d in elems]
     order = sorted(range(2, len(elems)), key=degree.__getitem__)
     below: list[set[int]] = [set() for _ in elems]
-    divided: dict[tuple[int, int], WordTerms] = {}
+    divided: dict[tuple[int, int], ScalarTerms] = {}
     for m in order:
         below[m].add(0)
         for i in order:
@@ -777,7 +803,7 @@ def _cover_paths(
             above[i].append(m)
             if (i, m) not in quotients:
                 q = divided.get((i, m)) or left_divide(terms[m], terms[i], reduce)
-                quotients[(i, m)] = from_term_dicts(alg, q)
+                quotients[(i, m)] = from_scalar_terms(alg, q)
     up: dict[int, list[tuple[int, ...]]] = {1: [(1,)]}
     for i in reversed([0] + order):
         up[i] = [(i,) + path for m in above[i] for path in up[m]]

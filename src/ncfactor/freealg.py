@@ -10,8 +10,16 @@ position; "leading word" always means the maximum in this order.
 
 NCPoly arithmetic runs on plain dicts, {word: {monomial: scalar}}, through
 `add_terms` and `add_word_product`, which take coefficient sums and products
-with the commutative module's kernel; the pivot attempts of `factoring`
-compute on the same dicts with the same functions.
+with the commutative module's kernel; the recovery steps and the assembly
+of `factoring` compute on the same dicts with the same functions.
+
+Symbol-free polynomials also have a scalar kernel on {word: scalar} dicts
+(`ScalarTerms`): `scalar_product`, `left_divide` and `evaluate_terms`, which
+takes symbolic terms to scalar ones at a point and is the one evaluation
+path (`NCPoly.substitute_symbols` wraps it).  `factoring` multiplies its
+concrete factor pairs back and divides the divisors of its cover graph on
+these dicts, and builds NCPoly values (`from_scalar_terms`) once per
+returned fact and cover quotient.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ Word = tuple[int, ...]
 # An NCPoly's terms as plain dicts.  The functions below update acc's
 # coefficient dicts in place, so those must be acc's own.
 WordTerms = dict[Word, TermDict]
+# A symbol-free NCPoly's terms as plain scalars, none of them zero.
+ScalarTerms = dict[Word, Scalar]
 
 EMPTY_WORD: Word = ()
 
@@ -90,7 +100,36 @@ def add_word_product(
                 del acc[word]
 
 
-def left_divide(a: WordTerms, d: WordTerms, reduce: Reduce) -> Optional[WordTerms]:
+def scalar_product(a: ScalarTerms, b: ScalarTerms, reduce: Reduce) -> ScalarTerms:
+    """a*b: words concatenate, scalars multiply; one `reduce` per output word."""
+    acc: ScalarTerms = {}
+    for w1, v1 in a.items():
+        for w2, v2 in b.items():
+            word = w1 + w2
+            acc[word] = acc.get(word, 0) + v1 * v2
+    return {word: r for word, v in acc.items() if (r := reduce(v))}
+
+
+def evaluate_terms(terms: WordTerms, point: tuple[Scalar, ...], reduce: Reduce) -> ScalarTerms:
+    """The scalar terms of a polynomial whose coefficients are evaluated at point.
+
+    `point` holds one field element per symbol slot of the monomials.
+    """
+    out: ScalarTerms = {}
+    for word, c in terms.items():
+        total = 0
+        for mono, v in c.items():
+            for x, e in zip(point, mono):
+                if e:
+                    v *= x**e
+            total += v
+        total = reduce(total)
+        if total:
+            out[word] = total
+    return out
+
+
+def left_divide(a: ScalarTerms, d: ScalarTerms, reduce: Reduce) -> Optional[ScalarTerms]:
     """q with a = d*q exactly, or None when d does not left-divide a.
 
     d must be monic in its leading word.  The leading word is multiplicative,
@@ -98,15 +137,20 @@ def left_divide(a: WordTerms, d: WordTerms, reduce: Reduce) -> Optional[WordTerm
     term of q; a leading word without d's as a prefix leaves a remainder.
     """
     lead = max(d, key=word_key)
-    r = {w: dict(c) for w, c in a.items()}
-    q: WordTerms = {}
+    r = dict(a)
+    q: ScalarTerms = {}
     while r:
         rest = left_quotient(max(r, key=word_key), lead)
         if rest is None:
             return None
-        c = r[lead + rest]
-        q[rest] = dict(c)
-        add_word_product(r, -1, d, {rest: q[rest]}, reduce)
+        c = q[rest] = r[lead + rest]
+        for w, v in d.items():
+            word = w + rest
+            nv = reduce(r.get(word, 0) - c * v)
+            if nv:
+                r[word] = nv
+            else:
+                r.pop(word, None)
     return q
 
 
@@ -352,13 +396,10 @@ class NCPoly:
 
         The result lives in the symbol-free algebra over the same alphabet.
         """
-        base = FreeAlgebra(self.algebra.alphabet, SymbolRing(self.algebra.field, ()))
-        terms: dict[Word, CPoly] = {}
-        for word, coeff in self._terms.items():
-            v = coeff.evaluate(assignment)
-            if v != 0:
-                terms[word] = base.ring.constant(v)
-        return NCPoly(base, terms)
+        fld = self.algebra.field
+        base = FreeAlgebra(self.algebra.alphabet, SymbolRing(fld, ()))
+        point = tuple(fld.coerce(assignment[s]) for s in self.algebra.ring.symbols)
+        return from_scalar_terms(base, evaluate_terms(term_dicts(self), point, fld.reduce))
 
     def substitute_variable_one(self, name: str) -> "NCPoly":
         """Set one alphabet variable to 1, deleting its letters from every word."""
@@ -425,6 +466,20 @@ def from_term_dicts(algebra: FreeAlgebra, terms: WordTerms) -> NCPoly:
     """The NCPoly with these terms, none of them empty; the dicts become its own."""
     ring = algebra.ring
     return NCPoly(algebra, {w: CPoly(ring, c) for w, c in terms.items()})
+
+
+def scalar_terms(f: NCPoly) -> ScalarTerms:
+    """The terms of f, which lives in a symbol-free algebra, as scalars."""
+    if f.algebra.ring.symbols:
+        raise ValueError("scalar terms need a symbol-free algebra")
+    return {w: c._terms[()] for w, c in f._terms.items()}
+
+
+def from_scalar_terms(algebra: FreeAlgebra, terms: ScalarTerms) -> NCPoly:
+    """The NCPoly with these nonzero scalar terms as constant coefficients."""
+    ring = algebra.ring
+    zero = (0,) * ring.nsymbols
+    return NCPoly(algebra, {w: CPoly(ring, {zero: v}) for w, v in terms.items()})
 
 
 def normalize_pair(g: NCPoly, h: NCPoly) -> tuple[NCPoly, NCPoly]:

@@ -131,6 +131,13 @@ class TestErrors:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("vars_args", [[], ["--vars", "x,y"]])
+    def test_bad_character_is_parse_error(self, vars_args):
+        # with or without --vars: inferring the alphabet reads the same tokens
+        code, out, err = capture(["--field", "5", *vars_args, "x $ y"])
+        assert (code, out) == (2, "")
+        assert err == "parse error: unexpected character '$' at position 2\n"
+
     def test_unknown_variable(self):
         code, _, err = capture(["--field", "5", "--vars", "x,y", "x*z"])
         assert code == 2

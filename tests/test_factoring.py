@@ -189,6 +189,35 @@ class TestFactorBidegree:
         with pytest.raises(ValueError, match="declares symbols"):
             factor_all(f)
 
+    @pytest.mark.parametrize("p", [5, None])
+    @pytest.mark.parametrize("name", ["a1", "a12", "a0"])
+    def test_extension_symbol_names_rejected_as_variables(self, p, name):
+        # a variable named like a symbol could not be told apart from it in
+        # the pairs and systems that are reported
+        field = PrimeField(p) if p else RationalField()
+        alg = FreeAlgebra(Alphabet(("x", name)), SymbolRing(field, ()))
+        f = alg.from_text(f"{name}*x*{name}*x - 1")
+        with pytest.raises(ValueError, match="reserved for extension symbols"):
+            factor_bidegree(f, (2, 2))
+        with pytest.raises(ValueError, match="reserved for extension symbols"):
+            factor_all(f)
+        code, report = run(Request(f"{name}*x*{name}*x - 1", field, None, None))
+        assert (code, report) == (2, f"error: variable names ('{name}',) are reserved for extension symbols")
+
+    @pytest.mark.parametrize("name", ["a", "ab1", "xa1", "a1b"])
+    def test_names_near_the_symbol_names_accepted(self, name):
+        alg = FreeAlgebra(Alphabet(("x", name)), SymbolRing(PrimeField(5), ()))
+        f = alg.from_text(f"{name}*x - 1") * alg.from_text(f"x*{name} + 2")
+        assert {(fact.left * fact.right) for fact in factor_bidegree(f, (2, 2))} == {f}
+
+    def test_pair_that_fails_to_multiply_back_raises(self, monkeypatch):
+        # a1 = 2 is not a root of the (2, 3) system (its roots over F_5 are 1
+        # and 4), so the pair substituted there is not a factorization of f
+        f = ALG.from_text("y*x*y*x*y - y")
+        monkeypatch.setattr(factoring, "enumerate_solutions", lambda system, cap: [{"a1": 2}])
+        with pytest.raises(AssertionError, match="fails to multiply back"):
+            factor_bidegree(f, (2, 3))
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor_bidegree(ALG.zero(), (1, 1))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,14 +12,15 @@ from ncfactor.freealg import (
     Alphabet,
     FreeAlgebra,
     concat,
-    from_term_dicts,
+    from_scalar_terms,
     homogenize,
     left_divide,
     left_quotient,
     normalize_pair,
     overlap_lengths,
     right_quotient,
-    term_dicts,
+    scalar_product,
+    scalar_terms,
 )
 from ncfactor.oracle import _raw_left_divide, _to_raw, random_factorable
 
@@ -96,8 +98,8 @@ class TestArithmetic:
 
 
 def divide(a, d):
-    q = left_divide(term_dicts(a), term_dicts(d), a.algebra.field.reduce)
-    return None if q is None else from_term_dicts(a.algebra, q)
+    q = left_divide(scalar_terms(a), scalar_terms(d), a.algebra.field.reduce)
+    return None if q is None else from_scalar_terms(a.algebra, q)
 
 
 class TestLeftDivide:
@@ -133,6 +135,60 @@ class TestLeftDivide:
                 refused += got is None
             assert divide(f, g) == h
         assert exact >= 60 and refused > 0
+
+
+def random_poly(alg, rng):
+    """A seeded polynomial in x, y of degree at most 3; over Q with Fraction coefficients."""
+    fld = alg.field
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        word = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
+        if fld.is_finite:
+            terms[word] = rng.randrange(fld.p)
+        else:
+            terms[word] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return alg.poly(terms)
+
+
+class TestScalarKernel:
+    @pytest.mark.parametrize("p", [2, 5, None])
+    def test_product_agrees_with_ncpoly_product(self, p):
+        alg = algebra(p)
+        rng = random.Random(p or 0)
+        for _ in range(200):
+            a, b = random_poly(alg, rng), random_poly(alg, rng)
+            got = scalar_product(scalar_terms(a), scalar_terms(b), alg.field.reduce)
+            assert got == scalar_terms(a * b), (a, b)
+            assert from_scalar_terms(alg, got) == a * b
+
+    @pytest.mark.parametrize("p", [2, 5, None])
+    def test_scalar_terms_round_trip(self, p):
+        alg = algebra(p)
+        rng = random.Random(p or 0)
+        for _ in range(50):
+            a = random_poly(alg, rng)
+            terms = scalar_terms(a)
+            assert all(terms.values())
+            assert from_scalar_terms(alg, terms) == a
+
+    def test_scalar_terms_need_a_symbol_free_algebra(self):
+        alg = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(PrimeField(5), ("a1",)))
+        with pytest.raises(ValueError, match="symbol-free"):
+            scalar_terms(alg.from_text("x*y + 1"))
+
+    @pytest.mark.parametrize("p", [5, None])
+    def test_substitution_evaluates_each_coefficient(self, p):
+        # substitute_symbols agrees with CPoly.evaluate coefficient by coefficient
+        field = PrimeField(p) if p else RationalField()
+        alg = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(field, ("a1", "a2")))
+        ring = alg.ring
+        a1, a2 = ring.symbol("a1"), ring.symbol("a2")
+        g = alg.poly({(0, 1): a1 * a1 * 3 + a2, (1,): a1 * a2 - 2, (): ring.constant(4)})
+        for point in ({"a1": 1, "a2": 2}, {"a1": 3, "a2": -1}, {"a1": 0, "a2": 2}):
+            want = {w: c.evaluate(point) for w, c in g.terms()}
+            got = g.substitute_symbols(point)
+            assert got.algebra == algebra(p)
+            assert {w: got.coefficient(w).constant_value() for w, _ in g.terms()} == want
 
 
 class TestIdentity:
