@@ -626,7 +626,7 @@ def _gcd_in(eqs: list[dict[Monomial, int]], x: int, p: int) -> list[int]:
 
 
 def _solve(
-    eqs: list[dict[Monomial, int]],
+    eqs: list[tuple[dict[Monomial, int], set[int]]],
     free: frozenset[int],
     point: dict[int, int],
     p: int,
@@ -635,27 +635,28 @@ def _solve(
 ) -> None:
     """Append to `out` every completion of `point` over the `free` symbols.
 
-    `eqs` are nonconstant and hold the assigned symbols substituted.  A
-    symbol with a univariate equation takes the roots of the gcd of all its
-    univariate equations; otherwise the last free symbol takes every value.
+    `eqs` pairs each nonconstant equation, the assigned symbols substituted,
+    with its support, recomputed only where it held the symbol just
+    assigned.  A symbol with a univariate equation takes the roots of the gcd
+    of all its univariate equations; otherwise the last free symbol takes
+    every value.
     """
     if not free:
         out.append(tuple(v for _, v in sorted(point.items())))
         return
     values: Iterable[int]
-    supports = [_support(eq) for eq in eqs]
-    univariate = [(max(map(max, eq)), *sup) for eq, sup in zip(eqs, supports) if len(sup) == 1]
+    univariate = [(max(map(max, eq)), *sup) for eq, sup in eqs if len(sup) == 1]
     if univariate:
         x = min(univariate)[1]
-        peeled = [eq for eq, sup in zip(eqs, supports) if sup == {x}]
+        peeled = [eq for eq, sup in eqs if sup == {x}]
         values = roots_mod_p(_gcd_in(peeled, x, p), p)
-        rest = [(eq, sup) for eq, sup in zip(eqs, supports) if sup != {x}]
+        rest = [(eq, sup) for eq, sup in eqs if sup != {x}]
     else:
         k = len(free)
         if p**k > cap:
             raise SearchSpaceTooLargeError(p**k, cap)
         x = max(free)
-        values, rest = range(p), list(zip(eqs, supports))
+        values, rest = range(p), eqs
     free = free - {x}
     for v in values:
         sub = []
@@ -666,8 +667,10 @@ def _solve(
                     continue
                 if _is_constant(eq):
                     break  # no point extends this value
-            sub.append(eq)
+                sup = None
+            sub.append((eq, sup))
         else:
+            sub = [(eq, sup or _support(eq)) for eq, sup in sub]
             _solve(sub, free, {**point, x: v}, p, cap, out)
 
 
@@ -690,5 +693,6 @@ def enumerate_solutions(
     if any(_is_constant(eq) for eq in eqs):
         return []
     points: list[tuple[int, ...]] = []
-    _solve(eqs, frozenset(range(len(system.symbols))), {}, fld.p, cap, points)
+    symbols = frozenset(range(len(system.symbols)))
+    _solve([(eq, _support(eq)) for eq in eqs], symbols, {}, fld.p, cap, points)
     return [dict(zip(system.symbols, pt)) for pt in sorted(points)]

@@ -9,21 +9,21 @@ all symbols is solved exactly.  The recovery steps and the assembly of the
 system compute on plain coefficient dicts ({word: {monomial: scalar}},
 residues mod p over F_p, Fractions over Q) with the arithmetic NCPoly and
 CPoly use (`freealg.add_word_product`, `commutative.axpy` and the field's
-`reduce`).  Each point of a system becomes a concrete pair on scalar dicts
-({word: scalar}): it is evaluated (`freealg.evaluate_terms`), scaled monic,
-and multiplied back (`freealg.scalar_product`).  NCPoly and CPoly values
-are built once per attempt for the symbolic pair and its system, and once
-per returned fact for a concrete pair.  A step with an equation that
-reduces to a nonzero constant ends its attempt before assembly: that
-equation is an exact consequence of g*h - f = 0 for every value of the
-symbols, so the system would be inconsistent.  Over F_p every point is
-found by peeling univariate equations (their gcd, then its roots) and
-branching over a symbol's values only where no equation is univariate.
-Over Q the reduced lex Groebner basis of a system with symbols both
-decides the unit ideal (no factorization) and describes the admissible
-symbol values; a system without symbols is empty or a nonzero constant,
-and needs no basis.  Over F_p the basis is never needed for the answer and
-is computed only when read.
+`reduce`).  The input and each point's concrete pair live on scalar dicts
+({word: scalar}): a pair is evaluated (`freealg.evaluate_terms`), scaled
+monic, and multiplied back (`freealg.scalar_product`).  An attempt without
+symbols assembles no system: its multiply-back compares the coefficients
+of g*h - f that would be its equations.  NCPoly and CPoly values are built
+once per attempt with symbols for the symbolic pair and its system, and
+once per returned fact for a concrete pair.  A step with an equation that reduces to a nonzero
+constant ends its attempt before assembly: that equation is an exact
+consequence of g*h - f = 0 for every value of the symbols, so the system
+would be inconsistent.  Over F_p every point is found by peeling univariate
+equations (their gcd, then its roots) and branching over a symbol's values
+only where no equation is univariate.  Over Q the reduced lex Groebner
+basis of a system with symbols both decides the unit ideal (no
+factorization) and describes the admissible symbol values.  Over F_p the
+basis is never needed for the answer and is computed only when read.
 
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
@@ -121,7 +121,8 @@ class SymbolicFactorization:
 
     @property
     def is_concrete(self) -> bool:
-        return self.left.has_constant_coefficients() and self.right.has_constant_coefficients()
+        # a fact with symbols has its overlap symbol as a coefficient of G
+        return self.solutions is not None
 
 
 @dataclass(frozen=True)
@@ -210,67 +211,50 @@ def _solve_step(
     """
     reduce = fld.reduce
     h = len(next(iter(g_words)))
-
-    def equation_monomials(unknown: tuple[str, Word]) -> list[Word]:
-        kind, word = unknown
-        if kind == "H":
-            return [u + word for u in g_words]
-        return [word + v for v in h_words]
-
-    def monomial_unknowns(m: Word) -> list[tuple[tuple[str, Word], Scalar]]:
-        # the unknowns in the equation of m, with their head coefficients
-        out = []
-        if k_minus_j >= 0 and m[:h] in g_words:
-            out.append((("H", m[h:]), g_words[m[:h]]))
-        if h_minus_j >= 0 and m[h_minus_j:] in h_words:
-            out.append((("G", m[:h_minus_j]), h_words[m[h_minus_j:]]))
-        return out
-
+    # The unknowns in the equation of each word reached, with their head
+    # coefficients.  Entries fixed by the overlap symbol are nonzero data:
+    # equations through them can reach unknowns invisible in the support of
+    # fhat, so their words are read too.
+    row_of: dict[Word, list[tuple[tuple[str, Word], Scalar]]] = {}
     unknowns: set[tuple[str, Word]] = set()
-    frontier: list[tuple[str, Word]] = []
+    spread = list(known)
+    words: list[Word] = list(fhat)
+    while True:
+        for m in words:
+            if m in row_of:
+                continue
+            row = row_of[m] = []
+            if k_minus_j >= 0 and (c := g_words.get(m[:h])) is not None:
+                row.append((("H", m[h:]), c))
+            if h_minus_j >= 0 and (c := h_words.get(m[h_minus_j:])) is not None:
+                row.append((("G", m[:h_minus_j]), c))
+            for unk, _ in row:
+                if unk not in known and unk not in unknowns:
+                    unknowns.add(unk)
+                    spread.append(unk)
+        if not spread:
+            break
+        kind, word = spread.pop()
+        words = [u + word for u in g_words] if kind == "H" else [word + v for v in h_words]
 
-    def discover(unk: tuple[str, Word]) -> None:
-        if unk not in known and unk not in unknowns:
-            unknowns.add(unk)
-            frontier.append(unk)
-
-    for word in fhat:
-        for unk, _ in monomial_unknowns(word):
-            discover(unk)
-    # Entries fixed by the overlap symbol are nonzero data: equations through
-    # them can reach unknowns invisible in the support of fhat.
-    frontier.extend(known)
-    while frontier:
-        for m in equation_monomials(frontier.pop()):
-            for other, _ in monomial_unknowns(m):
-                discover(other)
-
-    monomials: set[Word] = set()
-    for unk in unknowns:
-        monomials.update(equation_monomials(unk))
     order = sorted(unknowns)
     index = {unk: i for i, unk in enumerate(order)}
-
-    def equation(m: Word) -> tuple[dict[int, Scalar], TermDict]:
-        # scalar coefficients on the unknowns; the right-hand side may hold
-        # symbols from earlier overlap steps
+    # One row per word with an unknown, in word order; the right-hand side
+    # may hold symbols from earlier overlap steps.  A word with no unknown
+    # left is a condition on the symbols alone.
+    rows: list[tuple[dict[int, Scalar], TermDict]] = []
+    for m in sorted(row_of):
         coeffs: dict[int, Scalar] = {}
         rhs = dict(fhat.get(m, {}))
-        for unk, c in monomial_unknowns(m):
+        for unk, c in row_of[m]:
             if unk in known:
                 axpy(rhs, -c, known[unk], reduce)
             else:
                 coeffs[index[unk]] = c
-        return coeffs, rhs
-
-    # Words with no unknown left are conditions on the symbols alone.
-    conditions = set(fhat)
-    for unk in known:
-        conditions.update(equation_monomials(unk))
-    for m in conditions - monomials:
-        if _is_constant(equation(m)[1]):
+        if coeffs:
+            rows.append((coeffs, rhs))
+        elif _is_constant(rhs):
             return None
-    rows = [equation(m) for m in sorted(monomials)]
 
     # Forward elimination to row echelon form.  Rows that empty out state
     # conditions on earlier symbols; they reappear in the final
@@ -321,8 +305,6 @@ Pivot = tuple[Word, Word, tuple[int, ...]]  # (g_hat, h_hat, overlap lengths)
 
 def _attempt_pivot(
     f: NCPoly,
-    g_top: NCPoly,
-    h_top: NCPoly,
     g_head: dict[Word, Scalar],
     h_head: dict[Word, Scalar],
     pivot: Pivot,
@@ -335,31 +317,32 @@ def _attempt_pivot(
     coefficient (see `factor_bidegree`); in a merge that is the leading
     pair's attempt, and any pair another attempt finds, it finds too.
 
-    The steps run on plain coefficient dicts, and each concrete pair on
-    scalar dicts; NCPoly and CPoly values are built once, for the symbolic
-    pair, its system and the facts.  A step with a contradictory equation
-    (see `_solve_step`) ends the attempt before assembly.  Over Q an
-    attempt with symbols returns one symbolic fact, described by its
-    reduced basis; every other attempt returns its concrete pairs, each
-    multiplied back to f.
+    The steps run on plain coefficient dicts, and f and each concrete pair
+    on scalar dicts.  A step with a contradictory equation (see
+    `_solve_step`) ends the attempt before assembly, and an attempt without
+    symbols is decided by its pair's multiply-back.  Over Q an attempt with
+    symbols returns one symbolic fact, described by its reduced basis;
+    every other attempt returns its concrete pairs, each multiplied back to
+    f; a solved point whose pair does not do so raises AssertionError.
     """
     g_hat, h_hat, overlaps = pivot
-    n = f.degree()
-    h, k = g_top.degree(), h_top.degree()
+    h, k = len(g_hat), len(h_hat)
+    n = h + k
     fld = f.algebra.field
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
     symbol_at = {j: i for i, j in enumerate(overlaps)}
     zero = (0,) * len(symbols)
-    f_parts: dict[int, WordTerms] = {}
-    for w, c in f._terms.items():
-        f_parts.setdefault(len(w), {})[w] = {zero: c.constant_value()}
+    f_terms = scalar_terms(f)
+    f_parts: dict[int, ScalarTerms] = {}
+    for w, c in f_terms.items():
+        f_parts.setdefault(len(w), {})[w] = c
     gamma = g_head[g_hat]
     eta = h_head[h_hat]
     g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
     h_parts: dict[int, WordTerms] = {k: {w: {zero: c} for w, c in h_head.items()}}
 
     for j in range(1, max(h, k) + 1):
-        fhat = {w: dict(c) for w, c in f_parts.get(n - j, {}).items()}
+        fhat = {w: {zero: c} for w, c in f_parts.get(n - j, {}).items()}
         for i in range(1, j):
             if h - i in g_parts and k - j + i in h_parts:
                 add_word_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], fld.reduce)
@@ -388,31 +371,31 @@ def _attempt_pivot(
             h_parts[k - j] = parts["H"]
 
     # parts of one factor have distinct degrees, so their words never collide
-    alg = f.algebra.extend_symbols(symbols)
     g_terms = {w: c for part in g_parts.values() for w, c in part.items()}
     h_terms = {w: c for part in h_parts.values() for w, c in part.items()}
-    g_sym = from_term_dicts(alg, g_terms)
-    h_sym = from_term_dicts(alg, h_terms)
-
-    system = assemble_constraints(f, g_sym, h_sym)
-
-    if fld.is_finite:
+    if symbols:
+        alg = f.algebra.extend_symbols(symbols)
+        g_sym = from_term_dicts(alg, g_terms)
+        h_sym = from_term_dicts(alg, h_terms)
+        system = assemble_constraints(f, g_sym, h_sym)
+        if not fld.is_finite:
+            fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
+            if fact.reduced_basis == (alg.ring.one(),):
+                return None  # unit ideal: no admissible symbol values
+            return [fact]
         solutions = enumerate_solutions(system, cap=options.enumeration_cap)
-    elif symbols:
-        fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
-        if fact.reduced_basis == (alg.ring.one(),):
-            return None  # unit ideal: no admissible symbol values
-        return [fact]
+        if not solutions:
+            return None
     else:
-        # no symbols: every equation is a nonzero constant
-        solutions = [] if system.equations else [{}]
-    if not solutions:
-        return None
+        # The only point is the empty one, and the multiply-back below
+        # compares the coefficients of g*h - f that assembly would turn into
+        # equations: the pair multiplies back exactly when the system is empty.
+        system = ConstraintSystem(f.algebra.ring, ())
+        solutions = [{}]
     # the gauge of `normalize_pair`: G_top's constant leading coefficient
     # leads every concrete G
-    c = g_head[g_top.leading_word()]
+    c = g_head[max(g_head, key=word_key)]
     inv_c = fld.inv(c)
-    f_terms = scalar_terms(f)
     cache: dict = {}
     results: list[SymbolicFactorization] = []
     for sol in solutions:
@@ -422,6 +405,8 @@ def _attempt_pivot(
         left = {w: fld.reduce(v * inv_c) for w, v in g_at.items()}
         right = {w: fld.reduce(v * c) for w, v in h_at.items()}
         if scalar_product(left, right, fld.reduce) != f_terms:
+            if not symbols:
+                return None
             raise AssertionError("solved factor pair fails to multiply back to f")
         results.append(
             SymbolicFactorization(
@@ -496,8 +481,8 @@ def factor_bidegree(
             )
         ]
 
-    g_head = {w: g_top.coefficient(w).constant_value() for w in g_top.words()}
-    h_head = {w: h_top.coefficient(w).constant_value() for w in h_top.words()}
+    g_head = scalar_terms(g_top)
+    h_head = scalar_terms(h_top)
     pivots = sorted(
         ((u, v, overlap_lengths(u, v)) for u in g_head for v in h_head),
         key=lambda pivot: (len(pivot[2]), pivot[0], pivot[1]),
@@ -508,7 +493,7 @@ def factor_bidegree(
         settling = next(pivot for pivot in pivots if pivot[:2] == lead)
     else:
         settling = (overlapping or pivots)[0]
-    settled = _attempt_pivot(f, g_top, h_top, g_head, h_head, settling, options)
+    settled = _attempt_pivot(f, g_head, h_head, settling, options)
     if not settled or len(overlapping) <= 1:
         return settled or []
     wanted = {(fact.left, fact.right) for fact in settled}
@@ -517,7 +502,7 @@ def factor_bidegree(
         if pivot is settling:
             facts = settled
         else:
-            facts = _attempt_pivot(f, g_top, h_top, g_head, h_head, pivot, options) or ()
+            facts = _attempt_pivot(f, g_head, h_head, pivot, options) or ()
         for fact in facts:
             merged.setdefault((fact.left, fact.right), fact)
         if wanted <= merged.keys():

@@ -16,10 +16,12 @@ of `factoring` compute on the same dicts with the same functions.
 Symbol-free polynomials also have a scalar kernel on {word: scalar} dicts
 (`ScalarTerms`): `scalar_product`, `left_divide` and `evaluate_terms`, which
 takes symbolic terms to scalar ones at a point and is the one evaluation
-path (`NCPoly.substitute_symbols` wraps it).  `factoring` multiplies its
-concrete factor pairs back and divides the divisors of its cover graph on
-these dicts, and builds NCPoly values (`from_scalar_terms`) once per
-returned fact and cover quotient.
+path (`NCPoly.substitute_symbols` wraps it).  Every symbol-free polynomial
+on the factoring path lives on these dicts from the parse to the answer:
+`parsing` builds the input on them, `homogeneous` splits its top part,
+`factoring` multiplies its concrete factor pairs back and divides the
+divisors of its cover graph, and NCPoly values (`from_scalar_terms`) are
+built once per parsed input, top pair, returned fact and cover quotient.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ length-h prefix and a length-k suffix, so the product G*H has no
 cancellation and the factor pair at a given split is unique up to a scalar.
 The factor-recovery scan splits the leading word of F into a pivot prefix
 and suffix, reads H off the left-quotients by the prefix and G off the
-right-quotients by the suffix in one pass over F's terms, and verifies the
-product.  Which word is the pivot does not matter for the normalized pair;
-pivot choice for the inhomogeneous recovery belongs to
-`factoring.factor_bidegree`.
+right-quotients by the suffix in one pass over F's terms, scales G monic
+and verifies the product, all on scalar word dicts (`freealg.ScalarTerms`).
+Which word is the pivot does not matter for the normalized pair; pivot
+choice for the inhomogeneous recovery belongs to `factoring.factor_bidegree`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import RefinementError
-from .freealg import NCPoly, left_quotient
+from .freealg import NCPoly, ScalarTerms, from_scalar_terms, left_quotient, scalar_product, word_key
 
 
 def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPoly]]:
@@ -38,23 +38,25 @@ def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPo
         raise ValueError(f"degree {f.degree()} != {h} + {k}")
     if not f.has_constant_coefficients():
         raise ValueError("homogeneous factorization needs constant coefficients")
-    pivot = f.leading_word()
+    zero = (0,) * f.algebra.ring.nsymbols
+    terms = {w: c._terms[zero] for w, c in f._terms.items()}
+    pivot = max(terms, key=word_key)
     g_hat, h_hat = pivot[:h], pivot[h:]
-    g_terms = {}
-    h_terms = {}
-    for word, coeff in f.terms():
+    g_terms: ScalarTerms = {}
+    h_terms: ScalarTerms = {}
+    for word, c in terms.items():
         if word[:h] == g_hat:
-            h_terms[word[h:]] = coeff
+            h_terms[word[h:]] = c
         if word[h:] == h_hat:
-            g_terms[word[:h]] = coeff
+            g_terms[word[:h]] = c
     # For the true pair, g_terms = eta*G and h_terms = gamma*H (gamma, eta the
     # pivot coefficients in G, H).  The pivot is f's leading word, so g_hat
     # leads g_terms with coefficient gamma*eta: dividing by it makes G monic.
-    lc = g_terms[g_hat].constant_value()
-    g = NCPoly(f.algebra, g_terms).scale(f.algebra.field.inv(lc))
-    h = NCPoly(f.algebra, h_terms)
-    if g * h == f:
-        return g, h
+    fld = f.algebra.field
+    inv = fld.inv(g_terms[g_hat])
+    g_terms = {w: fld.reduce(c * inv) for w, c in g_terms.items()}
+    if scalar_product(g_terms, h_terms, fld.reduce) == terms:
+        return from_scalar_terms(f.algebra, g_terms), from_scalar_terms(f.algebra, h_terms)
     return None
 
 

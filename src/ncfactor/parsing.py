@@ -13,7 +13,9 @@ variable, at most MAX_EXPONENT times.  Coefficients are integers or integer
 ratios of at most MAX_COEFFICIENT_DIGITS significant digits each, reduced
 into the coefficient field (a ratio whose denominator vanishes mod p is
 rejected).
-Errors carry the offending position and the expected-token set.
+Errors carry the offending position and the expected-token set.  The
+grammar has no extension symbols, so subexpressions are scalar word dicts
+(`freealg.ScalarTerms`): each '*' is one `scalar_product`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ParseError
-from .freealg import FreeAlgebra, NCPoly, WordTerms, add_terms, add_word_product, from_term_dicts
+from .freealg import FreeAlgebra, NCPoly, ScalarTerms, from_scalar_terms, scalar_product
 
 # The largest N in `x^N`: the power is one N-letter word, allocated at once.
 MAX_EXPONENT = 10**6
@@ -69,13 +71,12 @@ def identifiers_in(text: str) -> list[str]:
 
 
 class _Parser:
-    """Recursive descent; subexpressions are term dicts (see freealg), wrapped once."""
+    """Recursive descent on scalar word dicts (see freealg); the result is wrapped once."""
 
     def __init__(self, text: str, algebra: FreeAlgebra):
         self.text = text
         self.algebra = algebra
         self.reduce = algebra.field.reduce
-        self.constant = (0,) * algebra.ring.nsymbols  # the monomial of a scalar
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -98,36 +99,35 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.pos, ("'+'", "'-'", "'*'", "end of input"))
-        return from_term_dicts(self.algebra, terms)
+        return from_scalar_terms(self.algebra, terms)
 
-    def expr(self) -> WordTerms:
-        acc: WordTerms = {}
+    def expr(self) -> ScalarTerms:
+        acc: ScalarTerms = {}
         sign = 1
         tok = self.peek()
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             sign = -1 if tok.text == "-" else 1
         while True:
-            add_terms(acc, sign, self.term().items(), self.reduce)
+            for word, v in self.term().items():
+                acc[word] = acc.get(word, 0) + sign * v
             tok = self.peek()
             if tok.kind != "op" or tok.text not in "+-":
-                return acc
+                return {word: r for word, v in acc.items() if (r := self.reduce(v))}
             self.advance()
             sign = -1 if tok.text == "-" else 1
 
-    def term(self) -> WordTerms:
+    def term(self) -> ScalarTerms:
         acc = self.atom()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                prod: WordTerms = {}
-                add_word_product(prod, 1, acc, self.atom(), self.reduce)
-                acc = prod
+                acc = scalar_product(acc, self.atom(), self.reduce)
             else:
                 return acc
 
-    def atom(self) -> WordTerms:
+    def atom(self) -> ScalarTerms:
         tok = self.peek()
         if tok.kind == "int":
             return self.coefficient()
@@ -150,7 +150,7 @@ class _Parser:
                 if len(digits) > len(str(MAX_EXPONENT)) or int(exp_tok.text) > MAX_EXPONENT:
                     raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.pos)
                 power = int(exp_tok.text)
-            return {(letter,) * power: {self.constant: self.algebra.field.one}}
+            return {(letter,) * power: self.algebra.field.one}
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.expr()
@@ -172,7 +172,7 @@ class _Parser:
             raise ParseError(f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits", tok.pos)
         return int(digits or "0")
 
-    def coefficient(self) -> WordTerms:
+    def coefficient(self) -> ScalarTerms:
         tok = self.advance()
         num = self.integer(tok)
         nxt = self.peek()
@@ -196,7 +196,7 @@ class _Parser:
                 ) from None
         else:
             value = self.algebra.field.coerce(num)
-        return {(): {self.constant: value}} if value else {}
+        return {(): value} if value else {}
 
 
 def parse_expression(text: str, algebra: FreeAlgebra) -> NCPoly:

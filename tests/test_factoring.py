@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncfactor import factoring
 from ncfactor.cli import Request, run
-from ncfactor.commutative import SymbolRing
+from ncfactor.commutative import ConstraintSystem, SymbolRing
 from ncfactor.errors import BudgetExceededError, SearchSpaceTooLargeError
 from ncfactor.factoring import (
     DEFAULT_OPTIONS,
@@ -50,6 +50,24 @@ def product_of(factors):
 
 def pair_set(facts):
     return {(f.left, f.right) for f in facts}
+
+
+def _record_solver_calls(monkeypatch):
+    """The names of the assembly and solver functions `factoring` calls, in order."""
+    calls = []
+
+    def counting(name):
+        fn = getattr(factoring, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("assemble_constraints", "enumerate_solutions", "buchberger"):
+        monkeypatch.setattr(factoring, name, counting(name))
+    return calls
 
 
 class TestFactorBidegree:
@@ -146,7 +164,7 @@ class TestFactorBidegree:
         attempt = factoring._attempt_pivot
 
         def counted(*args):
-            calls.append(args[5])
+            calls.append(args[3])
             return attempt(*args)
 
         monkeypatch.setattr(factoring, "_attempt_pivot", counted)
@@ -158,19 +176,7 @@ class TestFactorBidegree:
     def test_contradictory_step_ends_the_attempt(self, p, monkeypatch):
         # the top x*y factors as x * y, but the degree-1 word z has no
         # unknown in the first recovery step: no system is assembled or solved
-        calls = []
-
-        def counting(name):
-            fn = getattr(factoring, name)
-
-            def counted(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return counted
-
-        for name in ("assemble_constraints", "enumerate_solutions", "buchberger"):
-            monkeypatch.setattr(factoring, name, counting(name))
+        calls = _record_solver_calls(monkeypatch)
         field = PrimeField(p) if p else RationalField()
         alg = FreeAlgebra(Alphabet(("x", "y", "z")), SymbolRing(field, ()))
         assert factor_bidegree(alg.from_text("x*y + z"), (1, 1)) == []
@@ -212,11 +218,35 @@ class TestFactorBidegree:
 
     def test_pair_that_fails_to_multiply_back_raises(self, monkeypatch):
         # a1 = 2 is not a root of the (2, 3) system (its roots over F_5 are 1
-        # and 4), so the pair substituted there is not a factorization of f
+        # and 4), so the pair substituted there is not a factorization of f;
+        # an attempt with symbols still assembles its system
         f = ALG.from_text("y*x*y*x*y - y")
+        systems = []
+        assemble = factoring.assemble_constraints
+        monkeypatch.setattr(
+            factoring, "assemble_constraints", lambda *args: systems.append(assemble(*args)) or systems[-1]
+        )
         monkeypatch.setattr(factoring, "enumerate_solutions", lambda system, cap: [{"a1": 2}])
         with pytest.raises(AssertionError, match="fails to multiply back"):
             factor_bidegree(f, (2, 3))
+        assert [system.symbols for system in systems] == [("a1",)]
+
+    @pytest.mark.parametrize("p", [5, None])
+    def test_attempt_without_symbols_is_decided_by_its_multiply_back(self, p, monkeypatch):
+        # x*y = x * y has no overlap and the one recovery step has no word,
+        # so the pair (x, y) reaches its multiply-back, which misses the
+        # constant 1: the attempt returns nothing, and nothing is assembled
+        # or solved
+        calls, answers = _record_solver_calls(monkeypatch), []
+        attempt = factoring._attempt_pivot
+        monkeypatch.setattr(factoring, "_attempt_pivot", lambda *args: answers.append(attempt(*args)) or answers[-1])
+        alg = algebra(p)
+        assert factor_bidegree(alg.from_text("x*y + 1"), (1, 1)) == []
+        assert answers == [None]
+        # an attempt without symbols that multiplies back keeps an empty system
+        (fact,) = factor_bidegree(alg.from_text("y*x*y*x*y - y"), (1, 4))
+        assert fact.system == ConstraintSystem(alg.ring, ()) and fact.solutions == ({},)
+        assert calls == []
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -417,7 +447,7 @@ def _every_pivot_attempt(f, split):
     h_head = {w: h_top.coefficient(w).constant_value() for w in h_top.words()}
     attempts = {
         (u, v): factoring._attempt_pivot(
-            f, g_top, h_top, g_head, h_head, (u, v, overlap_lengths(u, v)), DEFAULT_OPTIONS
+            f, g_head, h_head, (u, v, overlap_lengths(u, v)), DEFAULT_OPTIONS
         )
         for u in g_head
         for v in h_head
@@ -864,6 +894,27 @@ def _load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_is_concrete_reads_the_solutions():
+    # a fact with symbols has its overlap symbol as a coefficient of G, so a
+    # fact is concrete exactly when it records its points; the first 500
+    # digest inputs cycle through F_2, F_3, F_5, F_101 and Q
+    make_input = _load_script("fact_digest").make_input
+    seen = set()
+    for index in range(500):
+        f = make_input(index)
+        if f.is_zero() or f.degree() < 2:
+            continue
+        try:
+            found = factor_all(f)
+        except SearchSpaceTooLargeError:
+            continue
+        for fact in (fact for facts in found.values() for fact in facts):
+            constant = fact.left.has_constant_coefficients() and fact.right.has_constant_coefficients()
+            assert fact.is_concrete == constant, (index, fact)
+            seen.add((f.algebra.field.is_finite, constant))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def _reference_chains(f):

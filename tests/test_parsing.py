@@ -8,6 +8,7 @@ from ncfactor.commutative import SymbolRing
 from ncfactor.errors import ParseError
 from ncfactor.fields import PrimeField, RationalField
 from ncfactor.freealg import Alphabet, FreeAlgebra
+from ncfactor.oracle import random_factorable
 from ncfactor.parsing import (
     MAX_COEFFICIENT_DIGITS,
     MAX_EXPONENT,
@@ -178,3 +179,61 @@ def test_round_trip_over_f5(f):
 @settings(max_examples=80)
 def test_round_trip_over_q(f):
     assert parse_expression(str(f), algebra(None)) == f
+
+
+@pytest.mark.parametrize("p", [2, 101, None], ids=["F_2", "F_101", "Q"])
+def test_round_trip_of_seeded_products(p):
+    field = PrimeField(p) if p else RationalField()
+    for seed in range(40):
+        f, _, _ = random_factorable(seed, field, 2 + seed % 3, 2 + seed % 2, term_cap=8, n_vars=3)
+        assert parse_expression(str(f), f.algebra) == f, seed
+
+
+@pytest.mark.parametrize("p", [7, None], ids=["F_7", "Q"])
+def test_products_powers_and_ratios_match_ncpoly_arithmetic(p):
+    alg = algebra(p)
+    x, y = alg.variable("x"), alg.variable("y")
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    cases = {
+        "(x - 2*y)*(y*x + 1/2)*(3 - x)": (x - 2 * y) * (y * x + half) * (3 - x),
+        "x^3*y^2 - (x^2 + y)*(x*y - 2/3)": x * x * x * y * y - (x * x + y) * (x * y + third),
+        "-(1/2*x*(y + 1))*x^2 + 4/6": -(half * (x * (y + 1))) * (x * x) + Fraction(2, 3),
+        "(x + y)*(x - y) - (x*x - y*y)": y * x - x * y,
+        "2*(x*(y*(x + 1)))": 2 * x * y * x + 2 * x * y,
+    }
+    for text, expected in cases.items():
+        assert parse_expression(text, alg) == expected, text
+
+
+# the position, message and expected-token set of every error the grammar raises
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x*z", "unknown identifier 'z' at position 2"),
+        ("x + * y", "unexpected '*' at position 4 (expected INT, identifier, '(')"),
+        ("x y", "trailing input 'y' at position 2 (expected '+', '-', '*', end of input)"),
+        ("x^", "exponent must be an integer at position 2 (expected INT)"),
+        ("x^y", "exponent must be an integer at position 2 (expected INT)"),
+        ("x^1000001 - 1", "exponent exceeds 1000000 at position 2"),
+        ("1" + "0" * 4300 + "*x", "coefficient exceeds 4300 digits at position 0"),
+        ("x + 1/" + "7" * 4301, "coefficient exceeds 4300 digits at position 6"),
+        ("(x + y)^2", "'^' applies to a single variable at position 7"),
+        ("1/0*x", "zero denominator at position 2"),
+        ("1/5*x", "coefficient 1/5 is not reducible in F_5 at position 0"),
+        ("1/x", "denominator must be an integer at position 2 (expected INT)"),
+        ("2/", "denominator must be an integer at position 2 (expected INT)"),
+        ("x & y", "unexpected character '&' at position 2"),
+        ("", "unexpected end of input at position 0 (expected INT, identifier, '(')"),
+        ("   ", "unexpected end of input at position 3 (expected INT, identifier, '(')"),
+        ("(x + y", "unexpected end of input at position 6 (expected ')')"),
+        ("(x + y x", "unexpected 'x' at position 7 (expected ')')"),
+        ("x +", "unexpected end of input at position 3 (expected INT, identifier, '(')"),
+        ("- - x", "unexpected '-' at position 2 (expected INT, identifier, '(')"),
+        ("x*)", "unexpected ')' at position 2 (expected INT, identifier, '(')"),
+        ("y**x", "unexpected '*' at position 2 (expected INT, identifier, '(')"),
+    ],
+)
+def test_error_positions_and_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text, ALG)
+    assert str(exc.value) == message
