@@ -14,6 +14,7 @@ equation branches over the values of a symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import compress
 from operator import add
 from typing import Callable, Iterable
 
@@ -600,8 +601,8 @@ def _is_constant(eq: dict[Monomial, int]) -> bool:
     return len(eq) == 1 and not any(next(iter(eq)))
 
 
-def _substitute(eq: dict[Monomial, int], i: int, value: int, p: int) -> dict[Monomial, int]:
-    """eq with symbol i set to value, without zero terms."""
+def _substitute(eq: dict[Monomial, int], i: int, value: int, p: int) -> tuple[dict[Monomial, int], set[int]]:
+    """eq with symbol i set to value, without zero terms, and its support."""
     out: dict[Monomial, int] = {}
     for mono, c in eq.items():
         e = mono[i]
@@ -609,7 +610,8 @@ def _substitute(eq: dict[Monomial, int], i: int, value: int, p: int) -> dict[Mon
             c = c * pow(value, e, p)
             mono = mono[:i] + (0,) + mono[i + 1 :]
         out[mono] = (out.get(mono, 0) + c) % p
-    return {m: c for m, c in out.items() if c}
+    kept = {m: c for m, c in out.items() if c}
+    return kept, {j for m in kept for j in compress(range(len(m)), m)}
 
 
 def _gcd_in(eqs: list[dict[Monomial, int]], x: int, p: int) -> list[int]:
@@ -636,10 +638,10 @@ def _solve(
     """Append to `out` every completion of `point` over the `free` symbols.
 
     `eqs` pairs each nonconstant equation, the assigned symbols substituted,
-    with its support, recomputed only where it held the symbol just
-    assigned.  A symbol with a univariate equation takes the roots of the gcd
-    of all its univariate equations; otherwise the last free symbol takes
-    every value.
+    with its support, which `_substitute` returns where the equation held
+    the symbol just assigned.  A symbol with a univariate equation takes the
+    roots of the gcd of all its univariate equations; otherwise the last
+    free symbol takes every value.
     """
     if not free:
         out.append(tuple(v for _, v in sorted(point.items())))
@@ -662,15 +664,13 @@ def _solve(
         sub = []
         for eq, sup in rest:
             if x in sup:
-                eq = _substitute(eq, x, v, p)
+                eq, sup = _substitute(eq, x, v, p)
                 if not eq:
                     continue
-                if _is_constant(eq):
-                    break  # no point extends this value
-                sup = None
+                if not sup:
+                    break  # a nonzero constant: no point extends this value
             sub.append((eq, sup))
         else:
-            sub = [(eq, sup or _support(eq)) for eq, sup in sub]
             _solve(sub, free, {**point, x: v}, p, cap, out)
 
 

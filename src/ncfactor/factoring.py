@@ -9,21 +9,23 @@ all symbols is solved exactly.  The recovery steps and the assembly of the
 system compute on plain coefficient dicts ({word: {monomial: scalar}},
 residues mod p over F_p, Fractions over Q) with the arithmetic NCPoly and
 CPoly use (`freealg.add_word_product`, `commutative.axpy` and the field's
-`reduce`).  The input and each point's concrete pair live on scalar dicts
-({word: scalar}): a pair is evaluated (`freealg.evaluate_terms`), scaled
-monic, and multiplied back (`freealg.scalar_product`).  An attempt without
-symbols assembles no system: its multiply-back compares the coefficients
-of g*h - f that would be its equations.  NCPoly and CPoly values are built
-once per attempt with symbols for the symbolic pair and its system, and
-once per returned fact for a concrete pair.  A step with an equation that reduces to a nonzero
-constant ends its attempt before assembly: that equation is an exact
-consequence of g*h - f = 0 for every value of the symbols, so the system
-would be inconsistent.  Over F_p every point is found by peeling univariate
-equations (their gcd, then its roots) and branching over a symbol's values
-only where no equation is univariate.  Over Q the reduced lex Groebner
-basis of a system with symbols both decides the unit ideal (no
-factorization) and describes the admissible symbol values.  Over F_p the
-basis is never needed for the answer and is computed only when read.
+`reduce`).  The drivers check f and read its terms and homogeneous parts
+into scalar dicts ({word: scalar}) once (`_prepare`); each split splits
+the top part (`homogeneous.factor_homogeneous_terms`), and evaluates
+(`freealg.evaluate_terms`) and multiplies back (`freealg.scalar_product`)
+each point's pair on such dicts.  An attempt without symbols assembles no
+system: its multiply-back compares the coefficients of g*h - f that would
+be its equations.  NCPoly values are built once per attempt with symbols,
+per returned fact, and for a homogeneous input's top pair.  A step with an
+equation that reduces to a nonzero constant ends its attempt before
+assembly: that equation is an exact consequence of g*h - f = 0 for every
+value of the symbols, so the system would be inconsistent.  Over F_p every
+point is found by peeling univariate equations (their gcd, then its roots)
+and branching over a symbol's values only where no equation is univariate.
+Over Q the reduced lex Groebner basis of a system with symbols both decides
+the unit ideal (no factorization) and describes the admissible symbol
+values; over F_p it is never needed for the answer and computed only when
+read.
 
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
@@ -76,7 +78,8 @@ from .freealg import (
     term_dicts,
     word_key,
 )
-from .homogeneous import factor_homogeneous
+# factor_homogeneous is unused here: the layer trace (perfbench/spans.py) wraps this name
+from .homogeneous import factor_homogeneous, factor_homogeneous_terms
 
 
 class DegreeSplit(NamedTuple):
@@ -300,11 +303,30 @@ def _solve_step(
     return solution
 
 
+# A checked input of the drivers: f, its scalar terms and their parts by degree.
+_Input = tuple[NCPoly, ScalarTerms, dict[int, ScalarTerms]]
+
+
+def _prepare(f: NCPoly) -> _Input:
+    """Check nonzero f once for the drivers and read its terms and degree parts."""
+    if f.algebra.ring.symbols:
+        symbols = f.algebra.ring.symbols
+        raise ValueError(f"input algebra declares symbols {symbols}; factor over a symbol-free algebra")
+    reserved = [name for name in f.algebra.alphabet.names if re.fullmatch("a[0-9]+", name)]
+    if reserved:
+        raise ValueError(f"variable names {tuple(reserved)} are reserved for extension symbols")
+    terms = scalar_terms(f)
+    parts: dict[int, ScalarTerms] = {}
+    for w, c in terms.items():
+        parts.setdefault(len(w), {})[w] = c
+    return f, terms, parts
+
+
 Pivot = tuple[Word, Word, tuple[int, ...]]  # (g_hat, h_hat, overlap lengths)
 
 
 def _attempt_pivot(
-    f: NCPoly,
+    view: _Input,
     g_head: dict[Word, Scalar],
     h_head: dict[Word, Scalar],
     pivot: Pivot,
@@ -317,14 +339,17 @@ def _attempt_pivot(
     coefficient (see `factor_bidegree`); in a merge that is the leading
     pair's attempt, and any pair another attempt finds, it finds too.
 
-    The steps run on plain coefficient dicts, and f and each concrete pair
-    on scalar dicts.  A step with a contradictory equation (see
+    The steps run on plain coefficient dicts, and f (the prepared view's
+    terms and degree parts) and each concrete pair on scalar dicts.  The
+    head coefficients are those of the top pair `factor_homogeneous_terms`
+    returns, so G_top is monic.  A step with a contradictory equation (see
     `_solve_step`) ends the attempt before assembly, and an attempt without
     symbols is decided by its pair's multiply-back.  Over Q an attempt with
     symbols returns one symbolic fact, described by its reduced basis;
     every other attempt returns its concrete pairs, each multiplied back to
     f; a solved point whose pair does not do so raises AssertionError.
     """
+    f, f_terms, f_parts = view
     g_hat, h_hat, overlaps = pivot
     h, k = len(g_hat), len(h_hat)
     n = h + k
@@ -332,10 +357,6 @@ def _attempt_pivot(
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
     symbol_at = {j: i for i, j in enumerate(overlaps)}
     zero = (0,) * len(symbols)
-    f_terms = scalar_terms(f)
-    f_parts: dict[int, ScalarTerms] = {}
-    for w, c in f_terms.items():
-        f_parts.setdefault(len(w), {})[w] = c
     gamma = g_head[g_hat]
     eta = h_head[h_hat]
     g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
@@ -392,18 +413,14 @@ def _attempt_pivot(
         # equations: the pair multiplies back exactly when the system is empty.
         system = ConstraintSystem(f.algebra.ring, ())
         solutions = [{}]
-    # the gauge of `normalize_pair`: G_top's constant leading coefficient
-    # leads every concrete G
-    c = g_head[max(g_head, key=word_key)]
-    inv_c = fld.inv(c)
+    # G_top's leading coefficient, 1, leads every concrete G: the pairs are
+    # in the gauge of `normalize_pair` as evaluated
     cache: dict = {}
     results: list[SymbolicFactorization] = []
     for sol in solutions:
         point = tuple(sol[name] for name in symbols)
-        g_at = evaluate_terms(g_terms, point, fld.reduce)
-        h_at = evaluate_terms(h_terms, point, fld.reduce)
-        left = {w: fld.reduce(v * inv_c) for w, v in g_at.items()}
-        right = {w: fld.reduce(v * c) for w, v in h_at.items()}
+        left = evaluate_terms(g_terms, point, fld.reduce)
+        right = evaluate_terms(h_terms, point, fld.reduce)
         if scalar_product(left, right, fld.reduce) != f_terms:
             if not symbols:
                 return None
@@ -424,9 +441,11 @@ def factor_bidegree(
 ) -> list[SymbolicFactorization]:
     """All factorizations f = G*H with deg G = h and deg H = k.
 
-    Empty list means no factorization exists at this split.  The top parts
-    are forced by the homogeneous algorithm, and with them the head
-    coefficients and every pivot pair's overlaps; pivots are chosen here
+    Empty list means no factorization exists at this split.  f is checked
+    and read once (`_prepare`), and the split runs on that view in
+    `_factor_split`, the path `factor_all` takes at every split.  The top
+    parts are forced by the homogeneous algorithm, and with them the head
+    coefficients and every pivot pair's overlaps; pivots are chosen there
     and nowhere else.
 
     One attempt settles the split: the leading head pair's (lead G_top,
@@ -455,45 +474,35 @@ def factor_bidegree(
         raise ValueError(f"factor degrees must be >= 1, got ({h}, {k})")
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if f.algebra.ring.symbols:
-        raise ValueError(
-            f"input algebra declares symbols {f.algebra.ring.symbols}; "
-            "factor over a symbol-free algebra"
-        )
-    reserved = [name for name in f.algebra.alphabet.names if re.fullmatch("a[0-9]+", name)]
-    if reserved:
-        raise ValueError(f"variable names {tuple(reserved)} are reserved for extension symbols")
+    view = _prepare(f)
     if f.degree() != h + k:
         raise ValueError(f"degree {f.degree()} != {h} + {k}")
+    return _factor_split(view, h, options)
 
-    top = factor_homogeneous(f.homogeneous_part(f.degree()), h, k)
+
+def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[SymbolicFactorization]:
+    """`factor_bidegree` at the split (h, deg f - h) of a prepared input."""
+    f, _, parts = view
+    alg = f.algebra
+    top = factor_homogeneous_terms(parts[max(parts)], h, alg.field)
     if top is None:
         return []
-    g_top, h_top = top
-    if f.is_homogeneous():
+    g_head, h_head = top
+    lead = (max(g_head, key=word_key), max(h_head, key=word_key))
+    if len(parts) == 1:
         # nothing below the top: the homogeneous pair is the whole answer
-        ring = f.algebra.ring
-        system = ConstraintSystem(ring, ())
-        return [
-            SymbolicFactorization(
-                g_top, h_top, system, (dict(),),
-                (g_top.leading_word(), h_top.leading_word()),
-            )
-        ]
-
-    g_head = scalar_terms(g_top)
-    h_head = scalar_terms(h_top)
+        pair = (from_scalar_terms(alg, g_head), from_scalar_terms(alg, h_head))
+        return [SymbolicFactorization(*pair, ConstraintSystem(alg.ring, ()), ({},), lead)]
     pivots = sorted(
         ((u, v, overlap_lengths(u, v)) for u in g_head for v in h_head),
         key=lambda pivot: (len(pivot[2]), pivot[0], pivot[1]),
     )
     overlapping = [pivot for pivot in pivots if pivot[2]]
     if len(overlapping) > 1:
-        lead = (g_top.leading_word(), h_top.leading_word())
         settling = next(pivot for pivot in pivots if pivot[:2] == lead)
     else:
         settling = (overlapping or pivots)[0]
-    settled = _attempt_pivot(f, g_head, h_head, settling, options)
+    settled = _attempt_pivot(view, g_head, h_head, settling, options)
     if not settled or len(overlapping) <= 1:
         return settled or []
     wanted = {(fact.left, fact.right) for fact in settled}
@@ -502,7 +511,7 @@ def factor_bidegree(
         if pivot is settling:
             facts = settled
         else:
-            facts = _attempt_pivot(f, g_head, h_head, pivot, options) or ()
+            facts = _attempt_pivot(view, g_head, h_head, pivot, options) or ()
         for fact in facts:
             merged.setdefault((fact.left, fact.right), fact)
         if wanted <= merged.keys():
@@ -649,14 +658,8 @@ def factor_all(
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() < 2:
         raise ValueError("need degree >= 2 for a nontrivial split")
-    n = f.degree()
-    out: dict[DegreeSplit, list[SymbolicFactorization]] = {}
-    for b in range(1, n):
-        split = DegreeSplit(b, n - b)
-        results = factor_bidegree(f, split, options)
-        if results:
-            out[split] = results
-    return out
+    view, n = _prepare(f), f.degree()
+    return {DegreeSplit(b, n - b): facts for b in range(1, n) if (facts := _factor_split(view, b, options))}
 
 
 def factor_completely(f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS) -> list[FactorChain]:

@@ -7,8 +7,9 @@ The factor-recovery scan splits the leading word of F into a pivot prefix
 and suffix, reads H off the left-quotients by the prefix and G off the
 right-quotients by the suffix in one pass over F's terms, scales G monic
 and verifies the product, all on scalar word dicts (`freealg.ScalarTerms`).
+`factor_homogeneous` checks f and wraps the scan, `factor_homogeneous_terms`.
 Which word is the pivot does not matter for the normalized pair; pivot
-choice for the inhomogeneous recovery belongs to `factoring.factor_bidegree`.
+choice for the inhomogeneous recovery belongs to `factoring`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import RefinementError
+from .fields import Field
 from .freealg import NCPoly, ScalarTerms, from_scalar_terms, left_quotient, scalar_product, word_key
 
 
@@ -23,10 +25,7 @@ def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPo
     """Factor homogeneous f as G*H with deg G = h, deg H = k, if possible.
 
     Returns the pair normalized with G monic in its leading word, or None
-    when no such factorization exists.  Coefficient bookkeeping: the raw
-    quotient sums reproduce G and H only up to the pivot coefficients, so
-    the pair is rescaled to make the product match f exactly before the
-    final verification.
+    when no such factorization exists.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -39,7 +38,16 @@ def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPo
     if not f.has_constant_coefficients():
         raise ValueError("homogeneous factorization needs constant coefficients")
     zero = (0,) * f.algebra.ring.nsymbols
-    terms = {w: c._terms[zero] for w, c in f._terms.items()}
+    pair = factor_homogeneous_terms({w: c._terms[zero] for w, c in f._terms.items()}, h, f.algebra.field)
+    return None if pair is None else tuple(from_scalar_terms(f.algebra, terms) for terms in pair)
+
+
+def factor_homogeneous_terms(terms: ScalarTerms, h: int, fld: Field) -> Optional[tuple[ScalarTerms, ScalarTerms]]:
+    """`factor_homogeneous` on the terms of nonzero homogeneous f, deg f > h, unchecked.
+
+    The raw quotient sums reproduce G and H only up to the pivot coefficients,
+    so the pair is rescaled to make the product match f before it is verified.
+    """
     pivot = max(terms, key=word_key)
     g_hat, h_hat = pivot[:h], pivot[h:]
     g_terms: ScalarTerms = {}
@@ -52,11 +60,10 @@ def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPo
     # For the true pair, g_terms = eta*G and h_terms = gamma*H (gamma, eta the
     # pivot coefficients in G, H).  The pivot is f's leading word, so g_hat
     # leads g_terms with coefficient gamma*eta: dividing by it makes G monic.
-    fld = f.algebra.field
     inv = fld.inv(g_terms[g_hat])
     g_terms = {w: fld.reduce(c * inv) for w, c in g_terms.items()}
     if scalar_product(g_terms, h_terms, fld.reduce) == terms:
-        return from_scalar_terms(f.algebra, g_terms), from_scalar_terms(f.algebra, h_terms)
+        return g_terms, h_terms
     return None
 
 

@@ -9,194 +9,187 @@ Grammar (whitespace insignificant):
     var    :=  identifier declared in the alphabet
 
 '*' is the non-commutative concatenation product; '^' repeats a single
-variable, at most MAX_EXPONENT times.  Coefficients are integers or integer
-ratios of at most MAX_COEFFICIENT_DIGITS significant digits each, reduced
-into the coefficient field (a ratio whose denominator vanishes mod p is
-rejected).
-Errors carry the offending position and the expected-token set.  The
-grammar has no extension symbols, so subexpressions are scalar word dicts
-(`freealg.ScalarTerms`): each '*' is one `scalar_product`.
+variable, at most MAX_EXPONENT times; groups nest at most MAX_NESTING deep.
+Coefficients are integers or integer ratios of at most
+MAX_COEFFICIENT_DIGITS significant digits each, reduced into the
+coefficient field (a ratio whose denominator vanishes mod p is rejected).
+Errors carry the offending position and the expected-token set.  One
+regular expression scans the text once, a catch-all alternative making any
+other character an error, and recursive descent runs by token index on
+scalar word dicts (`freealg.ScalarTerms`; the grammar has no symbols).  A
+term is one coefficient and one word until a group appears, and then a
+dict that each '*' multiplies by `scalar_product`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+import string
+from fractions import Fraction
 
 from .errors import ParseError
-from .freealg import FreeAlgebra, NCPoly, ScalarTerms, from_scalar_terms, scalar_product
+from .fields import Scalar
+from .freealg import FreeAlgebra, NCPoly, ScalarTerms, Word, from_scalar_terms, scalar_product
 
 # The largest N in `x^N`: the power is one N-letter word, allocated at once.
 MAX_EXPONENT = 10**6
 # The most significant digits in a coefficient literal; Python's int() refuses
 # longer decimal strings by default.
 MAX_COEFFICIENT_DIGITS = 4300
+# The deepest nesting of parenthesized groups; each level is two frames of the
+# recursive descent, so the bound keeps it far from the interpreter's limit.
+MAX_NESTING = 200
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
-)
+# Whitespace, then one token; the last alternative catches every other character.
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/]|\S)")
+# A token's kind by its first character: "int", "ident" or the operator itself.
+# Any other first character is a non-ASCII decimal digit (an "int") or bad.
+_KIND = dict.fromkeys(string.digits, "int") | dict.fromkeys(string.ascii_letters + "_", "ident")
+_KIND |= {op: op for op in "-+*^()/"}
+_ATOM = ("INT", "identifier", "'('")
 
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "ident" | "op" | "end"
-    text: str
-    pos: int
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of the tokens of text, closed by an "end" token."""
+    texts = _TOKEN_RE.findall(text)
+    kinds = [_KIND.get(tok[0]) or ("int" if tok.isdecimal() else "bad") for tok in texts]
+    if "bad" in kinds:
+        i = kinds.index("bad")
+        raise ParseError(f"unexpected character {texts[i]!r}", _position(text, i))
+    return kinds + ["end"], texts + [""]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_pos]!r}", bad_pos)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+def _position(text: str, i: int) -> int:
+    """The position of token i of text (the end token's is len(text)); read for errors only."""
+    return ([m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)])[i]
 
 
 def identifiers_in(text: str) -> list[str]:
     """Distinct identifiers in source order; used to infer an alphabet."""
-    seen: dict[str, None] = {}
-    for tok in _tokenize(text):
-        if tok.kind == "ident":
-            seen[tok.text] = None
-    return list(seen)
+    kinds, texts = _scan(text)
+    return list(dict.fromkeys(tok for kind, tok in zip(kinds, texts) if kind == "ident"))
 
 
 class _Parser:
-    """Recursive descent on scalar word dicts (see freealg); the result is wrapped once."""
+    """Recursive descent by token index on scalar word dicts; the result is wrapped once."""
 
     def __init__(self, text: str, algebra: FreeAlgebra):
         self.text = text
         self.algebra = algebra
+        self.field = algebra.field
         self.reduce = algebra.field.reduce
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.kinds, self.texts = _scan(text)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input", tok.pos, (repr(op),))
-        return self.advance()
+    def error(self, i: int, message: str = "", expected: tuple[str, ...] = ()) -> ParseError:
+        # without a message: the token at i was not expected
+        if not message:
+            message = f"unexpected {self.texts[i]!r}" if self.kinds[i] != "end" else "unexpected end of input"
+        return ParseError(message, _position(self.text, i), expected)
 
     def parse(self) -> NCPoly:
-        terms = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos, ("'+'", "'-'", "'*'", "end of input"))
+        terms, i = self.expr(0, 0)
+        if self.kinds[i] != "end":
+            raise self.error(i, f"trailing input {self.texts[i]!r}", ("'+'", "'-'", "'*'", "end of input"))
         return from_scalar_terms(self.algebra, terms)
 
-    def expr(self) -> ScalarTerms:
+    def expr(self, i: int, depth: int) -> tuple[ScalarTerms, int]:
+        """The sum at token i, reduced once per word, and the index after it."""
+        kinds = self.kinds
         acc: ScalarTerms = {}
         sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
+        if kinds[i] == "+" or kinds[i] == "-":
+            sign = -1 if kinds[i] == "-" else 1
+            i += 1
         while True:
-            for word, v in self.term().items():
-                acc[word] = acc.get(word, 0) + sign * v
-            tok = self.peek()
-            if tok.kind != "op" or tok.text not in "+-":
-                return {word: r for word, v in acc.items() if (r := self.reduce(v))}
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
+            i = self.term(i, depth, sign, acc)
+            if kinds[i] != "+" and kinds[i] != "-":
+                reduce = self.reduce
+                return {word: r for word, v in acc.items() if (r := reduce(v))}, i
+            sign = -1 if kinds[i] == "-" else 1
+            i += 1
 
-    def term(self) -> ScalarTerms:
-        acc = self.atom()
+    def term(self, i: int, depth: int, sign: int, acc: ScalarTerms) -> int:
+        """Add sign times the term at token i to acc; returns the index after it."""
+        kinds, reduce = self.kinds, self.reduce
+        coeff = self.field.one
+        word: Word = ()
+        terms = None  # the term as a dict, once a group has appeared
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                acc = scalar_product(acc, self.atom(), self.reduce)
+            if kinds[i] == "int":
+                value, i = self.coefficient(i)
+                if terms is None:
+                    coeff = reduce(coeff * value)
+                else:
+                    terms = scalar_product(terms, {(): value} if value else {}, reduce)
+            elif kinds[i] == "ident":
+                letters, i = self.power(i)
+                if terms is None:
+                    word += letters
+                else:
+                    terms = scalar_product(terms, {letters: self.field.one}, reduce)
+            elif kinds[i] == "(":
+                if depth == MAX_NESTING:
+                    raise self.error(i, f"parentheses nest deeper than {MAX_NESTING}")
+                inner, i = self.expr(i + 1, depth + 1)
+                if kinds[i] != ")":
+                    raise self.error(i, "", ("')'",))
+                if kinds[i + 1] == "^":
+                    raise self.error(i + 1, "'^' applies to a single variable")
+                i += 1
+                if terms is None:
+                    terms = {word: coeff} if coeff else {}
+                terms = scalar_product(terms, inner, reduce)
             else:
-                return acc
+                raise self.error(i, "", ("INT", "identifier", "'('"))
+            if kinds[i] != "*":
+                break
+            i += 1
+        if terms is None:
+            if coeff:
+                acc[word] = acc.get(word, 0) + sign * coeff
+        else:
+            for w, v in terms.items():
+                acc[w] = acc.get(w, 0) + sign * v
+        return i
 
-    def atom(self) -> ScalarTerms:
-        tok = self.peek()
-        if tok.kind == "int":
-            return self.coefficient()
-        if tok.kind == "ident":
-            self.advance()
-            try:
-                letter = self.algebra.alphabet.index(tok.text)
-            except KeyError:
-                raise ParseError(f"unknown identifier {tok.text!r}", tok.pos) from None
-            power = 1
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "^":
-                self.advance()
-                exp_tok = self.peek()
-                if exp_tok.kind != "int":
-                    raise ParseError("exponent must be an integer", exp_tok.pos, ("INT",))
-                self.advance()
-                # compare digit counts first: a huge literal is never converted
-                digits = exp_tok.text.lstrip("0")
-                if len(digits) > len(str(MAX_EXPONENT)) or int(exp_tok.text) > MAX_EXPONENT:
-                    raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.pos)
-                power = int(exp_tok.text)
-            return {(letter,) * power: self.algebra.field.one}
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect_op(")")
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "^":
-                raise ParseError("'^' applies to a single variable", nxt.pos)
-            return inner
-        raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.pos,
-            ("INT", "identifier", "'('"),
-        )
+    def power(self, i: int) -> tuple[Word, int]:
+        """The word of `var ['^' INT]` at token i, and the index after it."""
+        try:
+            letter = self.algebra.alphabet.index(self.texts[i])
+        except KeyError:
+            raise self.error(i, f"unknown identifier {self.texts[i]!r}") from None
+        if self.kinds[i + 1] != "^":
+            return (letter,), i + 1
+        i += 2
+        if self.kinds[i] != "int":
+            raise self.error(i, "exponent must be an integer", ("INT",))
+        text = self.texts[i]
+        # compare digit counts first: a huge literal is never converted
+        if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
+            raise self.error(i, f"exponent exceeds {MAX_EXPONENT}")
+        return (letter,) * int(text), i + 1
 
-    def integer(self, tok: _Token) -> int:
+    def integer(self, i: int) -> int:
         # count digits first: int() raises ValueError on an overlong literal
-        digits = tok.text.lstrip("0")
+        digits = self.texts[i].lstrip("0")
         if len(digits) > MAX_COEFFICIENT_DIGITS:
-            raise ParseError(f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits", tok.pos)
+            raise self.error(i, f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits")
         return int(digits or "0")
 
-    def coefficient(self) -> ScalarTerms:
-        tok = self.advance()
-        num = self.integer(tok)
-        nxt = self.peek()
-        if nxt.kind == "op" and nxt.text == "/":
-            self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "int":
-                raise ParseError("denominator must be an integer", den_tok.pos, ("INT",))
-            self.advance()
-            den = self.integer(den_tok)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.pos)
-            from fractions import Fraction
-
-            try:
-                value = self.algebra.field.coerce(Fraction(num, den))
-            except ZeroDivisionError:
-                raise ParseError(
-                    f"coefficient {num}/{den} is not reducible in {self.algebra.field!r}",
-                    tok.pos,
-                ) from None
-        else:
-            value = self.algebra.field.coerce(num)
-        return {(): value} if value else {}
+    def coefficient(self, i: int) -> tuple[Scalar, int]:
+        """The field value of `INT ['/' INT]` at token i, and the index after it."""
+        num = self.integer(i)
+        if self.kinds[i + 1] != "/":
+            return self.field.coerce(num), i + 1
+        if self.kinds[i + 2] != "int":
+            raise self.error(i + 2, "denominator must be an integer", ("INT",))
+        den = self.integer(i + 2)
+        if den == 0:
+            raise self.error(i + 2, "zero denominator")
+        try:
+            return self.field.coerce(Fraction(num, den)), i + 3
+        except ZeroDivisionError:
+            raise self.error(i, f"coefficient {num}/{den} is not reducible in {self.field!r}") from None
 
 
 def parse_expression(text: str, algebra: FreeAlgebra) -> NCPoly:

@@ -12,6 +12,7 @@ import pytest
 from ncfactor import cli, factoring
 from ncfactor.cli import Request, main, run
 from ncfactor.fields import PrimeField, RationalField
+from ncfactor.parsing import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -214,6 +215,16 @@ class TestErrors:
         code, out, err = capture(["--field", "5", "1" + "0" * 5000 + "*x - 1"])
         assert (code, out) == (2, "")
         assert err == "parse error: coefficient exceeds 4300 digits at position 0\n"
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+    def test_nesting_past_the_bound_is_parse_error(self, depth):
+        # 400 levels used to end in a RecursionError traceback
+        text = "(" * depth + "x*y + 1" + ")" * depth
+        code, report = run(Request(text, PrimeField(5), None, None))
+        if depth == MAX_NESTING:
+            assert code == 0 and report.startswith(f"input: x*y + 1\n")
+        else:
+            assert (code, report) == (2, f"parse error: parentheses nest deeper than {MAX_NESTING} at position {MAX_NESTING}")
 
     def test_duplicate_variable_names(self):
         code, _, err = capture(["--field", "5", "--vars", "x,x", "x*x"])

@@ -163,9 +163,9 @@ class TestFactorBidegree:
         calls = []
         attempt = factoring._attempt_pivot
 
-        def counted(*args):
-            calls.append(args[3])
-            return attempt(*args)
+        def counted(view, g_head, h_head, pivot, options):
+            calls.append(pivot)
+            return attempt(view, g_head, h_head, pivot, options)
 
         monkeypatch.setattr(factoring, "_attempt_pivot", counted)
         facts = factor_bidegree(algebra(p).from_text(text), split)
@@ -445,9 +445,10 @@ def _every_pivot_attempt(f, split):
     g_top, h_top = top
     g_head = {w: g_top.coefficient(w).constant_value() for w in g_top.words()}
     h_head = {w: h_top.coefficient(w).constant_value() for w in h_top.words()}
+    view = factoring._prepare(f)
     attempts = {
         (u, v): factoring._attempt_pivot(
-            f, g_head, h_head, (u, v, overlap_lengths(u, v)), DEFAULT_OPTIONS
+            view, g_head, h_head, (u, v, overlap_lengths(u, v)), DEFAULT_OPTIONS
         )
         for u in g_head
         for v in h_head
@@ -915,6 +916,29 @@ def test_is_concrete_reads_the_solutions():
             assert fact.is_concrete == constant, (index, fact)
             seen.add((f.algebra.field.is_finite, constant))
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_factor_all_agrees_with_factor_bidegree_at_every_split():
+    # both drivers run one per-split path on one prepared view of f: on the
+    # first 500 digest inputs (F_2, F_3, F_5, F_101 and Q in turn; none stops
+    # at the enumeration cap) factor_all holds exactly the splits where
+    # factor_bidegree answers, with the same facts in the same order
+    make_input = _load_script("fact_digest").make_input
+
+    def fields(facts):
+        return [(f.left, f.right, f.system.equations, f.solutions, f.pivots) for f in facts]
+
+    answered = 0
+    for index in range(500):
+        f = make_input(index)
+        if f.is_zero() or f.degree() < 2:
+            continue
+        n = f.degree()
+        by_split = {(b, n - b): fields(factor_bidegree(f, (b, n - b))) for b in range(1, n)}
+        found = [(tuple(split), fields(facts)) for split, facts in factor_all(f).items()]
+        assert found == [(split, facts) for split, facts in by_split.items() if facts], index
+        answered += bool(found)
+    assert answered == 381
 
 
 def _reference_chains(f):

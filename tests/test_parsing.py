@@ -12,6 +12,7 @@ from ncfactor.oracle import random_factorable
 from ncfactor.parsing import (
     MAX_COEFFICIENT_DIGITS,
     MAX_EXPONENT,
+    MAX_NESTING,
     identifiers_in,
     parse_expression,
 )
@@ -131,6 +132,18 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expression("", ALG)
 
+    def test_nesting_bound(self):
+        # the bound itself parses; one level more is rejected at its '(',
+        # before the recursion can reach the interpreter's limit
+        text = "(" * MAX_NESTING + "x*y + 1" + ")" * MAX_NESTING
+        inner = ALG.from_text("x*y + 1")
+        assert parse_expression(text, ALG) == inner
+        with pytest.raises(ParseError, match=f"parentheses nest deeper than {MAX_NESTING}") as exc:
+            parse_expression("(" + text + ")", ALG)
+        assert exc.value.position == MAX_NESTING
+        # the depth is the nesting, not the number of groups
+        assert parse_expression(f"{text}*{text} - {text}", ALG) == inner * inner - inner
+
 
 def test_identifiers_in_source_order():
     assert identifiers_in("y*x + b*y") == ["y", "x", "b"]
@@ -237,3 +250,55 @@ def test_error_positions_and_messages(text, message):
     with pytest.raises(ParseError) as exc:
         parse_expression(text, ALG)
     assert str(exc.value) == message
+
+
+def _random_expression(rng, alg, depth, seen):
+    """Text and NCPoly value of a random expr of nesting depth at most `depth`.
+
+    Terms mix coefficient atoms (integers and ratios), powers of letters and
+    parenthesized groups in any order; the letters are appended to `seen`
+    in the order the text shows them.
+    """
+    names = alg.alphabet.names
+
+    def space():
+        return rng.choice(["", "", " ", "  ", "\t", " \n "])
+
+    text, value = "", alg.zero()
+    for t in range(rng.randint(1, 3)):
+        sign = rng.choice(["", "-", "+"] if t == 0 else ["-", "+"])
+        atoms, product = [], alg.one()
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("coeff", "var", "group") if depth else ("coeff", "var"))
+            if kind == "coeff":
+                num, den = rng.randint(0, 20), rng.choice([None, 1, 2, 3, 5])
+                atoms.append(f"{num}{space()}/{space()}{den}" if den else str(num))
+                atom = alg.poly({(): Fraction(num, den or 1)})
+            elif kind == "var":
+                name, power = rng.choice(names), rng.choice([None, 0, 1, 2, 3])
+                seen.append(name)
+                atoms.append(name if power is None else f"{name}{space()}^{space()}{power}")
+                atom = alg.one()
+                for _ in range(1 if power is None else power):
+                    atom = atom * alg.variable(name)
+            else:
+                inner_text, atom = _random_expression(rng, alg, depth - 1, seen)
+                atoms.append(f"({space()}{inner_text}{space()})")
+            product = product * atom
+        text += f"{space()}{sign}{space()}" + f"{space()}*{space()}".join(atoms)
+        value = value - product if sign == "-" else value + product
+    return text, value
+
+
+@pytest.mark.parametrize("p", [7, None], ids=["F_7", "Q"])
+def test_random_expression_trees_match_ncpoly_arithmetic(p):
+    # a term is one coefficient and one word until a group appears, and a
+    # dict from there on; both paths, and their sums, agree with NCPoly
+    # arithmetic on the same tree
+    alg = algebra(p, ("x", "y", "z"))
+    rng = random.Random(19)
+    for case in range(400):
+        seen = []
+        text, expected = _random_expression(rng, alg, rng.randint(0, 3), seen)
+        assert parse_expression(text, alg) == expected, (case, text)
+        assert identifiers_in(text) == list(dict.fromkeys(seen)), (case, text)
