@@ -33,7 +33,7 @@ from .factoring import (
 )
 from .fields import Field, PrimeField, RationalField
 from .freealg import Alphabet, FreeAlgebra
-from .parsing import identifiers_in, parse_expression
+from .parsing import identifiers_in, parse_expression, scan
 
 
 @dataclass
@@ -109,11 +109,14 @@ def _render_text(input_text: str, report: dict, all_splits: bool) -> str:
 
 def run(request: Request) -> tuple[int, str]:
     """Execute a request; returns (exit code, report text)."""
+    source = request.expression
     if request.variables is not None:
         names = request.variables
     else:
         try:
-            names = tuple(sorted(identifiers_in(request.expression)))
+            # the parser reads the same scan: the text is scanned once
+            source = scan(request.expression)
+            names = tuple(sorted(identifiers_in(source)))
         except ParseError as e:
             return 2, f"parse error: {e}"
     if not names:
@@ -123,7 +126,7 @@ def run(request: Request) -> tuple[int, str]:
     except ValueError as e:
         return 2, f"error: {e}"
     try:
-        poly = parse_expression(request.expression, algebra)
+        poly = parse_expression(source, algebra)
     except ParseError as e:
         return 2, f"parse error: {e}"
 

@@ -5,23 +5,21 @@ parts are recovered degree by degree from the relation between homogeneous
 parts of F and of the factors.  Where the pivot words of the two top parts
 overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
-all symbols is solved exactly.  The recovery steps and the assembly of the
-system compute on plain coefficient dicts ({word: {monomial: scalar}},
-residues mod p over F_p, Fractions over Q) with the arithmetic NCPoly and
-CPoly use (`freealg.add_word_product`, `commutative.axpy` and the field's
-`reduce`).  The drivers check f and read its terms and homogeneous parts
-into scalar dicts ({word: scalar}) once (`_prepare`); each split splits
-the top part (`homogeneous.factor_homogeneous_terms`), and evaluates
+all symbols is solved exactly.  The recovery runs on plain coefficient
+dicts ({word: {monomial: scalar}}, residues mod p over F_p, Fractions over
+Q) with the arithmetic NCPoly and CPoly use (`freealg.add_word_product`,
+`commutative.axpy` and the field's `reduce`), down to degree 0; the
+coefficients of g*h - f it leaves are the system, so G and H are not
+multiplied again (`assemble_constraints` is the reference).  The drivers
+check f and read its terms and homogeneous parts into scalar dicts ({word:
+scalar}) once (`_prepare`); each split splits the top part
+(`homogeneous.factor_homogeneous_terms`), and evaluates
 (`freealg.evaluate_terms`) and multiplies back (`freealg.scalar_product`)
-each point's pair on such dicts.  An attempt without symbols assembles no
-system: its multiply-back compares the coefficients of g*h - f that would
-be its equations.  NCPoly values are built once per attempt with symbols,
-per returned fact, and for a homogeneous input's top pair.  A step with an
-equation that reduces to a nonzero constant ends its attempt before
-assembly: that equation is an exact consequence of g*h - f = 0 for every
-value of the symbols, so the system would be inconsistent.  Over F_p every
-point is found by peeling univariate equations (their gcd, then its roots)
-and branching over a symbol's values only where no equation is univariate.
+each point's pair on such dicts.  A residual that is a nonzero constant
+ends its attempt before the solver: that equation is an exact consequence
+of g*h - f = 0 for every value of the symbols.  Over F_p every point is
+found by peeling univariate equations (their gcd, then its roots) and
+branching over a symbol's values only where no equation is univariate.
 Over Q the reduced lex Groebner basis of a system with symbols both decides
 the unit ideal (no factorization) and describes the admissible symbol
 values; over F_p it is never needed for the answer and computed only when
@@ -103,9 +101,9 @@ class SymbolicFactorization:
     `reduced_basis` is the reduced lex Groebner basis of `system` (None for an
     empty system), computed on first read and cached; the facts of one pivot
     attempt share one system and one cache, so it is computed once per system.
-    Over Q the solver reads it on every attempt with symbols (an attempt
-    stopped at a contradictory recovery step computes none); over F_p only
-    callers that display it do.
+    Over Q the solver reads it on every attempt with symbols (an attempt with
+    a constant residual computes none); over F_p only callers that display
+    it do.
     """
 
     left: NCPoly
@@ -153,7 +151,7 @@ DEFAULT_OPTIONS = FactorOptions()
 
 
 def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
-    """Coefficient-matching system for f = g*h.
+    """Coefficient-matching system for f = g*h; the reference for `_attempt_pivot`'s.
 
     Expands g*h - f and returns one equation per word with a nonzero
     coefficient (possibly a nonzero constant, which makes the system
@@ -185,7 +183,7 @@ def _solve_step(
     k_minus_j: int,
     known: dict[tuple[str, Word], TermDict],
     fld,
-) -> Optional[dict[tuple[str, Word], TermDict]]:
+) -> Optional[tuple[dict[tuple[str, Word], TermDict], list[TermDict]]]:
     """Solve one degree step of the recovery for the unknown factor parts.
 
     The relation fhat = G_top * H_new + G_new * H_top is linear in the
@@ -205,12 +203,11 @@ def _solve_step(
     head words overlap; in the attempt that settles a split, the leading
     pair's symbol fixes it (see `factor_bidegree`).
 
-    Returns None when an equation of the step reduces to a nonzero
-    constant: a word left with no unknown once the `known` entries are
-    substituted, or a row that elimination empties.  That equation is an
-    exact consequence of g*h - f = 0 in this degree for every value of the
-    symbols, so no factorization with these top parts and these earlier
-    steps exists.  Otherwise returns the solution.
+    Returns the solution and the residuals, the nonzero coefficients of
+    g*h - f in this degree in descending word order: minus the right-hand
+    side of each row left with no unknown and of each row that elimination
+    empties (a pivot row is solved exactly).  Returns None as soon as a
+    residual is a nonzero constant, which no value of the symbols satisfies.
     """
     reduce = fld.reduce
     h = len(next(iter(g_words)))
@@ -245,7 +242,8 @@ def _solve_step(
     # One row per word with an unknown, in word order; the right-hand side
     # may hold symbols from earlier overlap steps.  A word with no unknown
     # left is a condition on the symbols alone.
-    rows: list[tuple[dict[int, Scalar], TermDict]] = []
+    rows: list[tuple[Word, dict[int, Scalar], TermDict]] = []
+    leftover: list[tuple[Word, TermDict]] = []
     for m in sorted(row_of):
         coeffs: dict[int, Scalar] = {}
         rhs = dict(fhat.get(m, {}))
@@ -255,52 +253,65 @@ def _solve_step(
             else:
                 coeffs[index[unk]] = c
         if coeffs:
-            rows.append((coeffs, rhs))
-        elif _is_constant(rhs):
-            return None
+            rows.append((m, coeffs, rhs))
+        elif rhs:
+            if _is_constant(rhs):
+                return None
+            leftover.append((m, rhs))
 
-    # Forward elimination to row echelon form.  Rows that empty out state
-    # conditions on earlier symbols; they reappear in the final
-    # coefficient-matching system, so they are dropped here unless they are
-    # a nonzero constant.
-    echelon: dict[int, tuple[dict[int, Scalar], TermDict]] = {}
-    for col in range(len(order)):
-        sel = next((ri for ri, (coeffs, _) in enumerate(rows) if col in coeffs), None)
-        if sel is None:
-            continue
-        coeffs, rhs = rows.pop(sel)
-        inv = fld.inv(coeffs[col])
-        coeffs = {i: reduce(c * inv) for i, c in coeffs.items()}
-        rhs = {m: reduce(v * inv) for m, v in rhs.items()}
-        echelon[col] = (coeffs, rhs)
-        remaining = []
-        for other_coeffs, other_rhs in rows:
-            if col in other_coeffs:
-                factor = other_coeffs[col]
-                merged = dict(other_coeffs)
-                axpy(merged, -factor, coeffs, reduce)
-                other_rhs = dict(other_rhs)
-                axpy(other_rhs, -factor, rhs, reduce)
-                if merged:
-                    remaining.append((merged, other_rhs))
-                elif _is_constant(other_rhs):
-                    return None
-            else:
-                remaining.append((other_coeffs, other_rhs))
-        rows = remaining
-
-    # Back-substitute; free unknowns stay zero.
     solution: dict[tuple[str, Word], TermDict] = dict(known)
-    for unk in order:
-        solution.setdefault(unk, {})
-    for col in sorted(echelon, reverse=True):
-        coeffs, rhs = echelon[col]
-        value = dict(rhs)
-        for i, c in coeffs.items():
-            if i != col:
-                axpy(value, -c, solution[order[i]], reduce)
-        solution[order[col]] = value
-    return solution
+    if len(order) == 1:
+        # the first row pivots; every other row is c * x = rhs
+        _, coeffs, rhs = rows[0]
+        inv = fld.inv(coeffs[0])
+        solution[order[0]] = value = {mono: reduce(v * inv) for mono, v in rhs.items()}
+        for m, coeffs, rhs in rows[1:]:
+            axpy(rhs, -coeffs[0], value, reduce)
+            if rhs:
+                if _is_constant(rhs):
+                    return None
+                leftover.append((m, rhs))
+    else:
+        # Forward elimination to row echelon form.
+        echelon: dict[int, tuple[dict[int, Scalar], TermDict]] = {}
+        for col in range(len(order)):
+            sel = next((ri for ri, (_, coeffs, _) in enumerate(rows) if col in coeffs), None)
+            if sel is None:
+                continue
+            _, coeffs, rhs = rows.pop(sel)
+            inv = fld.inv(coeffs[col])
+            coeffs = {i: reduce(c * inv) for i, c in coeffs.items()}
+            rhs = {mono: reduce(v * inv) for mono, v in rhs.items()}
+            echelon[col] = (coeffs, rhs)
+            remaining = []
+            for m, other_coeffs, other_rhs in rows:
+                if col in other_coeffs:
+                    # each row owns its dicts, so they are reduced in place
+                    factor = other_coeffs[col]
+                    axpy(other_coeffs, -factor, coeffs, reduce)
+                    axpy(other_rhs, -factor, rhs, reduce)
+                    if other_coeffs:
+                        remaining.append((m, other_coeffs, other_rhs))
+                    elif other_rhs:
+                        if _is_constant(other_rhs):
+                            return None
+                        leftover.append((m, other_rhs))
+                else:
+                    remaining.append((m, other_coeffs, other_rhs))
+            rows = remaining
+
+        # Back-substitute; free unknowns stay zero.
+        for unk in order:
+            solution.setdefault(unk, {})
+        for col in sorted(echelon, reverse=True):
+            coeffs, rhs = echelon[col]
+            value = dict(rhs)
+            for i, c in coeffs.items():
+                if i != col:
+                    axpy(value, -c, solution[order[i]], reduce)
+            solution[order[col]] = value
+    leftover.sort(reverse=True, key=lambda entry: entry[0])
+    return solution, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
 
 
 # A checked input of the drivers: f, its scalar terms and their parts by degree.
@@ -342,18 +353,23 @@ def _attempt_pivot(
     The steps run on plain coefficient dicts, and f (the prepared view's
     terms and degree parts) and each concrete pair on scalar dicts.  The
     head coefficients are those of the top pair `factor_homogeneous_terms`
-    returns, so G_top is monic.  A step with a contradictory equation (see
-    `_solve_step`) ends the attempt before assembly, and an attempt without
-    symbols is decided by its pair's multiply-back.  Over Q an attempt with
-    symbols returns one symbolic fact, described by its reduced basis;
-    every other attempt returns its concrete pairs, each multiplied back to
-    f; a solved point whose pair does not do so raises AssertionError.
+    returns, so G_top is monic and G_top*H_top is f's top part.  The
+    convolution of the recovered parts runs on down to degree 0, where
+    below the steps g*h - f is -fhat.  With the steps' residuals (see
+    `_solve_step`) that is the system, the equations `assemble_constraints`
+    builds, in their order.  A nonzero constant residual ends the attempt
+    before enumeration or the basis over Q; an attempt without symbols has
+    only constant residuals.  Over Q an attempt with symbols returns one
+    symbolic fact, described by its reduced basis; every other attempt
+    returns its concrete pairs, each multiplied back to f; a solved point
+    whose pair does not do so raises AssertionError.
     """
     f, f_terms, f_parts = view
     g_hat, h_hat, overlaps = pivot
     h, k = len(g_hat), len(h_hat)
     n = h + k
     fld = f.algebra.field
+    reduce = fld.reduce
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
     symbol_at = {j: i for i, j in enumerate(overlaps)}
     zero = (0,) * len(symbols)
@@ -361,12 +377,21 @@ def _attempt_pivot(
     eta = h_head[h_hat]
     g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
     h_parts: dict[int, WordTerms] = {k: {w: {zero: c} for w, c in h_head.items()}}
+    equations: list[TermDict] = []
 
-    for j in range(1, max(h, k) + 1):
+    for j in range(1, n + 1):
         fhat = {w: {zero: c} for w, c in f_parts.get(n - j, {}).items()}
         for i in range(1, j):
             if h - i in g_parts and k - j + i in h_parts:
-                add_word_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], fld.reduce)
+                add_word_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], reduce)
+        if j > h and j > k:
+            # below the recovered degrees g*h - f is -fhat
+            for w in sorted(fhat, reverse=True):
+                equation = {m: reduce(-v) for m, v in fhat[w].items()}
+                if _is_constant(equation):
+                    return None
+                equations.append(equation)
+            continue
         known: dict[tuple[str, Word], TermDict] = {}
         if j in symbol_at:
             # The fused word g_hat * h_hat[j:] is left-divisible by g_hat and
@@ -375,13 +400,17 @@ def _attempt_pivot(
             # for a fresh symbol alpha.
             alpha = {tuple(int(i == symbol_at[j]) for i in range(len(symbols))): fld.one}
             rest = dict(fhat.get(g_hat + h_hat[j:], {}))
-            axpy(rest, -eta, alpha, fld.reduce)
+            axpy(rest, -eta, alpha, reduce)
             inv_gamma = fld.inv(gamma)
             known[("G", g_hat[: h - j])] = alpha
-            known[("H", h_hat[j:])] = {m: fld.reduce(v * inv_gamma) for m, v in rest.items()}
-        solution = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)
-        if solution is None:
+            known[("H", h_hat[j:])] = {m: reduce(v * inv_gamma) for m, v in rest.items()}
+        elif not fhat:
+            continue  # every unknown of the step is zero
+        step = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)
+        if step is None:
             return None
+        solution, residuals = step
+        equations.extend(residuals)
         parts: dict[str, WordTerms] = {"G": {}, "H": {}}
         for (kind, word), value in solution.items():
             if value:
@@ -394,36 +423,30 @@ def _attempt_pivot(
     # parts of one factor have distinct degrees, so their words never collide
     g_terms = {w: c for part in g_parts.values() for w, c in part.items()}
     h_terms = {w: c for part in h_parts.values() for w, c in part.items()}
-    if symbols:
-        alg = f.algebra.extend_symbols(symbols)
-        g_sym = from_term_dicts(alg, g_terms)
-        h_sym = from_term_dicts(alg, h_terms)
-        system = assemble_constraints(f, g_sym, h_sym)
-        if not fld.is_finite:
-            fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
-            if fact.reduced_basis == (alg.ring.one(),):
-                return None  # unit ideal: no admissible symbol values
-            return [fact]
+    alg = f.algebra.extend_symbols(symbols) if symbols else f.algebra
+    system = ConstraintSystem(alg.ring, tuple(CPoly(alg.ring, eq) for eq in equations))
+    if not symbols:
+        solutions = [{}]
+    elif not fld.is_finite:
+        fact = SymbolicFactorization(
+            from_term_dicts(alg, g_terms), from_term_dicts(alg, h_terms), system, None, (g_hat, h_hat)
+        )
+        if fact.reduced_basis == (alg.ring.one(),):
+            return None  # unit ideal: no admissible symbol values
+        return [fact]
+    else:
         solutions = enumerate_solutions(system, cap=options.enumeration_cap)
         if not solutions:
             return None
-    else:
-        # The only point is the empty one, and the multiply-back below
-        # compares the coefficients of g*h - f that assembly would turn into
-        # equations: the pair multiplies back exactly when the system is empty.
-        system = ConstraintSystem(f.algebra.ring, ())
-        solutions = [{}]
     # G_top's leading coefficient, 1, leads every concrete G: the pairs are
     # in the gauge of `normalize_pair` as evaluated
     cache: dict = {}
     results: list[SymbolicFactorization] = []
     for sol in solutions:
         point = tuple(sol[name] for name in symbols)
-        left = evaluate_terms(g_terms, point, fld.reduce)
-        right = evaluate_terms(h_terms, point, fld.reduce)
-        if scalar_product(left, right, fld.reduce) != f_terms:
-            if not symbols:
-                return None
+        left = evaluate_terms(g_terms, point, reduce)
+        right = evaluate_terms(h_terms, point, reduce)
+        if scalar_product(left, right, reduce) != f_terms:
             raise AssertionError("solved factor pair fails to multiply back to f")
         results.append(
             SymbolicFactorization(

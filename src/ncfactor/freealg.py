@@ -10,8 +10,8 @@ position; "leading word" always means the maximum in this order.
 
 NCPoly arithmetic runs on plain dicts, {word: {monomial: scalar}}, through
 `add_terms` and `add_word_product`, which take coefficient sums and products
-with the commutative module's kernel; the recovery steps and the assembly
-of `factoring` compute on the same dicts with the same functions.
+with the commutative module's kernel; the recovery steps of `factoring`
+and their residuals compute on the same dicts with the same functions.
 
 Symbol-free polynomials also have a scalar kernel on {word: scalar} dicts
 (`ScalarTerms`): `scalar_product`, `left_divide` and `evaluate_terms`, which

@@ -14,11 +14,13 @@ Coefficients are integers or integer ratios of at most
 MAX_COEFFICIENT_DIGITS significant digits each, reduced into the
 coefficient field (a ratio whose denominator vanishes mod p is rejected).
 Errors carry the offending position and the expected-token set.  One
-regular expression scans the text once, a catch-all alternative making any
-other character an error, and recursive descent runs by token index on
-scalar word dicts (`freealg.ScalarTerms`; the grammar has no symbols).  A
-term is one coefficient and one word until a group appears, and then a
-dict that each '*' multiplies by `scalar_product`.
+regular expression scans the text once (`scan`), a catch-all alternative
+making any other character an error; a caller that infers the alphabet
+from the identifiers first hands the same scan to the parser.  Recursive
+descent runs by token index on scalar word dicts (`freealg.ScalarTerms`;
+the grammar has no symbols).  A term is one coefficient and one word until
+a group appears, and then a dict that each '*' multiplies by
+`scalar_product`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re
 import string
 from fractions import Fraction
+from typing import NamedTuple, Union
 
 from .errors import ParseError
 from .fields import Scalar
@@ -49,14 +52,22 @@ _KIND |= {op: op for op in "-+*^()/"}
 _ATOM = ("INT", "identifier", "'('")
 
 
-def _scan(text: str) -> tuple[list[str], list[str]]:
-    """The kinds and texts of the tokens of text, closed by an "end" token."""
+class Tokens(NamedTuple):
+    """A scanned text: the kinds and texts of its tokens, closed by an "end" token."""
+
+    text: str
+    kinds: list[str]
+    texts: list[str]
+
+
+def scan(text: str) -> Tokens:
+    """The tokens of text; a character no token starts with is a ParseError."""
     texts = _TOKEN_RE.findall(text)
     kinds = [_KIND.get(tok[0]) or ("int" if tok.isdecimal() else "bad") for tok in texts]
     if "bad" in kinds:
         i = kinds.index("bad")
         raise ParseError(f"unexpected character {texts[i]!r}", _position(text, i))
-    return kinds + ["end"], texts + [""]
+    return Tokens(text, kinds + ["end"], texts + [""])
 
 
 def _position(text: str, i: int) -> int:
@@ -64,21 +75,20 @@ def _position(text: str, i: int) -> int:
     return ([m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)])[i]
 
 
-def identifiers_in(text: str) -> list[str]:
+def identifiers_in(source: Union[str, Tokens]) -> list[str]:
     """Distinct identifiers in source order; used to infer an alphabet."""
-    kinds, texts = _scan(text)
+    _, kinds, texts = source if isinstance(source, Tokens) else scan(source)
     return list(dict.fromkeys(tok for kind, tok in zip(kinds, texts) if kind == "ident"))
 
 
 class _Parser:
     """Recursive descent by token index on scalar word dicts; the result is wrapped once."""
 
-    def __init__(self, text: str, algebra: FreeAlgebra):
-        self.text = text
+    def __init__(self, tokens: Tokens, algebra: FreeAlgebra):
+        self.text, self.kinds, self.texts = tokens
         self.algebra = algebra
         self.field = algebra.field
         self.reduce = algebra.field.reduce
-        self.kinds, self.texts = _scan(text)
 
     def error(self, i: int, message: str = "", expected: tuple[str, ...] = ()) -> ParseError:
         # without a message: the token at i was not expected
@@ -192,6 +202,6 @@ class _Parser:
             raise self.error(i, f"coefficient {num}/{den} is not reducible in {self.field!r}") from None
 
 
-def parse_expression(text: str, algebra: FreeAlgebra) -> NCPoly:
-    """Parse expression text into an NCPoly over the given algebra."""
-    return _Parser(text, algebra).parse()
+def parse_expression(source: Union[str, Tokens], algebra: FreeAlgebra) -> NCPoly:
+    """Parse expression text, or its `scan`, into an NCPoly over the given algebra."""
+    return _Parser(source if isinstance(source, Tokens) else scan(source), algebra).parse()

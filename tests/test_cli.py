@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncfactor import cli, factoring
+from ncfactor import cli, factoring, parsing
 from ncfactor.cli import Request, main, run
 from ncfactor.fields import PrimeField, RationalField
 from ncfactor.parsing import MAX_NESTING
@@ -269,6 +269,23 @@ def test_run_api_directly():
     code, report = run(request)
     assert code == 0
     assert "(y*x + 1) * (y*x*y + 4*y)" in report
+
+
+@pytest.mark.parametrize("variables", [None, ("x", "y")])
+def test_text_is_scanned_once(variables, monkeypatch):
+    # inferring the alphabet and parsing read one scan of the text
+    scans = []
+    pattern = parsing._TOKEN_RE
+
+    class Counting:
+        def findall(self, text):
+            scans.append(text)
+            return pattern.findall(text)
+
+    monkeypatch.setattr(parsing, "_TOKEN_RE", Counting())
+    code, report = run(Request("y*x*y*x*y - y", PrimeField(5), variables, (2, 3)))
+    assert code == 0 and "(y*x + 1) * (y*x*y + 4*y)" in report
+    assert scans == ["y*x*y*x*y - y"]
 
 
 def test_rationals_request_symbolic_description():

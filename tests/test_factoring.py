@@ -182,6 +182,15 @@ class TestFactorBidegree:
         assert factor_bidegree(alg.from_text("x*y + z"), (1, 1)) == []
         assert calls == []
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_constant_residual_below_the_steps_ends_the_attempt(self, p, monkeypatch):
+        # x * (x*y) overlaps in x, so G_0 = a1 and H_1 = -a1*y; the steps
+        # leave the residual -a1^2 at y, and H_0 = 0 leaves the constant -1
+        # in degree 0, so no point is enumerated
+        calls = _record_solver_calls(monkeypatch)
+        assert factor_bidegree(algebra(p).from_text("x*x*y + 1"), (1, 2)) == []
+        assert calls == []
+
     def test_split_must_match_degree(self):
         with pytest.raises(ValueError):
             factor_bidegree(ALG.from_text("x*y"), (2, 2))
@@ -219,14 +228,12 @@ class TestFactorBidegree:
     def test_pair_that_fails_to_multiply_back_raises(self, monkeypatch):
         # a1 = 2 is not a root of the (2, 3) system (its roots over F_5 are 1
         # and 4), so the pair substituted there is not a factorization of f;
-        # an attempt with symbols still assembles its system
+        # an attempt with symbols still hands its system to the solver
         f = ALG.from_text("y*x*y*x*y - y")
         systems = []
-        assemble = factoring.assemble_constraints
         monkeypatch.setattr(
-            factoring, "assemble_constraints", lambda *args: systems.append(assemble(*args)) or systems[-1]
+            factoring, "enumerate_solutions", lambda system, cap: systems.append(system) or [{"a1": 2}]
         )
-        monkeypatch.setattr(factoring, "enumerate_solutions", lambda system, cap: [{"a1": 2}])
         with pytest.raises(AssertionError, match="fails to multiply back"):
             factor_bidegree(f, (2, 3))
         assert [system.symbols for system in systems] == [("a1",)]
@@ -234,8 +241,8 @@ class TestFactorBidegree:
     @pytest.mark.parametrize("p", [5, None])
     def test_attempt_without_symbols_is_decided_by_its_multiply_back(self, p, monkeypatch):
         # x*y = x * y has no overlap and the one recovery step has no word,
-        # so the pair (x, y) reaches its multiply-back, which misses the
-        # constant 1: the attempt returns nothing, and nothing is assembled
+        # so the degree-0 residual of the pair (x, y), the constant -1,
+        # decides the attempt: it returns nothing, and nothing is assembled
         # or solved
         calls, answers = _record_solver_calls(monkeypatch), []
         attempt = factoring._attempt_pivot
@@ -574,6 +581,25 @@ class TestAssembleConstraints:
                 f = base.one()
             expected = tuple(c for _, c in (g * h - f.lift(sym)).terms())
             assert assemble_constraints(f, g, h).equations == expected
+
+    def test_symbolic_facts_carry_the_reference_system(self):
+        # an attempt reads its system off the recovery's residuals; over Q
+        # every symbolic fact's system is the one assembled from its G and H
+        field = RationalField()
+        inputs = [algebra(None).from_text("x*x - 1")]
+        for seed in range(60):
+            split = ((2, 2), (1, 3), (2, 3))[seed % 3]
+            inputs.append(random_factorable(seed, field, *split, term_cap=3, n_vars=1 + seed % 2)[0])
+        symbolic = [
+            (f, fact)
+            for f in inputs
+            for facts in factor_all(f).values()
+            for fact in facts
+            if not fact.is_concrete
+        ]
+        assert len(symbolic) > 100 and any(fact.system.equations for _, fact in symbolic)
+        for f, fact in symbolic:
+            assert fact.system == assemble_constraints(f, fact.left, fact.right)
 
     def test_wrong_product_gives_constant_contradiction(self):
         g = ALG.from_text("y*x")
