@@ -6,20 +6,21 @@ The report is built once, as the JSON object of a stable schema:
         [{G, H, symbols, system, reduced_basis, solutions}]}],
      chains: [{factors, complete}]}        (chains only with --complete)
 
-Every chain is maximal, so `complete` is always true.  JSON mode emits the
-report; text mode renders it as one parenthesized product per
-factorization, reading nothing but its strings.  Both modes are
-byte-deterministic for a fixed invocation.
+Every chain is maximal, so `complete` is always true.  JSON mode writes the
+report's fixed shape itself (`_write_json`), byte for byte as
+`json.dumps(report, indent=2)` writes it (`tests/test_cli.py::TestJsonWriter`).
+Text mode renders the report as one parenthesized product per factorization,
+reading nothing but its strings.  Both are byte-deterministic per invocation.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Optional, Sequence
 
 from .commutative import SymbolRing
 from .errors import NCFactorError, ParseError
@@ -59,7 +60,7 @@ def _fact_obj(field: Field, fact: SymbolicFactorization, groebner: bool) -> dict
         "G": str(fact.left),
         "H": str(fact.right),
         "symbols": list(fact.system.symbols),
-        "system": [str(eq) for eq in fact.system.equations],
+        "system": list(fact.system.texts),
         "reduced_basis": (
             [str(b) for b in fact.reduced_basis] if groebner and fact.reduced_basis is not None else None
         ),
@@ -69,6 +70,56 @@ def _fact_obj(field: Field, fact: SymbolicFactorization, groebner: bool) -> dict
             else None
         ),
     }
+
+
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Rendered items in brackets closing at indent `pad`, as json.dumps(indent=2) lays them out."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _json_texts(texts: Iterable[str], pad: str) -> str:
+    return _json_block([_quote(text) for text in texts], pad)
+
+
+def _fact_json(fact: dict) -> str:
+    """One factorization object of the report, at depth 4 of its fixed shape."""
+    pad = " " * 10
+    basis, solutions = fact["reduced_basis"], fact["solutions"]
+    if solutions is not None:
+        assignments = ([f"{_quote(k)}: {_quote(v)}" for k, v in s.items()] for s in solutions)
+        solutions = _json_block([_json_block(a, pad + "  ", "{}") for a in assignments], pad)
+    return (
+        f'{{\n{pad}"G": {_quote(fact["G"])},\n{pad}"H": {_quote(fact["H"])},\n'
+        f'{pad}"symbols": {_json_texts(fact["symbols"], pad)},\n'
+        f'{pad}"system": {_json_texts(fact["system"], pad)},\n'
+        f'{pad}"reduced_basis": {"null" if basis is None else _json_texts(basis, pad)},\n'
+        f'{pad}"solutions": {"null" if solutions is None else solutions}\n        }}'
+    )
+
+
+def _write_json(report: dict) -> str:
+    """The report's text as json.dumps(report, indent=2) writes it, for its fixed shape."""
+    splits = [
+        f'{{\n      "h": {split["h"]},\n      "k": {split["k"]},\n      "factorizations": '
+        + _json_block([_fact_json(fact) for fact in split["factorizations"]], " " * 6)
+        + "\n    }"
+        for split in report["splits"]
+    ]
+    text = (
+        f'{{\n  "input": {_quote(report["input"])},\n  "field": {_quote(report["field"])},\n'
+        f'  "splits": {_json_block(splits, "  ")}'
+    )
+    if "chains" in report:
+        chains = [
+            f'{{\n      "factors": {_json_texts(chain["factors"], " " * 6)},\n'
+            f'      "complete": {"true" if chain["complete"] else "false"}\n    }}'
+            for chain in report["chains"]
+        ]
+        text += f',\n  "chains": {_json_block(chains, "  ")}'
+    return text + "\n}"
 
 
 def _render_text(input_text: str, report: dict, all_splits: bool) -> str:
@@ -165,7 +216,7 @@ def run(request: Request) -> tuple[int, str]:
         report["chains"] = [{"factors": list(ch.texts), "complete": ch.complete} for ch in chains]
 
     if request.json_mode:
-        return 0, json.dumps(report, indent=2)
+        return 0, _write_json(report)
     return 0, _render_text(str(poly), report, request.degrees is None)
 
 

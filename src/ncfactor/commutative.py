@@ -14,6 +14,7 @@ equation branches over the values of a symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from itertools import compress
 from operator import add
 from typing import Callable, Iterable
@@ -348,7 +349,7 @@ class CPoly:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """A set of polynomial equations (each CPoly = 0) over shared symbols."""
+    """Polynomial equations (each CPoly = 0) over shared symbols; `texts` renders them once."""
 
     ring: SymbolRing
     equations: tuple[CPoly, ...] = dataclass_field(default_factory=tuple)
@@ -362,10 +363,14 @@ class ConstraintSystem:
     def symbols(self) -> tuple[str, ...]:
         return self.ring.symbols
 
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(str(eq) for eq in self.equations)
+
     def __str__(self) -> str:
         if not self.equations:
             return "<empty system>"
-        return "; ".join(f"{eq} = 0" for eq in self.equations)
+        return "; ".join(f"{text} = 0" for text in self.texts)
 
 
 # -- division and Groebner bases ---------------------------------------------

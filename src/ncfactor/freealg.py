@@ -446,6 +446,9 @@ class NCPoly:
 
     def __str__(self) -> str:
         fld = self.algebra.field
+        if not self.algebra.ring.symbols:
+            # symbol-free: every coefficient is a nonzero scalar at monomial ()
+            return join_terms(scalar_term(fld, c._terms[()], self._format_word(w)) for w, c in self.terms())
 
         def term(word: Word, coeff: CPoly) -> tuple[bool, str]:
             word_str = self._format_word(word)

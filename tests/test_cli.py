@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import contextlib
@@ -16,6 +17,7 @@ from ncfactor.parsing import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS = SRC.parent / "scripts"
 # Over F_5 its (2,2) constraint system has two equations in both symbols.
 CAP_INPUT = "(3*y*y + 1 + 2*y)*(4*y*y + 2 + 3*y)"
 
@@ -81,6 +83,83 @@ class TestJsonSchema:
         assert fact["solutions"] is None
         assert fact["symbols"] == ["a1"]
         assert fact["reduced_basis"] == ["a1^2 - 1"]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fact(symbols=(), system=(), basis=None, solutions=({},)):
+    return {
+        "G": "y*x + 1",
+        "H": "y",
+        "symbols": list(symbols),
+        "system": list(system),
+        "reduced_basis": basis,
+        "solutions": solutions if solutions is None else [dict(s) for s in solutions],
+    }
+
+
+class TestJsonWriter:
+    """`cli` writes the report itself; json.dumps(indent=2) is the reference."""
+
+    def test_digest_inputs_over_every_field(self, monkeypatch):
+        # 300 inputs over F_2, F_3, F_5, F_101 and Q; 75 with chains, 100 with
+        # groebner requests, and 43 facts over Q whose solutions are null
+        make_input = _load_script("fact_digest").make_input
+        reports = []
+        write = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", lambda report: reports.append(report) or write(report))
+        for index in range(300):
+            f = make_input(index)
+            request = Request(
+                expression=str(f),
+                field=f.algebra.field,
+                variables=f.algebra.alphabet.names,
+                degrees=None,
+                groebner=index % 3 == 1,
+                complete=index % 4 == 2,
+                json_mode=True,
+            )
+            code, out = run(request)
+            assert code == 0, out
+            assert out == json.dumps(reports[-1], indent=2)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)
+    def test_goldens(self, path):
+        text = path.read_text()
+        report = json.loads(text)
+        assert json.dumps(report, indent=2) + "\n" == text
+        assert cli._write_json(report) + "\n" == text
+
+    @pytest.mark.parametrize(
+        "splits",
+        [
+            [],
+            [{"h": 1, "k": 1, "factorizations": []}],
+            [{"h": 2, "k": 3, "factorizations": [_fact(), _fact(("a1",), ("a1 - 1",), None, ({"a1": "1"},))]}],
+            [{"h": 1, "k": 2, "factorizations": [_fact(("a1", "a2"), ("a1*a2 + 1", "a2^2"), [], None)]}],
+            [{"h": 1, "k": 2, "factorizations": [_fact(("a1", "a2"), ("a1 - a2",), ["a1 - a2"], None)]}],
+            [{"h": 2, "k": 2, "factorizations": [_fact(("a1", "a2"), (), None, ({"a1": "3", "a2": "1/2"}, {}))]}],
+        ],
+    )
+    @pytest.mark.parametrize("text", ['x*y - 1', 'x "quoted" \\ back\u00a0slash\u2003'])
+    def test_synthetic_reports(self, splits, text):
+        report = {"input": text, "field": "Q", "splits": splits}
+        assert cli._write_json(report) == json.dumps(report, indent=2)
+        report["chains"] = [{"factors": ["x", "y*x - 1"], "complete": True}, {"factors": [], "complete": True}]
+        assert cli._write_json(report) == json.dumps(report, indent=2)
+        report["chains"] = []
+        assert cli._write_json(report) == json.dumps(report, indent=2)
+
+    def test_non_ascii_whitespace_is_escaped(self):
+        code, out = run(Request("x\u00a0*\u2003y - 1", PrimeField(5), None, None, json_mode=True))
+        assert code == 0
+        assert '"input": "x\\u00a0*\\u2003y - 1"' in out
+        assert out == json.dumps(json.loads(out), indent=2)
 
 
 class TestBehavior:

@@ -119,6 +119,15 @@ def test_reduce_groebner_rejects_non_basis(r5ab):
         reduce_groebner([a * a * b - 1, a * b * b - a])
 
 
+def test_system_texts_render_each_equation_once_in_order(r5ab):
+    a, b = r5ab.symbol("a"), r5ab.symbol("b")
+    system = ConstraintSystem(r5ab, (a * b + 1, b - 3))
+    assert system.texts == ("a*b + 1", "b + 2")
+    assert system.texts is system.texts
+    assert str(system) == "a*b + 1 = 0; b + 2 = 0"
+    assert str(ConstraintSystem(r5ab, ())) == "<empty system>"
+
+
 def test_enumerate_solutions_quadratic(r5a):
     a = r5a.symbol("a")
     sols = enumerate_solutions(ConstraintSystem(r5a, (a * a - 1,)))

@@ -340,3 +340,39 @@ def test_normalize_pair_gauge():
     gn, hn = normalize_pair(g, h)
     assert gn.leading_coefficient() == ALG.ring.one()
     assert gn * hn == g * h
+
+
+@st.composite
+def renderable_polys(draw):
+    """Symbol-free polynomials over F_2, F_5, F_101 or Q: unit and negative
+    coefficients, letter runs such as x^3, constants and 0 all come up."""
+    alg = draw(st.sampled_from([algebra(2), ALG5, algebra(101, ("x", "y", "z")), algebra(None)]))
+    if alg.field.is_finite:
+        coeffs = st.integers(min_value=0, max_value=alg.field.p - 1)
+    else:
+        coeffs = st.sampled_from([1, -1]) | st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    letters = st.integers(min_value=0, max_value=alg.alphabet.size - 1)
+    terms = draw(st.dictionaries(st.lists(letters, max_size=5).map(tuple), coeffs, max_size=5))
+    return alg.poly(terms)
+
+
+@given(renderable_polys())
+@settings(max_examples=200)
+def test_scalar_rendering_matches_constant_coefficient_rendering(f):
+    # a symbol-free NCPoly prints its scalars directly; lifted to an algebra
+    # with a symbol, the same terms print through constant CPoly coefficients
+    assert str(f) == str(f.lift(f.algebra.extend_symbols(("a1",))))
+
+
+@pytest.mark.parametrize(
+    "p,text,shown",
+    [
+        (5, "x*x*x*y - y + 1", "x^3*y + 4*y + 1"),
+        (None, "-x*y*y + 1/2*x - 3", "-x*y^2 + 1/2*x - 3"),
+        (None, "-2/3", "-2/3"),
+        (101, "x - x", "0"),
+    ],
+)
+def test_scalar_rendering_examples(p, text, shown):
+    f = algebra(p).from_text(text)
+    assert str(f) == shown == str(f.lift(f.algebra.extend_symbols(("a1",))))
