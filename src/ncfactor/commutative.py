@@ -25,7 +25,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     UnsupportedFieldError,
 )
-from .fields import Field, Scalar, check_same_field
+from .fields import Field, Scalar
 
 # A monomial is an exponent vector, one slot per ring symbol.
 Monomial = tuple[int, ...]
@@ -93,9 +93,6 @@ class SymbolRing:
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError(f"duplicate symbols in {self.symbols}")
         self._index = {name: i for i, name in enumerate(self.symbols)}
-
-    def extend(self, extra: Iterable[str]) -> "SymbolRing":
-        return SymbolRing(self.field, self.symbols + tuple(extra))
 
     @property
     def nsymbols(self) -> int:
@@ -282,7 +279,7 @@ class CPoly:
             self.ring, {monomial_mul(m, mono): f.reduce(c * coeff) for m, c in self._terms.items()}
         )
 
-    # -- evaluation and context changes -------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, assignment: dict[str, Scalar]) -> Scalar:
         """Evaluate at a full symbol assignment; returns a field scalar."""
@@ -299,21 +296,6 @@ class CPoly:
                     term = f.reduce(term * v**e)
             acc = f.reduce(acc + term)
         return acc
-
-    def lift(self, ring: SymbolRing) -> "CPoly":
-        """Re-express in a ring whose symbol list contains this ring's symbols."""
-        check_same_field(self.ring.field, ring.field)
-        try:
-            positions = [ring._index[s] for s in self.ring.symbols]
-        except KeyError as e:
-            raise ContextMismatchError(f"target ring lacks symbol {e.args[0]!r}") from None
-        terms: dict[Monomial, Scalar] = {}
-        for mono, coeff in self._terms.items():
-            expo = [0] * ring.nsymbols
-            for pos, e in zip(positions, mono):
-                expo[pos] = e
-            terms[tuple(expo)] = coeff
-        return CPoly(ring, terms)
 
     # -- equality and display -----------------------------------------------
 

@@ -7,19 +7,20 @@ overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
 all symbols is solved exactly.  The recovery runs on plain coefficient
 dicts ({word: {monomial: scalar}}, residues mod p over F_p, Fractions over
-Q) with the arithmetic NCPoly and CPoly use (`freealg.add_word_product`,
-`commutative.axpy` and the field's `reduce`), down to degree 0; the
-coefficients of g*h - f it leaves are the system, so G and H are not
-multiplied again (`assemble_constraints` is the reference).  The drivers
-check f and read its terms and homogeneous parts into scalar dicts ({word:
-scalar}) once (`_prepare`); each split splits the top part
-(`homogeneous.factor_homogeneous_terms`), and evaluates
+Q) with `freealg.add_word_product`, `commutative.axpy` and the field's
+`reduce`, down to degree 0; the coefficients of g*h - f it leaves are the
+system, so G and H are not multiplied again (`assemble_constraints` is the
+reference).  The drivers check f and split its scalar terms ({word:
+scalar}, an NCPoly's own) by degree once (`_prepare`); each split splits
+the top part (`homogeneous.factor_homogeneous_terms`), and evaluates
 (`freealg.evaluate_terms`) and multiplies back (`freealg.scalar_product`)
-each point's pair on such dicts.  A residual that is a nonzero constant
-ends its attempt before the solver: that equation is an exact consequence
-of g*h - f = 0 for every value of the symbols.  Over F_p every point is
-found by peeling univariate equations (their gcd, then its roots) and
-branching over a symbol's values only where no equation is univariate.
+each point's pair on such dicts.  Symbolic G and H, over Q only, are
+`freealg.SymbolicPoly` values on the recovery's dicts.  A residual that is
+a nonzero constant ends its attempt before the solver: that equation is an
+exact consequence of g*h - f = 0 for every value of the symbols.  Over F_p
+every point is found by peeling univariate equations (their gcd, then its
+roots) and branching over a symbol's values only where no equation is
+univariate.
 Over Q the reduced lex Groebner basis of a system with symbols both decides
 the unit ideal (no factorization) and describes the admissible symbol
 values; over F_p it is never needed for the answer and computed only when
@@ -32,7 +33,7 @@ input lists them all; over Q a split with symbols stays symbolic and hides
 divisors, so the quotient of every interval they reach is factored too.
 Over both fields exact left division on scalar dicts (`freealg.left_divide`)
 relates the divisors where transitivity does not, and the chains are the
-paths of their cover graph; each cover quotient is built as an NCPoly once.
+paths of their cover graph.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .commutative import (
     CPoly,
     ConstraintSystem,
     Monomial,
+    SymbolRing,
     TermDict,
     _is_constant,
     add_product,
@@ -63,17 +65,14 @@ from .fields import PrimeField, Scalar
 from .freealg import (
     NCPoly,
     ScalarTerms,
+    SymbolicPoly,
     Word,
     WordTerms,
     add_word_product,
     evaluate_terms,
-    from_scalar_terms,
-    from_term_dicts,
     left_divide,
     overlap_lengths,
     scalar_product,
-    scalar_terms,
-    term_dicts,
     word_key,
 )
 # factor_homogeneous is unused here: the layer trace (perfbench/spans.py) wraps this name
@@ -94,8 +93,8 @@ class SymbolicFactorization:
 
     Over F_p, `left` and `right` are the concrete pair obtained by
     substituting one solution of the constraint system (recorded in
-    `solutions`).  Over Q with a nonempty system they stay symbolic and
-    `solutions` is None; the reduced Groebner basis then describes all
+    `solutions`).  Over Q with symbols they stay symbolic (`SymbolicPoly`)
+    and `solutions` is None; the reduced Groebner basis then describes all
     admissible symbol values.
 
     `reduced_basis` is the reduced lex Groebner basis of `system` (None for an
@@ -106,8 +105,8 @@ class SymbolicFactorization:
     it do.
     """
 
-    left: NCPoly
-    right: NCPoly
+    left: Union[NCPoly, SymbolicPoly]
+    right: Union[NCPoly, SymbolicPoly]
     system: ConstraintSystem
     solutions: Optional[tuple[Assignment, ...]]
     pivots: tuple[Word, Word]
@@ -150,26 +149,21 @@ class FactorOptions:
 DEFAULT_OPTIONS = FactorOptions()
 
 
-def assemble_constraints(f: NCPoly, g: NCPoly, h: NCPoly) -> ConstraintSystem:
+def assemble_constraints(f: NCPoly, g: SymbolicPoly, h: SymbolicPoly) -> ConstraintSystem:
     """Coefficient-matching system for f = g*h; the reference for `_attempt_pivot`'s.
 
-    Expands g*h - f and returns one equation per word with a nonzero
-    coefficient (possibly a nonzero constant, which makes the system
-    inconsistent), in descending word order.  Empty system means g*h = f
-    identically.  The expansion runs on plain coefficient dicts.
+    Expands g*h - f on the symbolic pair's coefficient dicts and returns one
+    equation per word with a nonzero coefficient (possibly a nonzero
+    constant, which makes the system inconsistent), in descending word
+    order.  Empty system means g*h = f identically.
     """
-    if g.algebra != h.algebra:
-        raise ContextMismatchError("factors live in different algebras")
-    if not f.has_constant_coefficients():
-        raise ValueError("f must have constant coefficients")
-    ring = g.algebra.ring
-    own = f.algebra.alphabet.names
-    if g.algebra.alphabet.names[: len(own)] != own or f.algebra.field != ring.field:
-        raise ContextMismatchError(f"{g.algebra!r} does not extend {f.algebra!r}")
+    ring = g.ring
+    if not f.algebra == g.algebra == h.algebra or h.ring != ring or ring.field != f.algebra.field:
+        raise ContextMismatchError(f"the pair over {ring!r} does not live in {f.algebra!r}")
     reduce = ring.field.reduce
     zero = (0,) * ring.nsymbols
-    diff = {w: {zero: reduce(-c.constant_value())} for w, c in f._terms.items()}
-    add_word_product(diff, 1, term_dicts(g), term_dicts(h), reduce)
+    diff = {w: {zero: reduce(-c)} for w, c in f._terms.items()}
+    add_word_product(diff, 1, g.terms, h.terms, reduce)
     return ConstraintSystem(
         ring, tuple(CPoly(ring, diff[w]) for w in sorted(diff, key=word_key, reverse=True))
     )
@@ -319,18 +313,14 @@ _Input = tuple[NCPoly, ScalarTerms, dict[int, ScalarTerms]]
 
 
 def _prepare(f: NCPoly) -> _Input:
-    """Check nonzero f once for the drivers and read its terms and degree parts."""
-    if f.algebra.ring.symbols:
-        symbols = f.algebra.ring.symbols
-        raise ValueError(f"input algebra declares symbols {symbols}; factor over a symbol-free algebra")
+    """Check nonzero f once for the drivers and split its terms by degree."""
     reserved = [name for name in f.algebra.alphabet.names if re.fullmatch("a[0-9]+", name)]
     if reserved:
         raise ValueError(f"variable names {tuple(reserved)} are reserved for extension symbols")
-    terms = scalar_terms(f)
     parts: dict[int, ScalarTerms] = {}
-    for w, c in terms.items():
+    for w, c in f._terms.items():
         parts.setdefault(len(w), {})[w] = c
-    return f, terms, parts
+    return f, f._terms, parts
 
 
 Pivot = tuple[Word, Word, tuple[int, ...]]  # (g_hat, h_hat, overlap lengths)
@@ -423,15 +413,14 @@ def _attempt_pivot(
     # parts of one factor have distinct degrees, so their words never collide
     g_terms = {w: c for part in g_parts.values() for w, c in part.items()}
     h_terms = {w: c for part in h_parts.values() for w, c in part.items()}
-    alg = f.algebra.extend_symbols(symbols) if symbols else f.algebra
-    system = ConstraintSystem(alg.ring, tuple(CPoly(alg.ring, eq) for eq in equations))
+    ring = SymbolRing(fld, symbols) if symbols else f.algebra.ring
+    system = ConstraintSystem(ring, tuple(CPoly(ring, eq) for eq in equations))
     if not symbols:
         solutions = [{}]
     elif not fld.is_finite:
-        fact = SymbolicFactorization(
-            from_term_dicts(alg, g_terms), from_term_dicts(alg, h_terms), system, None, (g_hat, h_hat)
-        )
-        if fact.reduced_basis == (alg.ring.one(),):
+        g_sym, h_sym = SymbolicPoly(f.algebra, ring, g_terms), SymbolicPoly(f.algebra, ring, h_terms)
+        fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
+        if fact.reduced_basis == (ring.one(),):
             return None  # unit ideal: no admissible symbol values
         return [fact]
     else:
@@ -450,7 +439,7 @@ def _attempt_pivot(
             raise AssertionError("solved factor pair fails to multiply back to f")
         results.append(
             SymbolicFactorization(
-                from_scalar_terms(f.algebra, left), from_scalar_terms(f.algebra, right),
+                NCPoly(f.algebra, left), NCPoly(f.algebra, right),
                 system, (sol,), (g_hat, h_hat), _cache=cache,
             )
         )
@@ -514,7 +503,7 @@ def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[Symbolic
     lead = (max(g_head, key=word_key), max(h_head, key=word_key))
     if len(parts) == 1:
         # nothing below the top: the homogeneous pair is the whole answer
-        pair = (from_scalar_terms(alg, g_head), from_scalar_terms(alg, h_head))
+        pair = (NCPoly(alg, g_head), NCPoly(alg, h_head))
         return [SymbolicFactorization(*pair, ConstraintSystem(alg.ring, ()), ({},), lead)]
     pivots = sorted(
         ((u, v, overlap_lengths(u, v)) for u in g_head for v in h_head),
@@ -651,8 +640,6 @@ def knapsack_splits(
     """
     if f.is_zero():
         raise ValueError("cannot filter splits of the zero polynomial")
-    if not f.has_constant_coefficients():
-        raise ValueError("input must have constant coefficients")
     n = f.degree()
     all_splits = {DegreeSplit(b, n - b) for b in range(1, n)}
     image = f.commutative_image()
@@ -793,7 +780,7 @@ def _cover_paths(
     """
     alg = elems[0].algebra
     reduce = alg.field.reduce
-    terms = [scalar_terms(d) for d in elems]
+    terms = [d._terms for d in elems]
     order = sorted(range(2, len(elems)), key=degree.__getitem__)
     below: list[set[int]] = [set() for _ in elems]
     divided: dict[tuple[int, int], ScalarTerms] = {}
@@ -814,7 +801,7 @@ def _cover_paths(
             above[i].append(m)
             if (i, m) not in quotients:
                 q = divided.get((i, m)) or left_divide(terms[m], terms[i], reduce)
-                quotients[(i, m)] = from_scalar_terms(alg, q)
+                quotients[(i, m)] = NCPoly(alg, q)
     up: dict[int, list[tuple[int, ...]]] = {1: [(1,)]}
     for i in reversed([0] + order):
         up[i] = [(i,) + path for m in above[i] for path in up[m]]

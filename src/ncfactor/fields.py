@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import ContextMismatchError
-
 Scalar = Union[int, Fraction]
 
 
@@ -142,8 +140,3 @@ class RationalField:
 
 
 Field = Union[PrimeField, RationalField]
-
-
-def check_same_field(a: Field, b: Field) -> None:
-    if a != b:
-        raise ContextMismatchError(f"fields differ: {a!r} vs {b!r}")

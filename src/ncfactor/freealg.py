@@ -1,27 +1,23 @@
 """Words over a declared alphabet and sparse non-commutative polynomials.
 
 A word is a tuple of alphabet indices; multiplication is concatenation.
-NCPoly maps words to commutative-polynomial coefficients (CPoly), so the
-same type covers plain polynomials (no symbols) and symbolic factor
-candidates whose coefficients involve extension symbols.
+NCPoly maps words to nonzero field scalars ({word: scalar}, `ScalarTerms`):
+the input and every concrete factor are polynomials over the field.  Its
+sums run on `commutative.axpy` and its products on `scalar_product`; the
+same kernel holds `left_divide`, exact left division, so every polynomial
+on the factoring path lives on these dicts from the parse to the answer.
 
 Canonical word order is degree first, then lexicographic by alphabet
 position; "leading word" always means the maximum in this order.
 
-NCPoly arithmetic runs on plain dicts, {word: {monomial: scalar}}, through
-`add_terms` and `add_word_product`, which take coefficient sums and products
-with the commutative module's kernel; the recovery steps of `factoring`
-and their residuals compute on the same dicts with the same functions.
-
-Symbol-free polynomials also have a scalar kernel on {word: scalar} dicts
-(`ScalarTerms`): `scalar_product`, `left_divide` and `evaluate_terms`, which
-takes symbolic terms to scalar ones at a point and is the one evaluation
-path (`NCPoly.substitute_symbols` wraps it).  Every symbol-free polynomial
-on the factoring path lives on these dicts from the parse to the answer:
-`parsing` builds the input on them, `homogeneous` splits its top part,
-`factoring` multiplies its concrete factor pairs back and divides the
-divisors of its cover graph, and NCPoly values (`from_scalar_terms`) are
-built once per parsed input, top pair, returned fact and cover quotient.
+Extension symbols occur only in the symbolic factor pairs of `factoring`,
+whose coefficients are commutative polynomials in the symbols, held as
+plain dicts ({word: {monomial: scalar}}, `WordTerms`).  The recovery steps
+and `assemble_constraints` multiply them with `add_word_product`, and
+`evaluate_terms` takes them to scalar terms at a point of the symbols.  A
+fact's symbolic G and H are `SymbolicPoly` values: they render, compare
+and evaluate (to an NCPoly, through `evaluate_terms`), and have no
+arithmetic.
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ from .commutative import (
     Reduce,
     SymbolRing,
     TermDict,
+    _is_constant,
     add_product,
     axpy,
     join_terms,
@@ -42,10 +39,10 @@ from .errors import ContextMismatchError
 from .fields import Scalar
 
 Word = tuple[int, ...]
-# An NCPoly's terms as plain dicts.  The functions below update acc's
-# coefficient dicts in place, so those must be acc's own.
+# A symbolic polynomial's terms as plain dicts.  `add_word_product` updates
+# acc's coefficient dicts in place, so those must be acc's own.
 WordTerms = dict[Word, TermDict]
-# A symbol-free NCPoly's terms as plain scalars, none of them zero.
+# An NCPoly's terms as plain scalars, none of them zero.
 ScalarTerms = dict[Word, Scalar]
 
 EMPTY_WORD: Word = ()
@@ -76,17 +73,6 @@ def overlap_lengths(g: Word, h: Word) -> tuple[int, ...]:
 
 def word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
-
-
-def add_terms(
-    acc: WordTerms, s: Scalar, terms: Iterable[tuple[Word, TermDict]], reduce: Reduce
-) -> None:
-    """acc += s * (the sum of terms), in place; a word may occur more than once."""
-    for word, c in terms:
-        t = acc.setdefault(word, {})
-        axpy(t, s, c, reduce)
-        if not t:
-            del acc[word]
 
 
 def add_word_product(
@@ -185,10 +171,18 @@ class Alphabet:
     def word_str(self, w: Word, sep: str = "") -> str:
         return sep.join(self.names[i] for i in w)
 
-    def extend(self, name: str) -> "Alphabet":
-        if name in self._index:
-            raise ValueError(f"variable {name!r} already in alphabet")
-        return Alphabet(self.names + (name,))
+    def format_word(self, word: Word) -> str:
+        """The word as a product of letter runs, "x^2*y"; "" for the empty word."""
+        parts: list[str] = []
+        i = 0
+        while i < len(word):
+            j = i
+            while j < len(word) and word[j] == word[i]:
+                j += 1
+            run = j - i
+            parts.append(self.names[word[i]] if run == 1 else f"{self.names[word[i]]}^{run}")
+            i = j
+        return "*".join(parts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and other.names == self.names
@@ -201,11 +195,16 @@ class Alphabet:
 
 
 class FreeAlgebra:
-    """Context for NCPoly: an alphabet plus a coefficient ring."""
+    """Context for NCPoly: an alphabet over the field of a symbol-free ring."""
 
     __slots__ = ("alphabet", "ring")
 
     def __init__(self, alphabet: Alphabet, ring: SymbolRing):
+        if ring.symbols:
+            raise ValueError(
+                f"algebra declares symbols {ring.symbols}; coefficients are field scalars, "
+                "so give a symbol-free ring"
+            )
         self.alphabet = alphabet
         self.ring = ring
 
@@ -222,38 +221,19 @@ class FreeAlgebra:
     def variable(self, name: str) -> "NCPoly":
         return self.monomial((self.alphabet.index(name),), self.field.one)
 
-    def monomial(self, word: Word, coeff: Union[CPoly, Scalar]) -> "NCPoly":
-        c = self._coerce_coeff(coeff)
-        if c.is_zero():
-            return NCPoly(self, {})
-        return NCPoly(self, {tuple(word): c})
+    def monomial(self, word: Word, coeff: Scalar) -> "NCPoly":
+        c = self.field.coerce(coeff)
+        return NCPoly(self, {tuple(word): c} if c else {})
 
-    def poly(self, terms: dict[Word, Union[CPoly, Scalar]]) -> "NCPoly":
-        acc: WordTerms = {}
-        pairs = ((tuple(word), self._coerce_coeff(c)._terms) for word, c in terms.items())
-        add_terms(acc, 1, pairs, self.field.reduce)
-        return from_term_dicts(self, acc)
+    def poly(self, terms: dict[Word, Scalar]) -> "NCPoly":
+        coerce = self.field.coerce
+        return NCPoly(self, {tuple(word): v for word, c in terms.items() if (v := coerce(c))})
 
     def from_text(self, text: str) -> "NCPoly":
         """Parse expression text in this algebra (see the parsing module)."""
         from .parsing import parse_expression
 
         return parse_expression(text, self)
-
-    def _coerce_coeff(self, coeff: Union[CPoly, Scalar]) -> CPoly:
-        if isinstance(coeff, CPoly):
-            if coeff.ring != self.ring:
-                raise ContextMismatchError(
-                    f"coefficient ring {coeff.ring!r} differs from {self.ring!r}"
-                )
-            return coeff
-        return self.ring.constant(coeff)
-
-    def extend_symbols(self, names: Iterable[str]) -> "FreeAlgebra":
-        return FreeAlgebra(self.alphabet, self.ring.extend(names))
-
-    def extend_alphabet(self, name: str) -> "FreeAlgebra":
-        return FreeAlgebra(self.alphabet.extend(name), self.ring)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -277,11 +257,11 @@ def _check_same_algebra(a: "NCPoly", b: "NCPoly") -> None:
 
 
 class NCPoly:
-    """Sparse non-commutative polynomial; no stored coefficient is zero."""
+    """Sparse non-commutative polynomial over a field; no stored scalar is zero."""
 
     __slots__ = ("algebra", "_terms")
 
-    def __init__(self, algebra: FreeAlgebra, terms: dict[Word, CPoly]):
+    def __init__(self, algebra: FreeAlgebra, terms: ScalarTerms):
         self.algebra = algebra
         self._terms = terms
 
@@ -293,15 +273,15 @@ class NCPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def terms(self) -> list[tuple[Word, CPoly]]:
+    def terms(self) -> list[tuple[Word, Scalar]]:
         """Terms in descending canonical (degree, lex) word order."""
         return sorted(self._terms.items(), key=lambda t: word_key(t[0]), reverse=True)
 
     def words(self) -> list[Word]:
         return sorted(self._terms, key=word_key)
 
-    def coefficient(self, word: Word) -> CPoly:
-        return self._terms.get(tuple(word), self.algebra.ring.zero())
+    def coefficient(self, word: Word) -> Scalar:
+        return self._terms.get(tuple(word), self.algebra.field.zero)
 
     def degree(self) -> int:
         if not self._terms:
@@ -322,11 +302,8 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self._terms, key=word_key)
 
-    def leading_coefficient(self) -> CPoly:
+    def leading_coefficient(self) -> Scalar:
         return self._terms[self.leading_word()]
-
-    def has_constant_coefficients(self) -> bool:
-        return all(c.is_constant() for c in self._terms.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -339,13 +316,7 @@ class NCPoly:
     def _plus(self, other, s: int) -> "NCPoly":
         other = self._coerce_operand(other)
         terms = dict(self._terms)
-        for word, c in other._terms.items():
-            old = terms.get(word)
-            total = old._plus(c, s) if old is not None else (c if s > 0 else -c)
-            if total:
-                terms[word] = total
-            else:
-                terms.pop(word, None)
+        axpy(terms, s, other._terms, self.algebra.field.reduce)
         return NCPoly(self.algebra, terms)
 
     def __add__(self, other) -> "NCPoly":
@@ -354,7 +325,7 @@ class NCPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.algebra, {w: -c for w, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other) -> "NCPoly":
         return self._plus(other, -1)
@@ -363,62 +334,31 @@ class NCPoly:
         return self._coerce_operand(other) - self
 
     def __mul__(self, other) -> "NCPoly":
-        """Concatenation product, bilinear over the coefficient ring."""
+        """Concatenation product, bilinear over the field."""
         other = self._coerce_operand(other)
-        terms: WordTerms = {}
-        add_word_product(terms, 1, term_dicts(self), term_dicts(other), self.algebra.field.reduce)
-        return from_term_dicts(self.algebra, terms)
+        return NCPoly(self.algebra, scalar_product(self._terms, other._terms, self.algebra.field.reduce))
 
     def __rmul__(self, other) -> "NCPoly":
         return self._coerce_operand(other) * self
 
-    def scale(self, coeff: Union[CPoly, Scalar]) -> "NCPoly":
-        return self * self.algebra.monomial(EMPTY_WORD, coeff)
+    def scale(self, coeff: Scalar) -> "NCPoly":
+        fld = self.algebra.field
+        terms: ScalarTerms = {}
+        axpy(terms, fld.coerce(coeff), self._terms, fld.reduce)
+        return NCPoly(self.algebra, terms)
 
     # -- structure maps ------------------------------------------------------
 
     def commutative_image(self) -> CPoly:
-        """Letter-counting ring homomorphism into K[alphabet names].
-
-        Requires constant coefficients (no extension symbols).
-        """
-        if not self.has_constant_coefficients():
-            raise ValueError("commutative image needs constant coefficients")
+        """Letter-counting ring homomorphism into K[alphabet names]."""
         ring = SymbolRing(self.algebra.field, self.algebra.alphabet.names)
         terms: TermDict = {}
         for word, coeff in self._terms.items():
             expo = [0] * ring.nsymbols
             for letter in word:
                 expo[letter] += 1
-            axpy(terms, 1, {tuple(expo): coeff.constant_value()}, ring.field.reduce)
+            axpy(terms, 1, {tuple(expo): coeff}, ring.field.reduce)
         return CPoly(ring, terms)
-
-    def substitute_symbols(self, assignment: dict[str, Scalar]) -> "NCPoly":
-        """Evaluate every coefficient at a full symbol assignment.
-
-        The result lives in the symbol-free algebra over the same alphabet.
-        """
-        fld = self.algebra.field
-        base = FreeAlgebra(self.algebra.alphabet, SymbolRing(fld, ()))
-        point = tuple(fld.coerce(assignment[s]) for s in self.algebra.ring.symbols)
-        return from_scalar_terms(base, evaluate_terms(term_dicts(self), point, fld.reduce))
-
-    def substitute_variable_one(self, name: str) -> "NCPoly":
-        """Set one alphabet variable to 1, deleting its letters from every word."""
-        idx = self.algebra.alphabet.index(name)
-        acc: WordTerms = {}
-        stripped = ((tuple(l for l in w if l != idx), c._terms) for w, c in self._terms.items())
-        add_terms(acc, 1, stripped, self.algebra.field.reduce)
-        return from_term_dicts(self.algebra, acc)
-
-    def lift(self, algebra: FreeAlgebra) -> "NCPoly":
-        """Re-express in an algebra extending this one's alphabet and symbols."""
-        own = self.algebra.alphabet.names
-        if algebra.alphabet.names[: len(own)] != own:
-            raise ContextMismatchError(
-                f"alphabet {algebra.alphabet!r} does not extend {self.algebra.alphabet!r}"
-            )
-        return NCPoly(algebra, {w: c.lift(algebra.ring) for w, c in self._terms.items()})
 
     # -- equality and display -----------------------------------------------
 
@@ -431,60 +371,58 @@ class NCPoly:
         # terms only: equal polynomials hash equal, and __eq__ separates algebras
         return hash(frozenset(self._terms.items()))
 
-    def _format_word(self, word: Word) -> str:
-        names = self.algebra.alphabet.names
-        parts: list[str] = []
-        i = 0
-        while i < len(word):
-            j = i
-            while j < len(word) and word[j] == word[i]:
-                j += 1
-            run = j - i
-            parts.append(names[word[i]] if run == 1 else f"{names[word[i]]}^{run}")
-            i = j
-        return "*".join(parts)
-
     def __str__(self) -> str:
-        fld = self.algebra.field
-        if not self.algebra.ring.symbols:
-            # symbol-free: every coefficient is a nonzero scalar at monomial ()
-            return join_terms(scalar_term(fld, c._terms[()], self._format_word(w)) for w, c in self.terms())
-
-        def term(word: Word, coeff: CPoly) -> tuple[bool, str]:
-            word_str = self._format_word(word)
-            if coeff.is_constant():
-                return scalar_term(fld, coeff.constant_value(), word_str)
-            return False, f"({coeff})*{word_str}" if word_str else f"({coeff})"
-
-        return join_terms(term(word, coeff) for word, coeff in self.terms())
+        fld, alphabet = self.algebra.field, self.algebra.alphabet
+        return join_terms(scalar_term(fld, c, alphabet.format_word(w)) for w, c in self.terms())
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"
 
 
-def term_dicts(f: NCPoly) -> WordTerms:
-    """f's terms as plain dicts; they are f's own, so read them only."""
-    return {w: c._terms for w, c in f._terms.items()}
+class SymbolicPoly:
+    """A symbolic factor: words of `algebra` with coefficients in `ring`'s symbols.
 
+    `terms` maps each word to its nonzero coefficient's term dict and is
+    read only.  The value renders, compares and hashes as a polynomial
+    does (`==` also compares the algebra and the ring), and evaluates at a
+    point of the symbols; it has no arithmetic.
+    """
 
-def from_term_dicts(algebra: FreeAlgebra, terms: WordTerms) -> NCPoly:
-    """The NCPoly with these terms, none of them empty; the dicts become its own."""
-    ring = algebra.ring
-    return NCPoly(algebra, {w: CPoly(ring, c) for w, c in terms.items()})
+    __slots__ = ("algebra", "ring", "terms")
 
+    def __init__(self, algebra: FreeAlgebra, ring: SymbolRing, terms: WordTerms):
+        self.algebra = algebra
+        self.ring = ring
+        self.terms = terms
 
-def scalar_terms(f: NCPoly) -> ScalarTerms:
-    """The terms of f, which lives in a symbol-free algebra, as scalars."""
-    if f.algebra.ring.symbols:
-        raise ValueError("scalar terms need a symbol-free algebra")
-    return {w: c._terms[()] for w, c in f._terms.items()}
+    def evaluate(self, assignment: dict[str, Scalar]) -> NCPoly:
+        """The polynomial with every coefficient evaluated at a full symbol assignment."""
+        fld = self.ring.field
+        point = tuple(fld.coerce(assignment[s]) for s in self.ring.symbols)
+        return NCPoly(self.algebra, evaluate_terms(self.terms, point, fld.reduce))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymbolicPoly):
+            return NotImplemented
+        return self.algebra == other.algebra and self.ring == other.ring and self.terms == other.terms
 
-def from_scalar_terms(algebra: FreeAlgebra, terms: ScalarTerms) -> NCPoly:
-    """The NCPoly with these nonzero scalar terms as constant coefficients."""
-    ring = algebra.ring
-    zero = (0,) * ring.nsymbols
-    return NCPoly(algebra, {w: CPoly(ring, {zero: v}) for w, v in terms.items()})
+    def __hash__(self) -> int:
+        return hash(frozenset((w, frozenset(c.items())) for w, c in self.terms.items()))
+
+    def __str__(self) -> str:
+        fld, alphabet = self.ring.field, self.algebra.alphabet
+
+        def term(word: Word, coeff: TermDict) -> tuple[bool, str]:
+            word_str = alphabet.format_word(word)
+            if _is_constant(coeff):
+                return scalar_term(fld, next(iter(coeff.values())), word_str)
+            shown = CPoly(self.ring, coeff)
+            return False, f"({shown})*{word_str}" if word_str else f"({shown})"
+
+        return join_terms(term(w, self.terms[w]) for w in sorted(self.terms, key=word_key, reverse=True))
+
+    def __repr__(self) -> str:
+        return f"SymbolicPoly({self})"
 
 
 def normalize_pair(g: NCPoly, h: NCPoly) -> tuple[NCPoly, NCPoly]:
@@ -493,31 +431,5 @@ def normalize_pair(g: NCPoly, h: NCPoly) -> tuple[NCPoly, NCPoly]:
     (c*G, c^-1*H) all describe one factorization; this picks the member with
     G's leading-word coefficient equal to 1 and leaves the product unchanged.
     """
-    lc = g.leading_coefficient()
-    if not lc.is_constant():
-        raise ValueError("cannot normalize: leading coefficient is symbolic")
-    c = lc.constant_value()
-    fld = g.algebra.field
-    return g.scale(fld.inv(c)), h.scale(c)
-
-
-def homogenize(f: NCPoly, name: str) -> NCPoly:
-    """Right-pad every term with powers of a new variable up to deg f.
-
-    Homogenization in a free algebra is convention-dependent: x^2 - 1
-    right-pads to x^2 - z^2 (irreducible), while the alternative
-    x^2 + x*z - z*x - z^2 = (x - z)(x + z) keeps the factorization of
-    x^2 - 1 visible.  This function implements the right-padding convention
-    only; the result is homogeneous of degree deg f and restricts to f when
-    the new variable is set to 1.
-    """
-    alg = f.algebra.extend_alphabet(name)
-    if f.is_zero():
-        return alg.zero()
-    n = f.degree()
-    z = alg.alphabet.index(name)
-    terms: dict[Word, CPoly] = {}
-    for word, coeff in f._terms.items():
-        padded = word + (z,) * (n - len(word))
-        terms[padded] = coeff.lift(alg.ring)
-    return NCPoly(alg, terms)
+    c = g.leading_coefficient()
+    return g.scale(g.algebra.field.inv(c)), h.scale(c)

@@ -6,10 +6,12 @@ cancellation and the factor pair at a given split is unique up to a scalar.
 The factor-recovery scan splits the leading word of F into a pivot prefix
 and suffix, reads H off the left-quotients by the prefix and G off the
 right-quotients by the suffix in one pass over F's terms, scales G monic
-and verifies the product, all on scalar word dicts (`freealg.ScalarTerms`).
-`factor_homogeneous` checks f and wraps the scan, `factor_homogeneous_terms`.
-Which word is the pivot does not matter for the normalized pair; pivot
-choice for the inhomogeneous recovery belongs to `factoring`.
+and verifies the product, all on an NCPoly's scalar word dicts
+(`freealg.ScalarTerms`).  `factor_homogeneous` checks f and wraps the scan,
+`factor_homogeneous_terms`.  Which word is the pivot does not matter for
+the normalized pair; pivot choice for the inhomogeneous recovery belongs to
+`factoring`.  `refine` glues two factorizations of one homogeneous F into a
+common three-factor chain.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 from .errors import RefinementError
 from .fields import Field
-from .freealg import NCPoly, ScalarTerms, from_scalar_terms, left_quotient, scalar_product, word_key
+from .freealg import NCPoly, ScalarTerms, left_quotient, scalar_product, word_key
 
 
 def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPoly]]:
@@ -35,11 +37,8 @@ def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPo
         raise ValueError("polynomial is not homogeneous")
     if f.degree() != h + k:
         raise ValueError(f"degree {f.degree()} != {h} + {k}")
-    if not f.has_constant_coefficients():
-        raise ValueError("homogeneous factorization needs constant coefficients")
-    zero = (0,) * f.algebra.ring.nsymbols
-    pair = factor_homogeneous_terms({w: c._terms[zero] for w, c in f._terms.items()}, h, f.algebra.field)
-    return None if pair is None else tuple(from_scalar_terms(f.algebra, terms) for terms in pair)
+    pair = factor_homogeneous_terms(f._terms, h, f.algebra.field)
+    return None if pair is None else tuple(NCPoly(f.algebra, terms) for terms in pair)
 
 
 def factor_homogeneous_terms(terms: ScalarTerms, h: int, fld: Field) -> Optional[tuple[ScalarTerms, ScalarTerms]]:
@@ -84,7 +83,7 @@ def refine(g1: NCPoly, h1: NCPoly, g2: NCPoly, h2: NCPoly) -> NCPoly:
     if g1.degree() >= g2.degree():
         raise RefinementError("need deg G1 < deg G2")
     for g in (g1, g2):
-        if g.leading_coefficient() != g.algebra.ring.one():
+        if g.leading_coefficient() != 1:
             raise RefinementError("G factors must be monic in their leading words")
     anchor = g1.leading_word()
     if left_quotient(g2.leading_word(), anchor) is None:

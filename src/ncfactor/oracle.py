@@ -53,7 +53,7 @@ def _reversed(raw: RawPoly) -> RawPoly:
 
 
 def _to_raw(f: NCPoly) -> RawPoly:
-    return {w: c.constant_value() for w, c in f.terms()}
+    return dict(f.terms())
 
 
 def _candidate_words(f: NCPoly, max_degree: int, prefixes: bool) -> list[Word]:

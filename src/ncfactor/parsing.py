@@ -17,9 +17,9 @@ Errors carry the offending position and the expected-token set.  One
 regular expression scans the text once (`scan`), a catch-all alternative
 making any other character an error; a caller that infers the alphabet
 from the identifiers first hands the same scan to the parser.  Recursive
-descent runs by token index on scalar word dicts (`freealg.ScalarTerms`;
-the grammar has no symbols).  A term is one coefficient and one word until
-a group appears, and then a dict that each '*' multiplies by
+descent runs by token index on an NCPoly's scalar word dicts
+(`freealg.ScalarTerms`).  A term is one coefficient and one word until a
+group appears, and then a dict that each '*' multiplies by
 `scalar_product`.
 """
 
@@ -32,7 +32,7 @@ from typing import NamedTuple, Union
 
 from .errors import ParseError
 from .fields import Scalar
-from .freealg import FreeAlgebra, NCPoly, ScalarTerms, Word, from_scalar_terms, scalar_product
+from .freealg import FreeAlgebra, NCPoly, ScalarTerms, Word, scalar_product
 
 # The largest N in `x^N`: the power is one N-letter word, allocated at once.
 MAX_EXPONENT = 10**6
@@ -82,7 +82,7 @@ def identifiers_in(source: Union[str, Tokens]) -> list[str]:
 
 
 class _Parser:
-    """Recursive descent by token index on scalar word dicts; the result is wrapped once."""
+    """Recursive descent by token index on scalar word dicts, which the result keeps."""
 
     def __init__(self, tokens: Tokens, algebra: FreeAlgebra):
         self.text, self.kinds, self.texts = tokens
@@ -100,7 +100,7 @@ class _Parser:
         terms, i = self.expr(0, 0)
         if self.kinds[i] != "end":
             raise self.error(i, f"trailing input {self.texts[i]!r}", ("'+'", "'-'", "'*'", "end of input"))
-        return from_scalar_terms(self.algebra, terms)
+        return NCPoly(self.algebra, terms)
 
     def expr(self, i: int, depth: int) -> tuple[ScalarTerms, int]:
         """The sum at token i, reduced once per word, and the index after it."""

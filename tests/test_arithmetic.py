@@ -1,10 +1,12 @@
-"""CPoly and NCPoly arithmetic against a naive model.
+"""NCPoly, CPoly and symbolic word-product arithmetic against a naive model.
 
 The model holds a polynomial as {(word, monomial): Fraction}, computes over
 Q and maps into the field only at the end (the map from fractions with
 denominators prime to p onto F_p is a ring homomorphism), so it shares no
 code with the term-dict kernel the package computes with.  A commutative
-polynomial is a model whose only word is the empty one.
+polynomial is a model whose only word is the empty one, and an NCPoly one
+without symbols; symbolic word dicts ({word: {monomial: scalar}}) carry
+0-2 symbols.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncfactor.commutative import SymbolRing
 from ncfactor.fields import PrimeField, RationalField
-from ncfactor.freealg import Alphabet, FreeAlgebra
+from ncfactor.freealg import Alphabet, FreeAlgebra, add_word_product
 
 FIELDS = [PrimeField(2), PrimeField(5), PrimeField(101), RationalField()]
 # denominators are units in every field above
@@ -31,10 +33,12 @@ empty_word = st.just(())
 
 @st.composite
 def cases(draw):
-    """A field, its number of symbols, two NC models and one commutative model."""
+    """A field, its number of symbols, two symbolic NC models, one commutative
+    model and two NC models without symbols."""
     fld = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(min_value=0, max_value=2))
-    return fld, n, draw(models(n, ncwords)), draw(models(n, ncwords)), draw(models(n, empty_word))
+    symbolic = draw(models(n, ncwords)), draw(models(n, ncwords)), draw(models(n, empty_word))
+    return (fld, n, *symbolic, draw(models(0, ncwords)), draw(models(0, ncwords)))
 
 
 def plus(a, b, s=1):
@@ -74,40 +78,58 @@ def stored(fld, terms):
 @given(cases())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_arithmetic_matches_model(case):
-    fld, n, a, b, c = case
+    fld, n, a, b, c, u, v = case
     ring = SymbolRing(fld, ("s", "t")[:n])
-    alg = FreeAlgebra(Alphabet(("x", "y")), ring)
+    alg = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(fld, ()))
+    s = fld.coerce(next(iter(b.values()), Fraction(0)))
+    unit = ((), (0,) * n)
 
+    # NCPoly: words with field scalars
     def ncpoly(model):
-        words = {}
-        for (w, m), v in reduced(fld, model).items():
-            words.setdefault(w, {})[m] = v
-        return alg.poly({w: ring.poly(terms) for w, terms in words.items()})
+        return alg.poly({w: v for (w, _), v in reduced(fld, model).items()})
 
     def nc_terms(f):
-        assert all(not coeff.is_zero() for _, coeff in f.terms())
-        return stored(fld, (((w, m), v) for w, coeff in f.terms() for m, v in coeff.terms()))
+        return stored(fld, (((w, ()), v) for w, v in f.terms()))
 
+    f, g = ncpoly(u), ncpoly(v)
+    assert nc_terms(f + g) == reduced(fld, plus(u, v))
+    assert nc_terms(f - g) == reduced(fld, plus(u, v, -1))
+    assert nc_terms(-f) == reduced(fld, plus({}, u, -1))
+    assert nc_terms(f * g) == reduced(fld, times(u, v))
+    assert nc_terms(f - f) == {}
+    assert nc_terms(f.scale(s)) == reduced(fld, times(u, {((), ()): s}))
+    assert all(f.coefficient(w) == c for (w, _), c in nc_terms(f).items())
+
+    # CPoly in 0-2 symbols: c and the empty-word part of a
     def c_terms(f):
         return stored(fld, ((((), m), v) for m, v in f.terms()))
 
-    f, g = ncpoly(a), ncpoly(b)
-    assert nc_terms(f + g) == reduced(fld, plus(a, b))
-    assert nc_terms(f - g) == reduced(fld, plus(a, b, -1))
-    assert nc_terms(-f) == reduced(fld, plus({}, a, -1))
-    assert nc_terms(f * g) == reduced(fld, times(a, b))
-    assert nc_terms(f - f) == {}
+    def cpoly(model):
+        return ring.poly({m: v for (_, m), v in reduced(fld, model).items()})
 
-    coeff = ncpoly(c).coefficient(())
-    assert nc_terms(f.scale(coeff)) == reduced(fld, times(a, c))
-    s = next(iter(b.values()), Fraction(0))
-    assert nc_terms(f.scale(s)) == reduced(fld, times(a, {((), (0,) * n): s}))
-
-    # in the coefficient ring: c and the empty-word part of a
-    p, q = coeff, f.coefficient(())
     pm, qm = c, {key: v for key, v in a.items() if key[0] == ()}
+    p, q = cpoly(pm), cpoly(qm)
     assert c_terms(p + q) == reduced(fld, plus(pm, qm))
     assert c_terms(p - q) == reduced(fld, plus(pm, qm, -1))
     assert c_terms(-p) == reduced(fld, plus({}, pm, -1))
     assert c_terms(p * q) == reduced(fld, times(pm, qm))
-    assert c_terms(p.scale(s)) == reduced(fld, times(pm, {((), (0,) * n): s}))
+    assert c_terms(p.scale(s)) == reduced(fld, times(pm, {unit: s}))
+
+    # add_word_product on symbolic word dicts: acc += s*a*b, in place
+    def word_terms(model):
+        out = {}
+        for (w, m), v in reduced(fld, model).items():
+            out.setdefault(w, {})[m] = v
+        return out
+
+    def symbolic_terms(terms):
+        assert all(terms.values())
+        return stored(fld, (((w, m), v) for w, t in terms.items() for m, v in t.items()))
+
+    acc, left, right = word_terms(c), word_terms(a), word_terms(b)
+    add_word_product(acc, s, left, right, fld.reduce)
+    assert symbolic_terms(acc) == reduced(fld, plus(c, times(a, b), s))
+    assert (left, right) == (word_terms(a), word_terms(b))
+    acc = word_terms(a)
+    add_word_product(acc, fld.coerce(-1), left, {(): {(0,) * n: fld.one}}, fld.reduce)
+    assert symbolic_terms(acc) == {}

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from fractions import Fraction
 import random
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ncfactor import factoring
 from ncfactor.cli import Request, run
 from ncfactor.commutative import ConstraintSystem, SymbolRing
-from ncfactor.errors import BudgetExceededError, SearchSpaceTooLargeError
+from ncfactor.errors import BudgetExceededError, ContextMismatchError, SearchSpaceTooLargeError
 from ncfactor.factoring import (
     DEFAULT_OPTIONS,
     DegreeSplit,
@@ -22,10 +23,18 @@ from ncfactor.factoring import (
     knapsack_splits,
 )
 from ncfactor.fields import PrimeField, RationalField
-from ncfactor.freealg import Alphabet, FreeAlgebra, normalize_pair, overlap_lengths
+from ncfactor.freealg import (
+    Alphabet,
+    FreeAlgebra,
+    NCPoly,
+    SymbolicPoly,
+    normalize_pair,
+    overlap_lengths,
+    word_key,
+)
 from ncfactor.homogeneous import factor_homogeneous
 from ncfactor.oracle import brute_force_factor, chain_family, random_factorable
-from ncfactor.commutative import reduce_groebner, buchberger
+from ncfactor.commutative import _is_constant, buchberger, reduce_groebner
 
 
 def algebra(p=5):
@@ -197,12 +206,9 @@ class TestFactorBidegree:
 
     @pytest.mark.parametrize("symbol", ["b", "a1"])
     def test_algebra_declaring_symbols_rejected(self, symbol):
-        alg = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(PrimeField(5), (symbol,)))
-        f = alg.from_text("y*x*y*x*y - y")
+        # coefficients are field scalars, so no input can carry a symbol
         with pytest.raises(ValueError, match="declares symbols"):
-            factor_bidegree(f, (2, 3))
-        with pytest.raises(ValueError, match="declares symbols"):
-            factor_all(f)
+            FreeAlgebra(Alphabet(("x", "y")), SymbolRing(PrimeField(5), (symbol,)))
 
     @pytest.mark.parametrize("p", [5, None])
     @pytest.mark.parametrize("name", ["a1", "a12", "a0"])
@@ -264,7 +270,7 @@ class TestFactorBidegree:
             f, g, h = random_factorable(seed, PrimeField(3), 2, 2, term_cap=3)
             for fact in factor_bidegree(f, (2, 2)):
                 assert fact.left * fact.right == f
-                assert fact.left.leading_coefficient() == f.algebra.ring.one()
+                assert fact.left.leading_coefficient() == 1
 
     def test_enumeration_cap_propagates(self):
         # no equation of the (2,2) system is univariate: solving it branches
@@ -292,8 +298,8 @@ class TestFactorBidegree:
         assert list(fact.reduced_basis) == [a * a - 1]
         # substituting either admissible value of the symbol gives a factorization
         for value in (1, -1):
-            left = fact.left.substitute_symbols({"a1": value})
-            right = fact.right.substitute_symbols({"a1": value})
+            left = fact.left.evaluate({"a1": value})
+            right = fact.right.evaluate({"a1": value})
             assert left * right == f
 
     @pytest.mark.parametrize(
@@ -450,8 +456,7 @@ def _every_pivot_attempt(f, split):
     if top is None or f.is_homogeneous():
         return None
     g_top, h_top = top
-    g_head = {w: g_top.coefficient(w).constant_value() for w in g_top.words()}
-    h_head = {w: h_top.coefficient(w).constant_value() for w in h_top.words()}
+    g_head, h_head = dict(g_top.terms()), dict(h_top.terms())
     view = factoring._prepare(f)
     attempts = {
         (u, v): factoring._attempt_pivot(
@@ -495,16 +500,17 @@ def _is_point_of(pair, fact):
     """Whether a concrete pair is the symbolic fact at a root of its system."""
     left, right = pair
     # each symbol is the fact's G-coefficient at one word; read its value off left
+    ring = fact.system.ring
     point = {
-        name: left.coefficient(w).constant_value()
-        for name in fact.system.symbols
-        for w in fact.left.words()
-        if fact.left.coefficient(w) == fact.system.ring.symbol(name)
+        name: left.coefficient(w)
+        for name in ring.symbols
+        for w, c in fact.left.terms.items()
+        if c == ring.symbol(name)._terms
     }
     return (
-        len(point) == len(fact.system.symbols)
+        len(point) == len(ring.symbols)
         and all(eq.evaluate(point) == 0 for eq in fact.system.equations)
-        and (fact.left.substitute_symbols(point), fact.right.substitute_symbols(point)) == pair
+        and (fact.left.evaluate(point), fact.right.evaluate(point)) == pair
     )
 
 
@@ -531,33 +537,91 @@ def test_merge_over_rationals_keeps_every_reported_pair(case):
                 assert any(_is_point_of((fact.left, fact.right), kept) for kept in facts)
 
 
+def symbolic(ring, coeffs):
+    """The symbolic value over ring in x, y with these CPoly coefficients, zeros left out."""
+    alg = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(ring.field, ()))
+    return SymbolicPoly(alg, ring, {w: c._terms for w, c in coeffs.items() if c})
+
+
+def as_symbolic(f):
+    """f as a symbolic value over the symbol-free ring."""
+    ring = f.algebra.ring
+    return SymbolicPoly(f.algebra, ring, {w: {(): c} for w, c in f.terms()})
+
+
 class TestAssembleConstraints:
     def test_quintic_overlap_system(self):
-        sym = ALG.extend_symbols(("a1",))
-        a = sym.ring.symbol("a1")
-        g = sym.from_text("y*x") - sym.monomial((), a)
-        h = sym.from_text("y*x*y") + sym.monomial(sym.alphabet.word("y"), a)
+        ring = SymbolRing(PrimeField(5), ("a1",))
+        a = ring.symbol("a1")
+        g = symbolic(ring, {W("yx"): ring.one(), (): -a})
+        h = symbolic(ring, {W("yxy"): ring.one(), W("y"): a})
         f = ALG.from_text("y*x*y*x*y - y")
         system = assemble_constraints(f, g, h)
         assert len(system.equations) == 1
         assert reduce_groebner(buchberger(list(system.equations))) == [a * a - 1]
 
+    def test_pair_outside_the_algebra_rejected(self):
+        # G and H share f's algebra and one symbol ring over f's field
+        ring = SymbolRing(PrimeField(5), ("a1",))
+        g = symbolic(ring, {W("yx"): ring.one()})
+        h = symbolic(ring, {W("yxy"): ring.symbol("a1")})
+        f = ALG.from_text("y*x*y*x*y - y")
+        assert assemble_constraints(f, g, h).symbols == ("a1",)
+        other, seven = SymbolRing(PrimeField(5), ("a1", "a2")), SymbolRing(PrimeField(7), ("a1",))
+        for g2, h2 in (
+            (g, symbolic(other, {W("yxy"): other.symbol("a2")})),
+            (SymbolicPoly(algebra(7), ring, g.terms), h),
+            (SymbolicPoly(ALG, seven, g.terms), SymbolicPoly(ALG, seven, h.terms)),
+        ):
+            with pytest.raises(ContextMismatchError):
+                assemble_constraints(f, g2, h2)
+
     def test_exact_product_gives_empty_system(self):
         g = ALG.from_text("y*x - 1")
         h = ALG.from_text("y*x*y + y")
         f = g * h
-        assert assemble_constraints(f, g, h).equations == ()
+        assert assemble_constraints(f, as_symbolic(g), as_symbolic(h)).equations == ()
 
     @pytest.mark.parametrize("p", [2, 5, 101, None])
     def test_matches_ncpoly_expansion(self, p):
-        # seeded symbolic pairs with 0-3 symbols; f keeps the constant part of
-        # g*h, so some words cancel, plus one random monomial
+        # seeded symbolic pairs with 0-3 symbols against sympy's expansion of
+        # G*H - F in non-commutative x, y over commutative a1..a3; f keeps the
+        # constant part of g*h, so some words cancel, plus one random monomial
+        sympy = pytest.importorskip("sympy")
         field = PrimeField(p) if p else RationalField()
-        base = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(field, ()))
+        base = algebra(p)
+        letters = sympy.symbols("x y", commutative=False)
+
+        def expanded(expr, names):
+            # the coefficients of a non-commutative expression, {word: {monomial: Fraction}}
+            out = {}
+            for term in sympy.Add.make_args(sympy.expand(expr)):
+                c, nc = term.args_cnc()
+                word = ()
+                for factor in nc:
+                    letter, power = factor.as_base_exp()
+                    word += (letters.index(letter),) * int(power)
+                coeff = sympy.Mul(*c)
+                pairs = sympy.Poly(coeff, *names).terms() if names else [((), coeff)]
+                for mono, v in pairs:
+                    t = out.setdefault(word, {})
+                    t[mono] = t.get(mono, 0) + Fraction(int(sympy.numer(v)), int(sympy.denom(v)))
+            return out
+
+        def to_sympy(terms, names):
+            # {word: {monomial: scalar}} as a sympy expression
+            return sympy.Add(*(
+                sympy.Rational(v.numerator, v.denominator)
+                * sympy.Mul(*(s**e for s, e in zip(names, mono)))
+                * sympy.Mul(*(letters[i] for i in word))
+                for word, t in terms.items()
+                for mono, v in t.items()
+            ))
+
         for seed in range(40):
             rng = random.Random(seed)
-            sym = base.extend_symbols(tuple(f"a{i + 1}" for i in range(seed % 4)))
-            ring = sym.ring
+            ring = SymbolRing(field, tuple(f"a{i + 1}" for i in range(seed % 4)))
+            names = sympy.symbols(ring.symbols) if ring.symbols else ()
 
             def coeff():
                 value = ring.constant(rng.choice([-2, -1, 1, 2, 3]))
@@ -571,16 +635,21 @@ class TestAssembleConstraints:
                 for _ in range(rng.randint(1, 4)):
                     word = tuple(rng.randrange(2) for _ in range(rng.randint(0, degree)))
                     terms[word] = coeff()
-                return sym.poly(terms)
+                return symbolic(ring, terms)
 
             g, h = poly(2), poly(3)
+            product = to_sympy(g.terms, names) * to_sympy(h.terms, names)
             zero = (0,) * ring.nsymbols
-            f = base.poly({w: c.coefficient(zero) for w, c in (g * h)._terms.items()})
+            f = base.poly({w: c.get(zero, 0) for w, c in expanded(product, names).items()})
             f = f + base.monomial(tuple(rng.randrange(2) for _ in range(rng.randint(0, 4))), 1)
             if f.is_zero():
                 f = base.one()
-            expected = tuple(c for _, c in (g * h - f.lift(sym)).terms())
-            assert assemble_constraints(f, g, h).equations == expected
+            f_terms = {w: {zero: Fraction(v)} for w, v in f.terms()}
+            diff = expanded(product - to_sympy(f_terms, names), names)
+            reduced = {w: {m: v for m, c in t.items() if (v := field.coerce(c))} for w, t in diff.items()}
+            words = sorted((w for w in reduced if reduced[w]), key=word_key, reverse=True)
+            expected = tuple(ring.poly(reduced[w]) for w in words)
+            assert assemble_constraints(f, g, h).equations == expected, seed
 
     def test_symbolic_facts_carry_the_reference_system(self):
         # an attempt reads its system off the recovery's residuals; over Q
@@ -605,7 +674,7 @@ class TestAssembleConstraints:
         g = ALG.from_text("y*x")
         h = ALG.from_text("y*x*y")
         f = ALG.from_text("y*x*y*x*y - y")
-        system = assemble_constraints(f, g, h)
+        system = assemble_constraints(f, as_symbolic(g), as_symbolic(h))
         assert any(eq.is_constant() and not eq.is_zero() for eq in system.equations)
 
 
@@ -879,7 +948,7 @@ class TestFactorCompletely:
         def divisors(chain):
             out, prefix = set(), chain.factors[0]
             for part in chain.factors[1:]:
-                out.add(prefix.scale(1 / prefix.leading_coefficient().constant_value()))
+                out.add(prefix.scale(1 / prefix.leading_coefficient()))
                 prefix = prefix * part
             return frozenset(out)
 
@@ -938,7 +1007,8 @@ def test_is_concrete_reads_the_solutions():
         except SearchSpaceTooLargeError:
             continue
         for fact in (fact for facts in found.values() for fact in facts):
-            constant = fact.left.has_constant_coefficients() and fact.right.has_constant_coefficients()
+            pair = (fact.left, fact.right)
+            constant = all(isinstance(p, NCPoly) or all(map(_is_constant, p.terms.values())) for p in pair)
             assert fact.is_concrete == constant, (index, fact)
             seen.add((f.algebra.field.is_finite, constant))
     assert seen == {(True, True), (False, True), (False, False)}

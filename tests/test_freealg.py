@@ -11,16 +11,15 @@ from ncfactor.fields import PrimeField, RationalField
 from ncfactor.freealg import (
     Alphabet,
     FreeAlgebra,
+    NCPoly,
+    SymbolicPoly,
     concat,
-    from_scalar_terms,
-    homogenize,
     left_divide,
     left_quotient,
     normalize_pair,
     overlap_lengths,
     right_quotient,
     scalar_product,
-    scalar_terms,
 )
 from ncfactor.oracle import _raw_left_divide, _to_raw, random_factorable
 
@@ -96,10 +95,18 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ALG.zero().degree()
 
+    def test_scalar_operands_coerce_into_the_field(self):
+        f = ALG.from_text("y*x + 3")
+        assert f + 7 == 7 + f == ALG.from_text("y*x")
+        assert 2 - f == ALG.from_text("-y*x - 1") and f - 3 == ALG.from_text("y*x")
+        assert 2 * f == f * 2 == f.scale(Fraction(4, 2)) == ALG.from_text("2*y*x + 1")
+        assert ALG.monomial(W("xy"), Fraction(1, 2)) == ALG.from_text("3*x*y")
+        assert ALG.monomial(W("xy"), 5).is_zero() and ALG.poly({W("x"): 10, (): 1}) == ALG.one()
+
 
 def divide(a, d):
-    q = left_divide(scalar_terms(a), scalar_terms(d), a.algebra.field.reduce)
-    return None if q is None else from_scalar_terms(a.algebra, q)
+    q = left_divide(a._terms, d._terms, a.algebra.field.reduce)
+    return None if q is None else NCPoly(a.algebra, q)
 
 
 class TestLeftDivide:
@@ -153,42 +160,66 @@ def random_poly(alg, rng):
 class TestScalarKernel:
     @pytest.mark.parametrize("p", [2, 5, None])
     def test_product_agrees_with_ncpoly_product(self, p):
+        # the product of two polynomials is the sum of their monomials' products
         alg = algebra(p)
         rng = random.Random(p or 0)
         for _ in range(200):
             a, b = random_poly(alg, rng), random_poly(alg, rng)
-            got = scalar_product(scalar_terms(a), scalar_terms(b), alg.field.reduce)
-            assert got == scalar_terms(a * b), (a, b)
-            assert from_scalar_terms(alg, got) == a * b
+            got = scalar_product(a._terms, b._terms, alg.field.reduce)
+            want = alg.zero()
+            for w1, v1 in a.terms():
+                for w2, v2 in b.terms():
+                    want = want + alg.monomial(w1 + w2, v1 * v2)
+            assert got == want._terms, (a, b)
 
     @pytest.mark.parametrize("p", [2, 5, None])
     def test_scalar_terms_round_trip(self, p):
+        # an NCPoly stores nonzero field scalars, and poly() rebuilds it from them
         alg = algebra(p)
         rng = random.Random(p or 0)
         for _ in range(50):
             a = random_poly(alg, rng)
-            terms = scalar_terms(a)
-            assert all(terms.values())
-            assert from_scalar_terms(alg, terms) == a
+            terms = dict(a.terms())
+            assert all(terms.values()) and all(alg.field.coerce(v) == v for v in terms.values())
+            assert alg.poly(terms) == a
+            assert all(a.coefficient(w) == v for w, v in terms.items())
 
     def test_scalar_terms_need_a_symbol_free_algebra(self):
-        alg = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(PrimeField(5), ("a1",)))
-        with pytest.raises(ValueError, match="symbol-free"):
-            scalar_terms(alg.from_text("x*y + 1"))
+        with pytest.raises(ValueError, match="declares symbols"):
+            FreeAlgebra(Alphabet(("x", "y")), SymbolRing(PrimeField(5), ("a1",)))
 
     @pytest.mark.parametrize("p", [5, None])
     def test_substitution_evaluates_each_coefficient(self, p):
-        # substitute_symbols agrees with CPoly.evaluate coefficient by coefficient
+        # SymbolicPoly.evaluate agrees with CPoly.evaluate coefficient by coefficient
         field = PrimeField(p) if p else RationalField()
-        alg = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(field, ("a1", "a2")))
-        ring = alg.ring
+        ring = SymbolRing(field, ("a1", "a2"))
         a1, a2 = ring.symbol("a1"), ring.symbol("a2")
-        g = alg.poly({(0, 1): a1 * a1 * 3 + a2, (1,): a1 * a2 - 2, (): ring.constant(4)})
+        coeffs = {(0, 1): a1 * a1 * 3 + a2, (1,): a1 * a2 - 2, (): ring.constant(4)}
+        g = SymbolicPoly(algebra(p), ring, {w: c._terms for w, c in coeffs.items()})
         for point in ({"a1": 1, "a2": 2}, {"a1": 3, "a2": -1}, {"a1": 0, "a2": 2}):
-            want = {w: c.evaluate(point) for w, c in g.terms()}
-            got = g.substitute_symbols(point)
+            want = {w: c.evaluate(point) for w, c in coeffs.items()}
+            got = g.evaluate(point)
             assert got.algebra == algebra(p)
-            assert {w: got.coefficient(w).constant_value() for w, _ in g.terms()} == want
+            assert {w: got.coefficient(w) for w in coeffs} == want
+
+
+class TestSymbolicPoly:
+    RING = SymbolRing(RationalField(), ("a1",))
+
+    def test_renders_symbolic_and_constant_coefficients(self):
+        alg = algebra(None)
+        g = SymbolicPoly(alg, self.RING, {W("yx"): {(0,): Fraction(1)}, (): {(1,): Fraction(1)}})
+        h = SymbolicPoly(alg, self.RING, {W("yxy"): {(0,): Fraction(1)}, W("y"): {(1,): Fraction(-1)}})
+        mixed = {W("x"): {(0,): Fraction(-1, 2)}, (): {(1,): Fraction(1), (0,): Fraction(2)}}
+        assert (str(g), str(h)) == ("y*x + (a1)", "y*x*y + (-a1)*y")
+        assert str(SymbolicPoly(alg, self.RING, mixed)) == "-1/2*x + (a1 + 2)"
+        assert str(SymbolicPoly(alg, self.RING, {})) == "0"
+
+    def test_has_no_arithmetic(self):
+        g = SymbolicPoly(algebra(None), self.RING, {W("yx"): {(1,): Fraction(1)}})
+        for op in (lambda: g + g, lambda: g * g, lambda: g - 1, lambda: -g):
+            with pytest.raises(TypeError):
+                op()
 
 
 class TestIdentity:
@@ -205,6 +236,10 @@ class TestIdentity:
         b = SymbolRing(PrimeField(5), ("b",)).symbol("b")
         assert len({a, b}) == 2
         assert hash(a * a - 1) == hash(a * a + a - a - 1)
+        # symbolic values likewise: one ring's terms are not another's
+        g, h = (SymbolicPoly(ALG, c.ring, {(0,): c._terms}) for c in (a, b))
+        assert g == SymbolicPoly(ALG, a.ring, {(0,): dict(a._terms)}) and hash(g) == hash(h)
+        assert len({g, h}) == 2 and g != f
 
 
 class TestHomogeneousParts:
@@ -243,33 +278,6 @@ class TestCommutativeImage:
     def test_homogenized_example(self):
         img = ALG.from_text("x*x - y*y").commutative_image()
         assert img == img.ring.poly({(2, 0): 1, (0, 2): -1})
-
-    def test_symbolic_coefficients_rejected(self):
-        sym_alg = ALG.extend_symbols(("a",))
-        f = sym_alg.monomial(W("xy"), sym_alg.ring.symbol("a"))
-        with pytest.raises(ValueError):
-            f.commutative_image()
-
-
-class TestHomogenize:
-    def test_right_padding(self):
-        one_var = algebra(names=("x",))
-        f = one_var.from_text("x^2 - 1")
-        padded = homogenize(f, "y")
-        assert padded == ALG.from_text("x*x - y*y")
-
-    def test_already_homogeneous_unchanged(self):
-        f = ALG.from_text("x*y + y*x")
-        assert homogenize(f, "z") == f.lift(ALG.extend_alphabet("z"))
-
-    def test_pad_by_square(self):
-        f = ALG.from_text("y*x - 1")
-        target = algebra(names=("x", "y", "z"))
-        assert homogenize(f, "z") == target.from_text("y*x - z*z")
-
-    def test_name_collision_rejected(self):
-        with pytest.raises(ValueError):
-            homogenize(ALG.from_text("x"), "y")
 
 
 @st.composite
@@ -322,23 +330,11 @@ def test_commutative_image_is_homomorphism(a, b):
     assert (a * b).commutative_image() == a.commutative_image() * b.commutative_image()
 
 
-@given(ncpolys(ALG5, max_degree=3, max_terms=4))
-@settings(max_examples=50)
-def test_homogenize_properties(f):
-    if f.is_zero():
-        return
-    padded = homogenize(f, "z")
-    assert padded.is_homogeneous()
-    assert padded.degree() == f.degree()
-    restricted = padded.substitute_variable_one("z")
-    assert restricted == f.lift(padded.algebra)
-
-
 def test_normalize_pair_gauge():
     g = ALG.from_text("2*y*x + 1")
     h = ALG.from_text("y + 3")
     gn, hn = normalize_pair(g, h)
-    assert gn.leading_coefficient() == ALG.ring.one()
+    assert gn.leading_coefficient() == 1
     assert gn * hn == g * h
 
 
@@ -356,12 +352,18 @@ def renderable_polys(draw):
     return alg.poly(terms)
 
 
+def constant_symbolic(f):
+    """f as a symbolic value over a one-symbol ring, every coefficient constant."""
+    ring = SymbolRing(f.algebra.field, ("a1",))
+    return SymbolicPoly(f.algebra, ring, {w: {(0,): c} for w, c in f.terms()})
+
+
 @given(renderable_polys())
 @settings(max_examples=200)
 def test_scalar_rendering_matches_constant_coefficient_rendering(f):
-    # a symbol-free NCPoly prints its scalars directly; lifted to an algebra
-    # with a symbol, the same terms print through constant CPoly coefficients
-    assert str(f) == str(f.lift(f.algebra.extend_symbols(("a1",))))
+    # an NCPoly prints its scalars directly; as a symbolic value the same
+    # terms print through the constant branch of the symbolic renderer
+    assert str(f) == str(constant_symbolic(f))
 
 
 @pytest.mark.parametrize(
@@ -375,4 +377,4 @@ def test_scalar_rendering_matches_constant_coefficient_rendering(f):
 )
 def test_scalar_rendering_examples(p, text, shown):
     f = algebra(p).from_text(text)
-    assert str(f) == shown == str(f.lift(f.algebra.extend_symbols(("a1",))))
+    assert str(f) == shown == str(constant_symbolic(f))
