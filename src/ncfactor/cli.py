@@ -55,7 +55,7 @@ def _field_name(field: Field) -> str:
     return f"F_{field.p}" if isinstance(field, PrimeField) else "Q"
 
 
-def _fact_obj(field: Field, fact: SymbolicFactorization, groebner: bool) -> dict:
+def _fact_obj(fact: SymbolicFactorization, groebner: bool) -> dict:
     return {
         "G": str(fact.left),
         "H": str(fact.right),
@@ -65,7 +65,7 @@ def _fact_obj(field: Field, fact: SymbolicFactorization, groebner: bool) -> dict
             [str(b) for b in fact.reduced_basis] if groebner and fact.reduced_basis is not None else None
         ),
         "solutions": (
-            [{name: field.format(v) for name, v in sorted(s.items())} for s in fact.solutions]
+            [{name: str(v) for name, v in sorted(s.items())} for s in fact.solutions]
             if fact.solutions is not None
             else None
         ),
@@ -160,28 +160,17 @@ def _render_text(input_text: str, report: dict, all_splits: bool) -> str:
 
 def run(request: Request) -> tuple[int, str]:
     """Execute a request; returns (exit code, report text)."""
-    source = request.expression
-    if request.variables is not None:
-        names = request.variables
-    else:
-        try:
+    source, names = request.expression, request.variables
+    try:
+        if names is None:
             # the parser reads the same scan: the text is scanned once
-            source = scan(request.expression)
+            source = scan(source)
             names = tuple(sorted(identifiers_in(source)))
-        except ParseError as e:
-            return 2, f"parse error: {e}"
-    if not names:
-        return 2, "error: expression has no variables and none were declared"
-    try:
-        algebra = FreeAlgebra(Alphabet(names), SymbolRing(request.field, ()))
-    except ValueError as e:
-        return 2, f"error: {e}"
-    try:
-        poly = parse_expression(source, algebra)
-    except ParseError as e:
-        return 2, f"parse error: {e}"
-
-    try:
+            if not names:
+                return 2, "error: expression has no variables and none were declared"
+        elif not names:
+            return 2, "error: --vars declares no variables"
+        poly = parse_expression(source, FreeAlgebra(Alphabet(names), SymbolRing(request.field, ())))
         options = FactorOptions(enumeration_cap=request.max_solutions)
         if request.degrees is not None:
             h, k = request.degrees
@@ -193,6 +182,8 @@ def run(request: Request) -> tuple[int, str]:
             # the chains start from factor_all's splits: reuse them when reported
             found = split_results if request.degrees is None else factor_all(poly, options)
             chains = _complete_chains(poly, found, options)
+    except ParseError as e:
+        return 2, f"parse error: {e}"
     except NCFactorError as e:
         return 3, f"error: {e}"
     except ValueError as e:
@@ -206,7 +197,7 @@ def run(request: Request) -> tuple[int, str]:
                 "h": split.h,
                 "k": split.k,
                 "factorizations": [
-                    _fact_obj(request.field, f, request.groebner) for f in split_results[split]
+                    _fact_obj(f, request.groebner) for f in split_results[split]
                 ],
             }
             for split in sorted(split_results)

@@ -152,10 +152,10 @@ def scalar_term(field: Field, value: Scalar, unit: str) -> tuple[bool, str]:
     negative = not isinstance(value, int) and value < 0
     mag = -value if negative else value
     if not unit:
-        return negative, field.format(mag)
+        return negative, str(mag)
     if mag == field.one:
         return negative, unit
-    return negative, f"{field.format(mag)}*{unit}"
+    return negative, f"{mag}*{unit}"
 
 
 def join_terms(terms: Iterable[tuple[bool, str]]) -> str:
@@ -190,17 +190,6 @@ class CPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def is_constant(self) -> bool:
-        return all(monomial_degree(m) == 0 for m in self._terms)
-
-    def constant_value(self) -> Scalar:
-        """The value of a constant polynomial (zero included)."""
-        if not self._terms:
-            return self.ring.field.zero
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self._terms.values()))
 
     def terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in descending lexicographic monomial order."""

@@ -48,6 +48,7 @@ from .commutative import (
     CPoly,
     ConstraintSystem,
     Monomial,
+    Reduce,
     SymbolRing,
     TermDict,
     _is_constant,
@@ -308,8 +309,8 @@ def _solve_step(
     return solution, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
 
 
-# A checked input of the drivers: f, its scalar terms and their parts by degree.
-_Input = tuple[NCPoly, ScalarTerms, dict[int, ScalarTerms]]
+# A checked input of the drivers: f and its scalar terms by degree.
+_Input = tuple[NCPoly, dict[int, ScalarTerms]]
 
 
 def _prepare(f: NCPoly) -> _Input:
@@ -320,7 +321,7 @@ def _prepare(f: NCPoly) -> _Input:
     parts: dict[int, ScalarTerms] = {}
     for w, c in f._terms.items():
         parts.setdefault(len(w), {})[w] = c
-    return f, f._terms, parts
+    return f, parts
 
 
 Pivot = tuple[Word, Word, tuple[int, ...]]  # (g_hat, h_hat, overlap lengths)
@@ -340,8 +341,8 @@ def _attempt_pivot(
     coefficient (see `factor_bidegree`); in a merge that is the leading
     pair's attempt, and any pair another attempt finds, it finds too.
 
-    The steps run on plain coefficient dicts, and f (the prepared view's
-    terms and degree parts) and each concrete pair on scalar dicts.  The
+    The steps run on plain coefficient dicts, and f (its terms and the
+    prepared view's degree parts) and each concrete pair on scalar dicts.  The
     head coefficients are those of the top pair `factor_homogeneous_terms`
     returns, so G_top is monic and G_top*H_top is f's top part.  The
     convolution of the recovered parts runs on down to degree 0, where
@@ -354,7 +355,7 @@ def _attempt_pivot(
     returns its concrete pairs, each multiplied back to f; a solved point
     whose pair does not do so raises AssertionError.
     """
-    f, f_terms, f_parts = view
+    f, f_parts = view
     g_hat, h_hat, overlaps = pivot
     h, k = len(g_hat), len(h_hat)
     n = h + k
@@ -435,7 +436,7 @@ def _attempt_pivot(
         point = tuple(sol[name] for name in symbols)
         left = evaluate_terms(g_terms, point, reduce)
         right = evaluate_terms(h_terms, point, reduce)
-        if scalar_product(left, right, reduce) != f_terms:
+        if scalar_product(left, right, reduce) != f._terms:
             raise AssertionError("solved factor pair fails to multiply back to f")
         results.append(
             SymbolicFactorization(
@@ -494,7 +495,7 @@ def factor_bidegree(
 
 def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[SymbolicFactorization]:
     """`factor_bidegree` at the split (h, deg f - h) of a prepared input."""
-    f, _, parts = view
+    f, parts = view
     alg = f.algebra
     top = factor_homogeneous_terms(parts[max(parts)], h, alg.field)
     if top is None:
@@ -531,99 +532,83 @@ def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[Symbolic
     return list(merged.values())
 
 
+def _exact_quotient(target: TermDict, lead: Monomial, rest: TermDict, reduce: Reduce) -> Optional[TermDict]:
+    """The quotient of target by the monic lead + rest, or None when there is a remainder."""
+    r = dict(target)
+    quotient: TermDict = {}
+    while r:
+        lm = max(r)
+        if not monomial_divides(lead, lm):
+            return None
+        q = monomial_quotient(lm, lead)
+        coeff = quotient[q] = r.pop(lm)
+        add_product(r, -coeff, {q: 1}, rest, reduce)
+    return quotient
+
+
+def _smallest_divisor(
+    terms: TermDict, deg: int, nsymbols: int, fld: PrimeField, budget: int
+) -> tuple[int, Optional[TermDict], int]:
+    """(d, quotient, budget left) for the first monic candidate of degree d that divides terms.
+
+    Candidates run by increasing degree d <= deg/2, then by lead in
+    descending lex order, then over every coefficient vector on the
+    monomials below the lead; each lead spends p**(their number) of the
+    budget.  Returns at once when the budget left turns negative, and
+    (deg, None, budget left) when no candidate divides: terms is irreducible.
+    """
+    lead_t = max(terms)
+    for d in range(1, deg // 2 + 1):
+        monos = sorted(
+            (m for m in product(range(d + 1), repeat=nsymbols) if monomial_degree(m) <= d), reverse=True
+        )
+        # a lead after the last monomial of degree d leaves the candidate below degree d
+        last = max(i for i, m in enumerate(monos) if monomial_degree(m) == d)
+        for i, lead in enumerate(monos[: last + 1]):
+            # the leading monomial is multiplicative, so a divisor's must
+            # divide the dividend's
+            if not monomial_divides(lead, lead_t):
+                continue
+            tail = monos[i + 1 :]
+            budget -= fld.p ** len(tail)
+            if budget < 0:
+                return d, None, budget
+            for coeffs in product(range(fld.p), repeat=len(tail)):
+                rest = {m: coeff for m, coeff in zip(tail, coeffs) if coeff}
+                if max(map(monomial_degree, (lead, *rest))) == d:
+                    quotient = _exact_quotient(terms, lead, rest, fld.reduce)
+                    if quotient is not None:
+                        return d, quotient, budget
+    return deg, None, budget
+
+
 def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list[int]]:
     """Total degrees of the irreducible factors of c over F_p, with multiplicity.
 
     Brute-force trial division: monomial content first, then monic candidate
-    divisors of increasing degree.  Returns None when the candidate space
-    exceeds the budget (callers must then treat every split as admissible).
+    divisors of increasing degree (`_smallest_divisor`).  Returns None when
+    the candidate space exceeds the budget (callers must then treat every
+    split as admissible).
     """
     if c.is_zero():
         raise ValueError("zero polynomial has no factor degrees")
     fld = c.ring.field
     if not isinstance(fld, PrimeField):
         return None
-    degrees: list[int] = []
     # Peel off the monomial content: each variable power is a linear factor.
     content = tuple(min(m[i] for m in c._terms) for i in range(c.ring.nsymbols))
-    if any(content):
-        degrees.extend([1] * monomial_degree(content))
-        c = CPoly(
-            c.ring,
-            {tuple(e - ct for e, ct in zip(m, content)): v for m, v in c._terms.items()},
-        )
-    trials = 0
-    monomials_by_degree: dict[int, list] = {}
-
-    def monomials_up_to(d: int):
-        if d not in monomials_by_degree:
-            monos = [
-                m
-                for m in product(range(d + 1), repeat=c.ring.nsymbols)
-                if monomial_degree(m) <= d
-            ]
-            monos.sort(reverse=True)
-            monomials_by_degree[d] = monos
-        return monomials_by_degree[d]
-
-    def raw_divides(
-        target: dict[Monomial, int], rest: dict[Monomial, int], lead: Monomial
-    ) -> Optional[dict[Monomial, int]]:
-        # exact division on plain dicts by the candidate lead + rest: the
-        # quotient's terms, or None when there is a remainder
-        r = dict(target)
-        quotient: dict[Monomial, int] = {}
-        while r:
-            lm = max(r)
-            if not monomial_divides(lead, lm):
-                return None
-            q = monomial_quotient(lm, lead)
-            coeff = r.pop(lm)
-            quotient[q] = coeff
-            add_product(r, -coeff, {q: 1}, rest, fld.reduce)
-        return quotient
-
+    degrees = [1] * monomial_degree(content)
+    terms = {tuple(e - ct for e, ct in zip(m, content)): v for m, v in c._terms.items()}
     while True:
-        deg = c.total_degree()
+        deg = max(map(monomial_degree, terms))
         if deg <= 1:
-            if deg == 1:
-                degrees.append(1)
+            return sorted(degrees + [1] * deg)
+        d, terms, budget = _smallest_divisor(terms, deg, c.ring.nsymbols, fld, budget)
+        if budget < 0:
+            return None
+        degrees.append(d)
+        if terms is None:
             return sorted(degrees)
-        lead_c = c.leading_monomial()
-        raw_target = dict(c._terms)
-        found = None
-        for d in range(1, deg // 2 + 1):
-            monos = monomials_up_to(d)
-            for lead_idx, lead in enumerate(monos):
-                if monomial_degree(lead) != d and all(
-                    monomial_degree(m) != d for m in monos[lead_idx + 1 :]
-                ):
-                    break
-                # the leading monomial is multiplicative, so a divisor's must
-                # divide the dividend's
-                if not monomial_divides(lead, lead_c):
-                    continue
-                tail = monos[lead_idx + 1 :]
-                trials += fld.p ** len(tail)
-                if trials > budget:
-                    return None
-                for coeffs in product(fld.elements(), repeat=len(tail)):
-                    rest = {m: coeff for m, coeff in zip(tail, coeffs) if coeff}
-                    if max(map(monomial_degree, (lead, *rest))) != d:
-                        continue
-                    quotient = raw_divides(raw_target, rest, lead)
-                    if quotient is not None:
-                        found = CPoly(c.ring, {lead: fld.one, **rest})
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            degrees.append(deg)
-            return sorted(degrees)
-        degrees.append(found.total_degree())
-        c = CPoly(c.ring, quotient)
 
 
 def knapsack_splits(

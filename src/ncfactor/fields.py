@@ -76,12 +76,6 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.p
 
-    def elements(self) -> range:
-        return range(self.p)
-
-    def format(self, a: int) -> str:
-        return str(a)
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -125,9 +119,6 @@ class RationalField:
 
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         return Fraction(a) / b
-
-    def format(self, a: Fraction) -> str:
-        return str(a)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)

@@ -48,21 +48,10 @@ ScalarTerms = dict[Word, Scalar]
 EMPTY_WORD: Word = ()
 
 
-def concat(u: Word, v: Word) -> Word:
-    return u + v
-
-
 def left_quotient(m: Word, g: Word) -> Optional[Word]:
     """w with m = g*w when g is a prefix of m, else None."""
     if len(g) <= len(m) and m[: len(g)] == g:
         return m[len(g) :]
-    return None
-
-
-def right_quotient(m: Word, h: Word) -> Optional[Word]:
-    """w with m = w*h when h is a suffix of m, else None."""
-    if len(h) <= len(m) and (not h or m[-len(h) :] == h):
-        return m[: len(m) - len(h)]
     return None
 
 
@@ -167,9 +156,6 @@ class Alphabet:
     def word(self, letters: Union[str, Iterable[str]]) -> Word:
         """Build a word from a name sequence; a plain string is read per character."""
         return tuple(self.index(name) for name in letters)
-
-    def word_str(self, w: Word, sep: str = "") -> str:
-        return sep.join(self.names[i] for i in w)
 
     def format_word(self, word: Word) -> str:
         """The word as a product of letter runs, "x^2*y"; "" for the empty word."""
@@ -413,11 +399,11 @@ class SymbolicPoly:
         fld, alphabet = self.ring.field, self.algebra.alphabet
 
         def term(word: Word, coeff: TermDict) -> tuple[bool, str]:
-            word_str = alphabet.format_word(word)
+            unit = alphabet.format_word(word)
             if _is_constant(coeff):
-                return scalar_term(fld, next(iter(coeff.values())), word_str)
+                return scalar_term(fld, next(iter(coeff.values())), unit)
             shown = CPoly(self.ring, coeff)
-            return False, f"({shown})*{word_str}" if word_str else f"({shown})"
+            return False, f"({shown})*{unit}" if unit else f"({shown})"
 
         return join_terms(term(w, self.terms[w]) for w in sorted(self.terms, key=word_key, reverse=True))
 

@@ -149,11 +149,7 @@ def brute_force_factor(
     }
 
 
-def chain_family(
-    field: PrimeField,
-    roots: Iterable[Scalar],
-    algebra: Optional[FreeAlgebra] = None,
-) -> tuple[NCPoly, list[tuple[NCPoly, ...]]]:
+def chain_family(field: PrimeField, roots: Iterable[Scalar]) -> tuple[NCPoly, list[tuple[NCPoly, ...]]]:
     """Polynomial y*f(xy) for f(t) = prod (t - r_i), with its predicted chains.
 
     For k distinct roots the y factor can sit at any of the k+1 positions:
@@ -163,8 +159,7 @@ def chain_family(
     roots = [field.coerce(r) for r in roots]
     if len(set(roots)) != len(roots):
         raise ValueError(f"roots must be distinct, got {roots}")
-    if algebra is None:
-        algebra = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(field, ()))
+    algebra = FreeAlgebra(Alphabet(("x", "y")), SymbolRing(field, ()))
     x = algebra.variable("x")
     y = algebra.variable("y")
     xy_factors = [x * y - algebra.one().scale(r) for r in roots]

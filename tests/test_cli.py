@@ -314,6 +314,30 @@ class TestErrors:
         code, _, err = capture(["--field", "5", "--degrees", "3,3", "x*x"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["x$y"], 2, "parse error: unexpected character '$' at position 1"),
+            (["--vars", "x,y", "x$y"], 2, "parse error: unexpected character '$' at position 1"),
+            (["--vars", "x,y", "x*z"], 2, "parse error: unknown identifier 'z' at position 2"),
+            (["--vars", "x,x", "x*x"], 2, "error: duplicate variable names in ('x', 'x')"),
+            (["--vars", ",", "x*y"], 2, "error: --vars declares no variables"),
+            (["3"], 2, "error: expression has no variables and none were declared"),
+            (["x - x"], 2, "error: cannot factor the zero polynomial"),
+            (["--degrees", "3,3", "x*x"], 2, "error: degree 2 != 3 + 3"),
+            (["--max-solutions", "0", "x*x"], 2, "error: enumeration cap must be positive"),
+            (["--max-solutions", "4", CAP_INPUT], 3, "error: enumeration needs 25 points, cap is 4"),
+        ],
+        ids=[
+            "bad-character", "bad-character-with-vars", "unknown-identifier", "duplicate-vars",
+            "empty-vars", "no-variables", "zero", "split-mismatch", "zero-cap", "cap-exceeded",
+        ],
+    )
+    def test_failure_classes(self, argv, code, message):
+        # each failure is a parse error or a usage error (exit 2), or a stop
+        # at a named cap (exit 3), reported on stderr alone
+        assert capture(["--field", "5", *argv]) == (code, "", message + "\n")
+
 
 class TestLargePrime:
     @pytest.mark.parametrize("complete", [False, True], ids=["splits", "complete"])

@@ -63,9 +63,9 @@ def test_field_axioms(fld, a, b, c):
     assert x + (-x) == ring.zero()
     assert x - y == x + (-y)
     if not y.is_zero():
-        yv = y.constant_value()
+        yv = fld.coerce(b)
         assert y * ring.constant(fld.inv(yv)) == ring.one()
-        assert ring.constant(fld.div(x.constant_value(), yv)) * y == x
+        assert ring.constant(fld.div(fld.coerce(a), yv)) * y == x
 
 
 @given(fields, small, st.integers(min_value=0, max_value=8))
@@ -77,5 +77,5 @@ def test_pow_matches_repeated_mul(fld, a, e):
     for _ in range(e):
         acc = acc * ring.constant(x)
     power = ring.poly({(e,): 1}).evaluate_tuple((x,))
-    assert power == acc.constant_value()
+    assert power == acc.coefficient((0,))
     assert power == (pow(x, e, fld.p) if fld.is_finite else x**e)
