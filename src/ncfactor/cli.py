@@ -6,9 +6,12 @@ The report is built once, as the JSON object of a stable schema:
         [{G, H, symbols, system, reduced_basis, solutions}]}],
      chains: [{factors, complete}]}        (chains only with --complete)
 
-Every chain is maximal, so `complete` is always true.  JSON mode writes the
-report's fixed shape itself (`_write_json`), byte for byte as
-`json.dumps(report, indent=2)` writes it (`tests/test_cli.py::TestJsonWriter`).
+Every chain is maximal, so `complete` is always true.  `run` states this
+shape once, where it builds the report.  JSON mode writes it with one
+recursive writer of dicts, lists, strings, ints, bools and None
+(`_write_json`), byte for byte as `json.dumps(report, indent=2)` writes it
+(`tests/test_cli.py::TestJsonWriter`); it names no key, and any other type
+raises `TypeError`.
 Text mode renders the report as one parenthesized product per factorization,
 reading nothing but its strings.  Both are byte-deterministic per invocation.
 """
@@ -20,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .commutative import SymbolRing
 from .errors import NCFactorError, ParseError
@@ -51,10 +54,6 @@ class Request:
     max_solutions: int = FactorOptions.enumeration_cap
 
 
-def _field_name(field: Field) -> str:
-    return f"F_{field.p}" if isinstance(field, PrimeField) else "Q"
-
-
 def _fact_obj(fact: SymbolicFactorization, groebner: bool) -> dict:
     return {
         "G": str(fact.left),
@@ -72,54 +71,32 @@ def _fact_obj(fact: SymbolicFactorization, groebner: bool) -> dict:
     }
 
 
-def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """Rendered items in brackets closing at indent `pad`, as json.dumps(indent=2) lays them out."""
-    if not items:
-        return brackets
-    inner = pad + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
-
-
-def _json_texts(texts: Iterable[str], pad: str) -> str:
-    return _json_block([_quote(text) for text in texts], pad)
-
-
-def _fact_json(fact: dict) -> str:
-    """One factorization object of the report, at depth 4 of its fixed shape."""
-    pad = " " * 10
-    basis, solutions = fact["reduced_basis"], fact["solutions"]
-    if solutions is not None:
-        assignments = ([f"{_quote(k)}: {_quote(v)}" for k, v in s.items()] for s in solutions)
-        solutions = _json_block([_json_block(a, pad + "  ", "{}") for a in assignments], pad)
-    return (
-        f'{{\n{pad}"G": {_quote(fact["G"])},\n{pad}"H": {_quote(fact["H"])},\n'
-        f'{pad}"symbols": {_json_texts(fact["symbols"], pad)},\n'
-        f'{pad}"system": {_json_texts(fact["system"], pad)},\n'
-        f'{pad}"reduced_basis": {"null" if basis is None else _json_texts(basis, pad)},\n'
-        f'{pad}"solutions": {"null" if solutions is None else solutions}\n        }}'
-    )
-
-
 def _write_json(report: dict) -> str:
-    """The report's text as json.dumps(report, indent=2) writes it, for its fixed shape."""
-    splits = [
-        f'{{\n      "h": {split["h"]},\n      "k": {split["k"]},\n      "factorizations": '
-        + _json_block([_fact_json(fact) for fact in split["factorizations"]], " " * 6)
-        + "\n    }"
-        for split in report["splits"]
-    ]
-    text = (
-        f'{{\n  "input": {_quote(report["input"])},\n  "field": {_quote(report["field"])},\n'
-        f'  "splits": {_json_block(splits, "  ")}'
-    )
-    if "chains" in report:
-        chains = [
-            f'{{\n      "factors": {_json_texts(chain["factors"], " " * 6)},\n'
-            f'      "complete": {"true" if chain["complete"] else "false"}\n    }}'
-            for chain in report["chains"]
-        ]
-        text += f',\n  "chains": {_json_block(chains, "  ")}'
-    return text + "\n}"
+    """The report's text as json.dumps(report, indent=2) writes it."""
+    return _json(report, "\n")
+
+
+def _json(value, pad: str) -> str:
+    """A dict, list, str, int, bool or None as json.dumps(indent=2) writes it.
+
+    `pad` is the newline and indent that the value's closing bracket follows.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, list):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"cannot write a {type(value).__name__} as JSON")
 
 
 def _render_text(input_text: str, report: dict, all_splits: bool) -> str:
@@ -191,7 +168,7 @@ def run(request: Request) -> tuple[int, str]:
 
     report: dict = {
         "input": request.expression,
-        "field": _field_name(request.field),
+        "field": repr(request.field),
         "splits": [
             {
                 "h": split.h,

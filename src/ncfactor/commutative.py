@@ -143,17 +143,17 @@ class SymbolRing:
         return f"SymbolRing({self.field!r}, symbols={self.symbols})"
 
 
-def scalar_term(field: Field, value: Scalar, unit: str) -> tuple[bool, str]:
+def scalar_term(value: Scalar, unit: str) -> tuple[bool, str]:
     """(negative, body) of the term value*unit; `unit` is "" for a constant.
 
-    Only a negative rational prints with a sign; a unit magnitude is left out
-    in front of a nonempty unit.
+    Only a negative rational prints with a sign; a unit magnitude (1 in both
+    fields) is left out in front of a nonempty unit.
     """
     negative = not isinstance(value, int) and value < 0
     mag = -value if negative else value
     if not unit:
         return negative, str(mag)
-    if mag == field.one:
+    if mag == 1:
         return negative, unit
     return negative, f"{mag}*{unit}"
 
@@ -309,10 +309,7 @@ class CPoly:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        f = self.ring.field
-        return join_terms(
-            scalar_term(f, coeff, self._format_monomial(mono)) for mono, coeff in self.terms()
-        )
+        return join_terms(scalar_term(coeff, self._format_monomial(mono)) for mono, coeff in self.terms())
 
     def __repr__(self) -> str:
         return f"CPoly({self})"

@@ -611,9 +611,7 @@ def commutative_factor_degrees(c: CPoly, budget: int = 500_000) -> Optional[list
             return sorted(degrees)
 
 
-def knapsack_splits(
-    f: NCPoly, budget: int = 500_000
-) -> set[DegreeSplit]:
+def knapsack_splits(f: NCPoly) -> set[DegreeSplit]:
     """Degree splits admissible by the commutative-image degree filter.
 
     The image of a product factors as the product of the images, so a
@@ -621,7 +619,8 @@ def knapsack_splits(
     factor degrees of the commutative image (of f itself when the image
     keeps full degree, of the top homogeneous part otherwise).  This is a
     necessary condition only; when the image vanishes or the trial
-    factorization blows its budget, every split is returned.
+    factorization blows `commutative_factor_degrees`' default budget, every
+    split is returned.
     """
     if f.is_zero():
         raise ValueError("cannot filter splits of the zero polynomial")
@@ -632,7 +631,7 @@ def knapsack_splits(
         image = f.homogeneous_part(n).commutative_image()
         if image.is_zero():
             return all_splits
-    parts = commutative_factor_degrees(image, budget=budget)
+    parts = commutative_factor_degrees(image)
     if parts is None:
         return all_splits
     sums = {0}

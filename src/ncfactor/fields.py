@@ -44,17 +44,9 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
-    def is_finite(self) -> bool:
-        return True
+    zero = 0
+    one = 1
+    is_finite = True
 
     def coerce(self, x: Scalar) -> int:
         """Map an integer or rational into F_p (canonical representative)."""
@@ -93,17 +85,9 @@ class RationalField:
 
     __slots__ = ()
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    @property
-    def is_finite(self) -> bool:
-        return False
+    zero = Fraction(0)
+    one = Fraction(1)
+    is_finite = False
 
     def coerce(self, x: Scalar) -> Fraction:
         return Fraction(x)

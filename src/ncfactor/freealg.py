@@ -358,8 +358,8 @@ class NCPoly:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        fld, alphabet = self.algebra.field, self.algebra.alphabet
-        return join_terms(scalar_term(fld, c, alphabet.format_word(w)) for w, c in self.terms())
+        alphabet = self.algebra.alphabet
+        return join_terms(scalar_term(c, alphabet.format_word(w)) for w, c in self.terms())
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"
@@ -396,12 +396,12 @@ class SymbolicPoly:
         return hash(frozenset((w, frozenset(c.items())) for w, c in self.terms.items()))
 
     def __str__(self) -> str:
-        fld, alphabet = self.ring.field, self.algebra.alphabet
+        alphabet = self.algebra.alphabet
 
         def term(word: Word, coeff: TermDict) -> tuple[bool, str]:
             unit = alphabet.format_word(word)
             if _is_constant(coeff):
-                return scalar_term(fld, next(iter(coeff.values())), unit)
+                return scalar_term(next(iter(coeff.values())), unit)
             shown = CPoly(self.ring, coeff)
             return False, f"({shown})*{unit}" if unit else f"({shown})"
 

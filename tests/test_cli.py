@@ -155,6 +155,29 @@ class TestJsonWriter:
         report["chains"] = []
         assert cli._write_json(report) == json.dumps(report, indent=2)
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [{"b": {"c": "d"}, "e": [1, 2]}, {}], "f": {"g": [{"h": None}]}},
+            {"a": {"b": {"c": {}, "d": []}}, "e": [[[{}, []]]]},
+            [True, False, None, {"t": True, "f": False, "n": None}],
+            {"neg": -7, "big": 10**40, "neg_big": -(10**40) + 1, "zero": 0, "list": [-1, 10**39]},
+            {"caf\u00e9 \u2003": 1, 'say "hi"': 2, "back\\slash": {"\u00e9\"\\": [""]}},
+            [],
+            {},
+            "bare \u00a0 string",
+            -12345678901234567890123456789012345678901,
+            None,
+        ],
+    )
+    def test_nested_values(self, value):
+        assert cli._write_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {"a"}, {"a": [0.25]}, [{"b": ("c",)}]])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._write_json(value)
+
     def test_non_ascii_whitespace_is_escaped(self):
         code, out = run(Request("x\u00a0*\u2003y - 1", PrimeField(5), None, None, json_mode=True))
         assert code == 0
