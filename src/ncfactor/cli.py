@@ -202,7 +202,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--groebner", action="store_true", help="print the reduced lexicographic Groebner basis of each constraint system")
     parser.add_argument("--complete", action="store_true", help="also report maximal factorization chains")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--max-solutions", type=int, default=FactorOptions.enumeration_cap, metavar="N", help="cap on the points branched over where no equation of a constraint system is univariate (default %(default)s)")
+    parser.add_argument("--max-solutions", type=int, default=FactorOptions.enumeration_cap, metavar="N", help="cap on the points branched over where elimination cannot solve a constraint system (default %(default)s)")
     parser.add_argument("expression", help="polynomial expression, or - to read stdin")
     return parser
 

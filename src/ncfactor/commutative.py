@@ -6,9 +6,12 @@ Provides the term-dict arithmetic kernel (`axpy`, `add_product`) that CPoly,
 NCPoly (through `freealg.add_word_product`) and the pivot attempts of
 `factoring` all compute with, ring arithmetic, multivariate division,
 Buchberger's algorithm, the reduced lexicographic Groebner basis, and the
-exact solution set of a system over a prime field: univariate equations are
-peeled off by gcd and root finding, and only a system with no univariate
-equation branches over the values of a symbol.
+exact solution set of a system over a prime field.  The solver eliminates
+before it branches: it peels a symbol off by the roots of its univariate
+equations, substitutes a symbol out of a linear equation, and takes the
+values of one of two coupled symbols from the roots of a resultant
+(evaluated at points of F_p and interpolated); only where none applies does
+it branch over the values of a symbol.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import compress
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     ContextMismatchError,
@@ -587,23 +590,190 @@ def _substitute(eq: dict[Monomial, int], i: int, value: int, p: int) -> tuple[di
     return kept, {j for m in kept for j in compress(range(len(m)), m)}
 
 
-def _gcd_in(eqs: list[dict[Monomial, int]], x: int, p: int) -> list[int]:
-    """The monic gcd of equations that involve no symbol but x, as a dense polynomial."""
-    g: list[int] = []
-    for eq in eqs:
-        dense = [0] * (max(m[x] for m in eq) + 1)
-        for m, c in eq.items():
-            dense[m[x]] = c
-        g = _poly_gcd(g, dense, p)
-        if len(g) == 1:
-            break  # a nonzero constant: no roots
-    return g
+Equations = list[tuple[dict[Monomial, int], set[int]]]  # (equation, support) pairs
+
+
+def _substitute_poly(
+    eq: dict[Monomial, int], i: int, powers: list[dict[Monomial, int]], p: int
+) -> tuple[dict[Monomial, int], set[int]]:
+    """eq with symbol i replaced by the polynomial powers[1], and its support.
+
+    `powers` holds that polynomial's powers from the 0th up, and grows as
+    eq needs higher ones.
+    """
+    reduce = p.__rmod__  # v -> v % p
+    out: dict[Monomial, int] = {}
+    for mono, c in eq.items():
+        e = mono[i]
+        while len(powers) <= e:
+            power: dict[Monomial, int] = {}
+            add_product(power, 1, powers[-1], powers[1], reduce)
+            powers.append(power)
+        add_product(out, c, {mono[:i] + (0,) + mono[i + 1 :]: 1}, powers[e], reduce)
+    return out, _support(out)
+
+
+def _linear_symbol(eq: dict[Monomial, int]) -> Optional[int]:
+    """A symbol i with eq = c*a_i + r, c a constant and a_i absent from r; else None."""
+    counts: dict[int, int] = {}
+    for mono in eq:
+        for i in compress(range(len(mono)), mono):
+            counts[i] = counts.get(i, 0) + 1
+    for mono in eq:
+        if sum(mono) == 1 and counts[mono.index(1)] == 1:
+            return mono.index(1)
+    return None
+
+
+def _eliminate_linear(
+    eqs: Equations, p: int
+) -> Optional[tuple[int, dict[Monomial, int], Optional[Equations]]]:
+    """(i, r, rest) for the first equation c*a_i + r' that solves for a symbol.
+
+    r = -r'/c, and rest is the other equations with a_i = r substituted,
+    or None when one of them becomes a nonzero constant.  None when no
+    equation is linear in a symbol of its own.
+    """
+    for n, (eq, _) in enumerate(eqs):
+        i = _linear_symbol(eq)
+        if i is None:
+            continue
+        unit = tuple(int(j == i) for j in range(len(next(iter(eq)))))
+        scale = -pow(eq[unit], p - 2, p)
+        r = {mono: c * scale % p for mono, c in eq.items() if mono != unit}
+        powers = [{(0,) * len(unit): 1}, r]
+        rest = []
+        for other, sup in eqs[:n] + eqs[n + 1 :]:
+            if i in sup:
+                other, sup = _substitute_poly(other, i, powers, p)
+                if not other:
+                    continue
+                if not sup:
+                    return i, r, None
+            rest.append((other, sup))
+        return i, r, rest
+    return None
+
+
+def _dense(eq: dict[Monomial, int], x: int) -> list[int]:
+    """An equation in symbol x alone as a dense polynomial."""
+    dense = [0] * (max(m[x] for m in eq) + 1)
+    for m, c in eq.items():
+        dense[m[x]] = c
+    return dense
+
+
+def _dense_at(eq: dict[Monomial, int], y: int, powers: list[int], p: int) -> list[int]:
+    """An equation in symbols x and y as a dense polynomial in y, x at a value.
+
+    `powers` holds the powers of that value, up to the total degree of eq.
+    """
+    dense = [0] * (max(m[y] for m in eq) + 1)
+    for mono, c in eq.items():
+        dense[mono[y]] += c * powers[sum(mono) - mono[y]]
+    return _trim([c % p for c in dense])
+
+
+def _resultant(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) of nonzero dense polynomials, by the Euclidean algorithm.
+
+    Res(a, b) = (-1)^(mn) Res(b, a), and Res(b, a) = lc(b)^(m - deg r) Res(b, r)
+    for r = a mod b, m = deg a and n = deg b.
+    """
+    res = 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        r = _poly_divmod(a, b, p)[1]
+        if not r:
+            return 0
+        res = res * pow(b[-1], m - len(r) + 1, p) * (-1) ** (m * n) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _interpolate(xs: list[int], ys: list[int], p: int) -> list[int]:
+    """The dense polynomial of degree < len(xs) through the points, in Newton's form."""
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], p - 2, p) % p
+    poly = [coef[-1]]
+    for i in range(len(xs) - 2, -1, -1):
+        # poly*(t - xs[i]) + coef[i]
+        shifted = [poly[k - 1] - xs[i] * poly[k] for k in range(1, len(poly))]
+        poly = [(coef[i] - xs[i] * poly[0]) % p] + [c % p for c in shifted] + [poly[-1]]
+    return _trim(poly)
+
+
+def _resultant_in(
+    e1: dict[Monomial, int], e2: dict[Monomial, int], x: int, y: int, p: int
+) -> Optional[list[int]]:
+    """Res_y(e1, e2) as a dense polynomial in x, for two equations in x and y alone.
+
+    With m, n the degrees of e1, e2 in y, its degree is at most
+    n*deg_x(e1) + m*deg_x(e2) and at most n*deg(e1) + m*deg(e2) - m*n (the
+    Sylvester matrix's rows, bounded in x and in total degree).  It is
+    evaluated at that bound + 1 points of F_p where neither leading
+    coefficient in y vanishes, so that it specializes, and interpolated.
+    None when F_p has too few such points.
+    """
+    m, n = (max(mono[y] for mono in e) for e in (e1, e2))
+    d1, d2 = (max(map(sum, e)) for e in (e1, e2))
+    dx1, dx2 = (max(mono[x] for mono in e) for e in (e1, e2))
+    bound = min(n * dx1 + m * dx2, n * d1 + m * d2 - m * n)
+    if p <= bound:
+        return None
+    xs: list[int] = []
+    ys: list[int] = []
+    for t in range(p):
+        powers = [1]
+        for _ in range(max(d1, d2)):
+            powers.append(powers[-1] * t % p)
+        a, b = _dense_at(e1, y, powers, p), _dense_at(e2, y, powers, p)
+        if len(a) == m + 1 and len(b) == n + 1:
+            xs.append(t)
+            ys.append(_resultant(a, b, p))
+            if len(xs) > bound:
+                return _interpolate(xs, ys, p)
+    return None
+
+
+def _resultant_roots(eqs: Equations, p: int) -> Optional[tuple[int, list[int]]]:
+    """A symbol x and values that include the x of every point of eqs.
+
+    Two equations in the same two symbols x < y have a nonzero resultant in
+    y unless they share a factor, and every common zero projects to one of
+    its roots.  None when no such pair has a resultant that can be formed
+    and is nonzero.
+    """
+    pairs: dict[tuple[int, ...], list[dict[Monomial, int]]] = {}
+    for eq, sup in eqs:
+        if len(sup) == 2:
+            pairs.setdefault(tuple(sorted(sup)), []).append(eq)
+    for (x, y), group in sorted(pairs.items()):
+        for k, e1 in enumerate(group):
+            for e2 in group[k + 1 :]:
+                res = _resultant_in(e1, e2, x, y, p)
+                if res:
+                    return x, roots_mod_p(res, p)
+    return None
+
+
+def _evaluate_at(eq: dict[Monomial, int], values: dict[int, int], p: int) -> int:
+    """eq at the symbols' values; only the symbols eq involves need one."""
+    acc = 0
+    for mono, c in eq.items():
+        for i in compress(range(len(mono)), mono):
+            c = c * pow(values[i], mono[i], p)
+        acc += c
+    return acc % p
 
 
 def _solve(
-    eqs: list[tuple[dict[Monomial, int], set[int]]],
+    eqs: Equations,
     free: frozenset[int],
     point: dict[int, int],
+    solved: tuple[tuple[int, dict[Monomial, int]], ...],
     p: int,
     cap: int,
     out: list[tuple[int, ...]],
@@ -611,27 +781,56 @@ def _solve(
     """Append to `out` every completion of `point` over the `free` symbols.
 
     `eqs` pairs each nonconstant equation, the assigned symbols substituted,
-    with its support, which `_substitute` returns where the equation held
-    the symbol just assigned.  A symbol with a univariate equation takes the
-    roots of the gcd of all its univariate equations; otherwise the last
-    free symbol takes every value.
+    with its support.  `solved` holds (i, r) for each symbol eliminated by a
+    linear equation, a_i = r in symbols free at the time; they are evaluated
+    in reverse once the rest is assigned.  The first step that applies:
+    - peel: a symbol with univariate equations takes the roots of their gcd,
+      taken from the lowest degree up only until it has degree 1 or less;
+      Horner's rule checks those roots in the equations left over;
+    - linear substitution: an equation c*a_i + r, c a nonzero constant and
+      a_i absent from r, eliminates a_i = -r/c from the others;
+    - resultant: two equations in the same two symbols x, y give the values
+      of x as the roots of their resultant in y (`_resultant_roots`);
+    - branch: the last free symbol takes every value of F_p, which raises
+      SearchSpaceTooLargeError when p**k exceeds the cap for the k free
+      symbols.
+    Each value is substituted; an equation that becomes a nonzero constant
+    rejects it, so roots of a resultant that no point has drop out.
     """
     if not free:
-        out.append(tuple(v for _, v in sorted(point.items())))
+        full = dict(point)
+        for i, r in reversed(solved):
+            full[i] = _evaluate_at(r, full, p)
+        out.append(tuple(v for _, v in sorted(full.items())))
         return
     values: Iterable[int]
     univariate = [(max(map(max, eq)), *sup) for eq, sup in eqs if len(sup) == 1]
     if univariate:
         x = min(univariate)[1]
-        peeled = [eq for eq, sup in eqs if sup == {x}]
-        values = roots_mod_p(_gcd_in(peeled, x, p), p)
+        dense = sorted((_dense(eq, x) for eq, sup in eqs if sup == {x}), key=len)
+        g, k = dense[0], 1
+        while k < len(dense) and len(g) > 2:
+            g = _poly_gcd(g, dense[k], p)
+            k += 1
+        values = [t for t in roots_mod_p(g, p) if not any(_horner(e, t, p) for e in dense[k:])]
         rest = [(eq, sup) for eq, sup in eqs if sup != {x}]
     else:
-        k = len(free)
-        if p**k > cap:
-            raise SearchSpaceTooLargeError(p**k, cap)
-        x = max(free)
-        values, rest = range(p), eqs
+        linear = _eliminate_linear(eqs, p)
+        if linear is not None:
+            i, r, sub = linear
+            if sub is not None:
+                _solve(sub, free - {i}, point, solved + ((i, r),), p, cap, out)
+            return
+        found = _resultant_roots(eqs, p)
+        if found is not None:
+            x, values = found
+        else:
+            k = len(free)
+            if p**k > cap:
+                raise SearchSpaceTooLargeError(p**k, cap)
+            x = max(free)
+            values = range(p)
+        rest = eqs
     free = free - {x}
     for v in values:
         sub = []
@@ -644,7 +843,7 @@ def _solve(
                     break  # a nonzero constant: no point extends this value
             sub.append((eq, sup))
         else:
-            _solve(sub, free, {**point, x: v}, p, cap, out)
+            _solve(sub, free, {**point, x: v}, solved, p, cap, out)
 
 
 def enumerate_solutions(
@@ -652,12 +851,15 @@ def enumerate_solutions(
 ) -> list[dict[str, Scalar]]:
     """All points of F_p^s where every equation vanishes, in lex order.
 
-    Exact, without a Groebner basis: a symbol with a univariate equation is
-    peeled off by the roots of the gcd of its univariate equations, each root
-    is substituted, and the rest is solved recursively.  Only where no
-    equation is univariate does the last symbol take every value of F_p;
-    that branching raises SearchSpaceTooLargeError when p**k exceeds the cap
-    for the k symbols left.  Raises UnsupportedFieldError over the rationals.
+    Exact, without a Groebner basis, by elimination in this order (see
+    `_solve`): a symbol with univariate equations is peeled off by their
+    common roots; a linear equation substitutes its symbol out of the
+    others; two equations in the same two symbols give the values of one by
+    the roots of their resultant.  Each value is substituted and the rest
+    solved recursively.  Only where none applies does the last symbol take
+    every value of F_p; that branching raises SearchSpaceTooLargeError when
+    p**k exceeds the cap for the k symbols left.  Raises
+    UnsupportedFieldError over the rationals.
     """
     fld = system.ring.field
     if not fld.is_finite:
@@ -667,5 +869,5 @@ def enumerate_solutions(
         return []
     points: list[tuple[int, ...]] = []
     symbols = frozenset(range(len(system.symbols)))
-    _solve([(eq, _support(eq)) for eq in eqs], symbols, {}, fld.p, cap, points)
+    _solve([(eq, _support(eq)) for eq in eqs], symbols, {}, (), fld.p, cap, points)
     return [dict(zip(system.symbols, pt)) for pt in sorted(points)]

@@ -16,8 +16,10 @@ class UnsupportedFieldError(NCFactorError):
 class SearchSpaceTooLargeError(NCFactorError):
     """Branching over the values of the symbols left would exceed the configured cap.
 
-    Solving over F_p branches only where no equation is univariate; `needed`
-    is p**k for the k symbols still unassigned there.
+    Solving over F_p branches only where elimination cannot go on: no
+    equation is univariate or linear in a symbol, and no two equations in the
+    same two symbols have a resultant that F_p has the points to form and
+    that does not vanish.  `needed` is p**k for the k symbols still free there.
     """
 
     def __init__(self, needed: int, cap: int):

@@ -18,9 +18,10 @@ each point's pair on such dicts.  Symbolic G and H, over Q only, are
 `freealg.SymbolicPoly` values on the recovery's dicts.  A residual that is
 a nonzero constant ends its attempt before the solver: that equation is an
 exact consequence of g*h - f = 0 for every value of the symbols.  Over F_p
-every point is found by peeling univariate equations (their gcd, then its
-roots) and branching over a symbol's values only where no equation is
-univariate.
+every point is found by elimination (`commutative.enumerate_solutions`):
+peeling univariate equations by their roots, substituting a symbol out of
+a linear equation, and the roots of a resultant of two equations in two
+symbols; only where none applies does it branch over a symbol's values.
 Over Q the reduced lex Groebner basis of a system with symbols both decides
 the unit ideal (no factorization) and describes the admissible symbol
 values; over F_p it is never needed for the answer and computed only when
@@ -101,9 +102,10 @@ class SymbolicFactorization:
     `reduced_basis` is the reduced lex Groebner basis of `system` (None for an
     empty system), computed on first read and cached; the facts of one pivot
     attempt share one system and one cache, so it is computed once per system.
-    Over Q the solver reads it on every attempt with symbols (an attempt with
-    a constant residual computes none); over F_p only callers that display
-    it do.
+    Over Q the solver reads it on every attempt with symbols, to reject the
+    unit ideal, except where f uses one letter and the ideal is never (1)
+    (an attempt with a constant residual computes none); over F_p, and for
+    one-letter f over Q, only callers that display it do.
     """
 
     left: Union[NCPoly, SymbolicPoly]
@@ -421,7 +423,11 @@ def _attempt_pivot(
     elif not fld.is_finite:
         g_sym, h_sym = SymbolicPoly(f.algebra, ring, g_terms), SymbolicPoly(f.algebra, ring, h_terms)
         fact = SymbolicFactorization(g_sym, h_sym, system, None, (g_hat, h_hat))
-        if fact.reduced_basis == (ring.one(),):
+        # An f in one letter is in K[x] and splits into linear factors over
+        # the algebraic closure, so every split has a pair there and its
+        # ideal is never (1): the basis stays unread.
+        one_letter = len({a for w in f._terms for a in w}) == 1
+        if not one_letter and fact.reduced_basis == (ring.one(),):
             return None  # unit ideal: no admissible symbol values
         return [fact]
     else:

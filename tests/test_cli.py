@@ -257,8 +257,9 @@ class TestErrors:
         assert exc.value.code == 2
 
     def test_cap_exhaustion_reports_cap(self):
-        # no equation of the (2,2) system is univariate, so solving it branches
-        # over 5^2 points
+        # no equation of the (2,2) system is univariate or linear in a symbol,
+        # and F_5 has too few points for the resultant of its two equations in
+        # a1 and a2, so solving it branches over 5^2 points
         code, _, err = capture(["--field", "5", "--max-solutions", "4", CAP_INPUT])
         assert code == 3
         assert "cap is 4" in err
@@ -271,7 +272,8 @@ class TestErrors:
 
     def test_cap_exhaustion_in_complete_chains(self):
         # the (1,3) split is answered under the cap, but the chains try every
-        # split and (2,2) has a system that branches over 5^2 points
+        # split and (2,2) has a system that branches over 5^2 points (F_5 has
+        # too few points for its resultant)
         argv = ["--field", "5", "--max-solutions", "4", "--degrees", "1,3", "--complete", CAP_INPUT]
         code, out, err = capture(argv)
         assert code == 3

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncfactor import commutative
 from ncfactor.commutative import (
     ConstraintSystem,
     SymbolRing,
@@ -207,6 +208,96 @@ def test_solver_matches_brute_force(p, nsym, count):
     for _ in range(count):
         system = _random_system(rng, p, nsym)
         assert enumerate_solutions(system) == brute_force_points(system), str(system)
+
+
+def _coupled_system(rng, p, nsym, shape):
+    """2-4 equations that vanish at a planted point, none of them univariate.
+
+    A coupled equation has c*a_i^d for each symbol of its support and 2-3
+    monomials that involve all of them, so no monomial divides it and, unless
+    those cancel, it is linear in none of its symbols.  Shapes: "linear"
+    starts with an equation c*a_i + r, a_i absent from r; "resultant" has two
+    or three coupled equations in a1 and a2; "shared" has two in a1 and a2
+    with a common factor, so their resultant vanishes (d = 1 keeps it small
+    enough to form over F_11).  With three symbols one more equation couples
+    all of them.
+    """
+    ring = SymbolRing(PrimeField(p), tuple(f"a{i + 1}" for i in range(nsym)))
+    planted = tuple(rng.randrange(p) for _ in range(nsym))
+
+    def coupled(support, degree=2):
+        eq = ring.poly({tuple(degree * (i == j) for j in range(nsym)): rng.randrange(1, p) for i in support})
+        for _ in range(rng.randint(2, 3)):
+            mono = tuple(rng.randint(1, degree) if i in support else 0 for i in range(nsym))
+            eq = eq + ring.poly({mono: rng.randrange(1, p)})
+        return eq - eq.evaluate_tuple(planted)
+
+    pair = (0, 1)
+    if shape == "linear":
+        i = rng.randrange(nsym)
+        rest = [j for j in range(nsym) if j != i]
+        eq = ring.symbol(ring.symbols[i]).scale(rng.randrange(1, p)) + coupled(rest)
+        eqs = [eq - eq.evaluate_tuple(planted), coupled(range(nsym))]
+    elif shape == "resultant":
+        eqs = [coupled(pair) for _ in range(rng.randint(2, 3))]
+    else:
+        common = coupled(pair, 1)
+        eqs = [common * coupled(pair, 1), common * coupled(pair, 1)]
+    if nsym == 3:
+        eqs.append(coupled(range(3)))
+    return ConstraintSystem(ring, tuple(eq for eq in eqs if eq))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("shape", ["linear", "resultant", "shared"])
+def test_elimination_matches_brute_force(p, shape, monkeypatch):
+    resultant_in = commutative._resultant_in
+    resultants = []
+
+    def recording(*args):
+        resultants.append(resultant_in(*args))
+        return resultants[-1]
+
+    monkeypatch.setattr(commutative, "_resultant_in", recording)
+    rng = random.Random(f"{shape}/{p}")
+    tops = []  # per system, the first resultant tried: that of its first two equations
+    for nsym in (2, 2, 2, 3, 3):
+        for _ in range(4):
+            system = _coupled_system(rng, p, nsym, shape)
+            resultants.clear()
+            assert enumerate_solutions(system) == brute_force_points(system), str(system)
+            if shape != "linear" and resultants[0] is not None:
+                tops.append(resultants[0])
+    if shape != "linear" and p > 7:
+        assert tops  # F_11 and F_13 have enough points for some
+    if shape == "shared":
+        assert not any(tops)
+    elif shape == "resultant":
+        assert all(tops)
+
+
+def test_resultant_solves_a_branching_benchmark_system():
+    # a (3,4) system of the F_101 product benchmark: no equation is
+    # univariate or linear in a symbol, so it used to branch over 101^2 points
+    ring = SymbolRing(PrimeField(101), ("a1", "a2"))
+    a1, a2 = ring.symbol("a1"), ring.symbol("a2")
+    system = ConstraintSystem(
+        ring, (35 * a1 * a1 * a1 + 31 * a1 * a2, 35 * a1 * a1 * a2 + 66 * a2 * a2 + 51)
+    )
+    assert enumerate_solutions(system, cap=1) == [{"a1": 0, "a2": 35}, {"a1": 0, "a2": 66}]
+    assert enumerate_solutions(system, cap=1) == brute_force_points(system)
+
+
+def test_linear_substitution_back_substitutes_in_reverse():
+    # no equation is univariate: a1 = a2*a3 is eliminated first, then
+    # a2 = a3^2 + 1, which leaves a3^3 - 1; a2 is evaluated before a1
+    ring = SymbolRing(PrimeField(7), ("a1", "a2", "a3"))
+    a1, a2, a3 = (ring.symbol(n) for n in ring.symbols)
+    system = ConstraintSystem(ring, (a1 - a2 * a3, a2 - a3 * a3 - 1, a1 - a3 - 1))
+    assert enumerate_solutions(system, cap=1) == [
+        {"a1": 2, "a2": 2, "a3": 1}, {"a1": 3, "a2": 5, "a3": 2}, {"a1": 5, "a2": 3, "a3": 4}
+    ]
+    assert enumerate_solutions(system, cap=1) == brute_force_points(system)
 
 
 def test_solver_positive_dimensional():

@@ -274,7 +274,9 @@ class TestFactorBidegree:
                 assert fact.left.leading_coefficient() == 1
 
     def test_enumeration_cap_propagates(self):
-        # no equation of the (2,2) system is univariate: solving it branches
+        # no equation of the (2,2) system is univariate or linear in a symbol,
+        # and F_5 has too few points for the resultant of its two equations
+        # in a1 and a2 (degree up to 7): solving it branches
         f = ALG.from_text("(3*y*y + 1 + 2*y)*(4*y*y + 2 + 3*y)")
         with pytest.raises(SearchSpaceTooLargeError):
             factor_bidegree(f, (2, 2), FactorOptions(enumeration_cap=4))
@@ -312,6 +314,27 @@ class TestFactorBidegree:
     )
     def test_rationals_unit_ideal_has_no_factorization(self, text, split):
         assert factor_bidegree(algebra(None).from_text(text), split) == []
+
+    def test_rationals_one_letter_reads_no_basis_and_none_is_the_unit_ideal(self, monkeypatch):
+        # f in one letter is in K[x] and splits into linear factors over the
+        # algebraic closure, so every split has a pair there: no system is the
+        # unit ideal, and the solver leaves the basis unread
+        def refuse(gens):
+            raise AssertionError("Groebner basis computed for a one-letter input")
+
+        inputs = [
+            random_factorable(seed, RationalField(), 1 + seed % 2, 1 + seed % 3, term_cap=4, n_vars=1)[0]
+            for seed in range(30)
+        ]
+        inputs.append(algebra(None).from_text("x^4 - 1"))  # one letter of two
+        symbolic = []
+        for f in inputs:
+            with monkeypatch.context() as patch:
+                patch.setattr(factoring, "buchberger", refuse)
+                found = factor_all(f)
+            symbolic += [fact for facts in found.values() for fact in facts if not fact.is_concrete]
+        assert len(symbolic) > 30
+        assert all(fact.reduced_basis != (fact.system.ring.one(),) for fact in symbolic)
 
     def test_rationals_without_symbols_take_no_basis(self, monkeypatch):
         # a system without symbols is empty or a nonzero constant
@@ -813,6 +836,14 @@ class TestFactorAll:
         for facts in result.values():
             for fact in facts:
                 assert fact.left * fact.right == f
+
+    def test_two_letter_product_at_mersenne_prime_answers(self):
+        # the (2,5) system has no univariate equation; a linear one eliminates
+        # a2 and leaves a1^3 = c, and c is not a cube mod 2^31 - 1
+        f, g, h = random_factorable(27, PrimeField(2**31 - 1), 3, 4, term_cap=8, n_vars=2)
+        found = factor_all(f)
+        pairs = {split: [(fact.left, fact.right) for fact in facts] for split, facts in found.items()}
+        assert pairs == {DegreeSplit(3, 4): [normalize_pair(g, h)]}
 
     def test_irreducible_polynomial_empty(self):
         assert factor_all(ALG.from_text("x*x - y*y")) == {}
