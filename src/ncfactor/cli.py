@@ -4,14 +4,10 @@ The report is built once, as the JSON object of a stable schema:
 
     {input, field, splits: [{h, k, factorizations:
         [{G, H, symbols, system, reduced_basis, solutions}]}],
-     chains: [{factors, complete}]}        (chains only with --complete)
+     chains: [{factors}]}                  (chains only with --complete)
 
-Every chain is maximal, so `complete` is always true.  `run` states this
-shape once, where it builds the report.  JSON mode writes it with one
-recursive writer of dicts, lists, strings, ints, bools and None
-(`_write_json`), byte for byte as `json.dumps(report, indent=2)` writes it
-(`tests/test_cli.py::TestJsonWriter`); it names no key, and any other type
-raises `TypeError`.
+`run` states this shape once, where it builds the report.  JSON mode writes it
+on one line with the stdlib encoder, `json.dumps(report)`.
 Text mode renders the report as one parenthesized product per factorization,
 reading nothing but its strings.  Both are byte-deterministic per invocation.
 """
@@ -19,10 +15,10 @@ reading nothing but its strings.  Both are byte-deterministic per invocation.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .commutative import SymbolRing
@@ -69,34 +65,6 @@ def _fact_obj(fact: SymbolicFactorization, groebner: bool) -> dict:
             else None
         ),
     }
-
-
-def _write_json(report: dict) -> str:
-    """The report's text as json.dumps(report, indent=2) writes it."""
-    return _json(report, "\n")
-
-
-def _json(value, pad: str) -> str:
-    """A dict, list, str, int, bool or None as json.dumps(indent=2) writes it.
-
-    `pad` is the newline and indent that the value's closing bracket follows.
-    """
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(value, list):
-        items = [_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    raise TypeError(f"cannot write a {type(value).__name__} as JSON")
 
 
 def _render_text(input_text: str, report: dict, all_splits: bool) -> str:
@@ -181,10 +149,10 @@ def run(request: Request) -> tuple[int, str]:
         ],
     }
     if chains is not None:
-        report["chains"] = [{"factors": list(ch.texts), "complete": ch.complete} for ch in chains]
+        report["chains"] = [{"factors": list(ch.texts)} for ch in chains]
 
     if request.json_mode:
-        return 0, _write_json(report)
+        return 0, json.dumps(report)
     return 0, _render_text(str(poly), report, request.degrees is None)
 
 

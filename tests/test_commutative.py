@@ -348,6 +348,14 @@ def _poly_from_roots(roots, p):
     return coeffs
 
 
+def _poly_mul(a, b, p):
+    """Dense coefficients, lowest degree first, of a*b mod p."""
+    return [
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) % p
+        for k in range(len(a) + len(b) - 1)
+    ]
+
+
 def _evaluate(coeffs, t, p):
     return sum(c * pow(t, i, p) for i, c in enumerate(coeffs)) % p
 
@@ -359,11 +367,7 @@ def test_roots_match_evaluation(p):
         roots = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
         roots += rng.sample(roots, rng.randint(0, len(roots)))  # repeated roots
         noise = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
-        coeffs = _poly_from_roots(roots, p)
-        coeffs = [
-            sum(coeffs[i] * noise[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(noise)) % p
-            for k in range(len(coeffs) + len(noise) - 1)
-        ]
+        coeffs = _poly_mul(_poly_from_roots(roots, p), noise, p)
         found = roots_mod_p(coeffs, p)
         assert found == sorted(found) and set(roots) <= set(found)
         assert all(_evaluate(coeffs, t, p) == 0 for t in found)
@@ -375,6 +379,24 @@ def test_roots_over_f2():
     for n in range(1, 64):
         coeffs = [(n >> i) & 1 for i in range(n.bit_length())]
         assert roots_mod_p(coeffs, 2) == [t for t in (0, 1) if _evaluate(coeffs, t, 2) == 0]
+
+
+@pytest.mark.parametrize("p", [251, 269, 331, 409])
+@pytest.mark.parametrize("degree", [2, 4, 8, 14])
+def test_scan_and_power_paths_agree(monkeypatch, p, degree):
+    # scan below p = 256 + 8 * degree, the power path from there on
+    calls = []
+    split = commutative._split_linear
+    monkeypatch.setattr(commutative, "_split_linear", lambda *args: calls.append(1) or split(*args))
+    rng = random.Random(p * degree)
+    for _ in range(20):
+        roots = [rng.randrange(p) for _ in range(rng.randint(0, degree))]
+        noise = [rng.randrange(p) for _ in range(degree - len(roots))] + [1]
+        coeffs = _poly_mul(_poly_from_roots(roots, p), noise, p)
+        scanned = [t for t in range(p) if _evaluate(coeffs, t, p) == 0]
+        found = roots_mod_p(coeffs, p)
+        assert found == scanned
+    assert bool(calls) == (p >= 256 + 8 * degree)
 
 
 def test_planted_roots_at_mersenne_prime():
