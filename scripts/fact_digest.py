@@ -8,8 +8,11 @@ Each fact contributes its split, left, right, system (equations in order),
 solutions and pivots; an enumeration cap stop contributes one line.  Two
 checkouts that print the same digest returned the same facts.  One digest
 per field precedes the total, so a changed total names the fields it moved.
+With --prime P every input is built over F_P instead (coefficients drawn
+from 1..P-1, factor degrees up to 3), which exercises the recovery's
+divisions by head coefficients at a large prime.
 
-Usage: python scripts/fact_digest.py [--count N]
+Usage: python scripts/fact_digest.py [--count N] [--prime P]
 """
 
 import argparse
@@ -56,9 +59,10 @@ def random_poly(rng, alg, degree, max_terms):
     return poly
 
 
-def make_input(index):
+def make_input(index, field=None):
     rng = random.Random(index)
-    field = FIELDS[index % len(FIELDS)]
+    if field is None:
+        field = FIELDS[index % len(FIELDS)]
     kind = KINDS[index // len(FIELDS) % len(KINDS)]
     names = ("x", "y", "z")[: rng.randint(2, 3)]
     alg = FreeAlgebra(Alphabet(names), SymbolRing(field, ()))
@@ -102,12 +106,14 @@ def fact_lines(f):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=300)
+    parser.add_argument("--prime", type=int, help="build every input over F_P")
     args = parser.parse_args()
+    field = PrimeField(args.prime) if args.prime else None
     digest = hashlib.sha256()
-    by_field = {field: hashlib.sha256() for field in FIELDS}
+    by_field = {fld: hashlib.sha256() for fld in ([field] if field else FIELDS)}
     facts = 0
     for index in range(args.count):
-        f = make_input(index)
+        f = make_input(index, field)
         lines = fact_lines(f)
         facts += sum(line.startswith("(") for line in lines)
         for line in lines:

@@ -5,7 +5,11 @@ parts are recovered degree by degree from the relation between homogeneous
 parts of F and of the factors.  Where the pivot words of the two top parts
 overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
-all symbols is solved exactly.  The recovery runs on plain coefficient
+all symbols is solved exactly.  A step's row for a word holds at most one
+unknown of each factor (`_solve_step`): where every unknown lies in one
+row, as when both top parts are single words, the step reads each unknown
+off its row; otherwise it eliminates column by column over an index from
+each unknown to its rows.  The recovery runs on plain coefficient
 dicts ({word: {monomial: scalar}}, residues mod p over F_p, Fractions over
 Q) with `freealg.add_word_product`, `commutative.axpy` and the field's
 `reduce`, down to degree 0; the coefficients of g*h - f it leaves are the
@@ -190,15 +194,28 @@ def _solve_step(
 
     because words concatenate uniquely at a fixed cut; `g_words` and
     `h_words` map the head words of G_top and H_top to their coefficients.
-    Unknowns reachable from the support of fhat (directly or through
-    cancellation against other head words) are collected by closure and the
-    sparse system is solved by Gaussian elimination over the base field;
-    right-hand sides may involve extension symbols from earlier steps.
-    Unconstrained unknowns are set to zero; entries fixed by the overlap
-    symbol arrive through `known`.  Coefficients are plain dicts
-    (`TermDict`).  An unknown can be free only at a j where the leading
-    head words overlap; in the attempt that settles a split, the leading
-    pair's symbol fixes it (see `factor_bidegree`).
+    So the row of a word holds at most one unknown of each factor, and an
+    unknown of H (of G) lies in one row per head word of G_top (of H_top).
+    Right-hand sides may involve extension symbols from earlier steps;
+    entries fixed by the overlap symbol arrive through `known`, move to the
+    right-hand side, and their rows are read too.  Coefficients are plain
+    dicts (`TermDict`).
+
+    When every unknown of the step lies in one row (both top parts single
+    words, or the other factor's top part one word for the only factor
+    with unknowns), the step is one scan in word order: each unknown is its
+    row's right-hand side over its head coefficient, and every other row is
+    a residual.  Two unknowns then share a row only at an overlap of the
+    two words, where `known` fixes both.  A row that holds two unknowns,
+    neither known, sends the step to the elimination, which also serves
+    every other step: the rows reached from the support of fhat, through
+    the other head words too, are eliminated over the base field with an
+    index from each unknown (column) to its rows.  Columns run in sorted
+    order, each pivoting on its first remaining row in word order; the fact
+    digests pin that rule.  Unknowns left free are zero.  An unknown can be
+    free only at a j where the leading head words overlap, and in the
+    attempt that settles a split the leading pair's symbol fixes it (see
+    `factor_bidegree`).
 
     Returns the solution and the residuals, the nonzero coefficients of
     g*h - f in this degree in descending word order: minus the right-hand
@@ -208,105 +225,131 @@ def _solve_step(
     """
     reduce = fld.reduce
     h = len(next(iter(g_words)))
-    # The unknowns in the equation of each word reached, with their head
-    # coefficients.  Entries fixed by the overlap symbol are nonzero data:
-    # equations through them can reach unknowns invisible in the support of
-    # fhat, so their words are read too.
-    row_of: dict[Word, list[tuple[tuple[str, Word], Scalar]]] = {}
-    unknowns: set[tuple[str, Word]] = set()
-    spread = list(known)
-    words: list[Word] = list(fhat)
-    while True:
-        for m in words:
-            if m in row_of:
-                continue
-            row = row_of[m] = []
-            if k_minus_j >= 0 and (c := g_words.get(m[:h])) is not None:
-                row.append((("H", m[h:]), c))
-            if h_minus_j >= 0 and (c := h_words.get(m[h_minus_j:])) is not None:
-                row.append((("G", m[:h_minus_j]), c))
-            for unk, _ in row:
-                if unk not in known and unk not in unknowns:
-                    unknowns.add(unk)
-                    spread.append(unk)
-        if not spread:
-            break
-        kind, word = spread.pop()
-        words = [u + word for u in g_words] if kind == "H" else [word + v for v in h_words]
-
-    order = sorted(unknowns)
-    index = {unk: i for i, unk in enumerate(order)}
-    # One row per word with an unknown, in word order; the right-hand side
-    # may hold symbols from earlier overlap steps.  A word with no unknown
-    # left is a condition on the symbols alone.
-    rows: list[tuple[Word, dict[int, Scalar], TermDict]] = []
-    leftover: list[tuple[Word, TermDict]] = []
-    for m in sorted(row_of):
-        coeffs: dict[int, Scalar] = {}
-        rhs = dict(fhat.get(m, {}))
-        for unk, c in row_of[m]:
+    # an unknown of H (of G) lies in one row per head word of G_top (of H_top)
+    spread_h = k_minus_j >= 0 and len(g_words) > 1
+    spread_g = h_minus_j >= 0 and len(h_words) > 1
+    # The unknowns in the row of each word reached, H's first, with their
+    # head coefficients, and its right-hand side.  Entries in `known` move
+    # to the right-hand side; they are nonzero data, so their rows are read
+    # too, as are the other rows of an unknown.
+    equations: dict[Word, tuple[list[tuple[tuple[str, Word], Scalar]], TermDict]] = {}
+    pending = list(fhat)
+    for kind, word in known:
+        if kind == "H":
+            for u in g_words:
+                pending.append(u + word)
+        else:
+            for v in h_words:
+                pending.append(word + v)
+    while pending:
+        m = pending.pop()
+        if m in equations:
+            continue
+        free = []
+        rhs = fhat.get(m, {})
+        if k_minus_j >= 0 and (c := g_words.get(m[:h])) is not None:
+            unk = ("H", m[h:])
             if unk in known:
+                rhs = dict(rhs)
                 axpy(rhs, -c, known[unk], reduce)
             else:
-                coeffs[index[unk]] = c
-        if coeffs:
-            rows.append((m, coeffs, rhs))
+                free.append((unk, c))
+                if spread_h:
+                    for u in g_words:
+                        pending.append(u + unk[1])
+        if h_minus_j >= 0 and (c := h_words.get(m[h_minus_j:])) is not None:
+            unk = ("G", m[:h_minus_j])
+            if unk in known:
+                rhs = dict(rhs)
+                axpy(rhs, -c, known[unk], reduce)
+            else:
+                free.append((unk, c))
+                if spread_g:
+                    for v in h_words:
+                        pending.append(unk[1] + v)
+        equations[m] = free, rhs
+
+    solution = dict(known)
+    if not (spread_h or spread_g):
+        # Every unknown lies in one row: read it off, in word order.
+        residuals: list[TermDict] = []
+        for _, (free, rhs) in sorted(equations.items()):
+            if not free:
+                if rhs:
+                    if _is_constant(rhs):
+                        return None
+                    residuals.append({mono: reduce(-v) for mono, v in rhs.items()})
+            elif len(free) == 1:
+                (unk, c), = free
+                if c == 1:  # always for H: a one-word G_top is monic
+                    solution[unk] = dict(rhs)
+                else:
+                    inv = fld.inv(c)
+                    solution[unk] = {mono: reduce(v * inv) for mono, v in rhs.items()}
+            else:
+                break  # two unknowns, neither known: eliminate below
+        else:
+            residuals.reverse()
+            return solution, residuals
+        solution = dict(known)
+
+    # One row per word with an unknown, in word order; a word with no
+    # unknown left is a condition on the symbols alone.
+    rows: list[tuple[Word, dict, TermDict]] = []
+    rows_with: dict[tuple[str, Word], list[int]] = {}
+    leftover: list[tuple[Word, TermDict]] = []
+    for m, (free, rhs) in sorted(equations.items()):
+        if free:
+            for unk, _ in free:
+                rows_with.setdefault(unk, []).append(len(rows))
+            rows.append((m, dict(free), dict(rhs)))
         elif rhs:
             if _is_constant(rhs):
                 return None
             leftover.append((m, rhs))
 
-    solution: dict[tuple[str, Word], TermDict] = dict(known)
-    if len(order) == 1:
-        # the first row pivots; every other row is c * x = rhs
-        _, coeffs, rhs = rows[0]
-        inv = fld.inv(coeffs[0])
-        solution[order[0]] = value = {mono: reduce(v * inv) for mono, v in rhs.items()}
-        for m, coeffs, rhs in rows[1:]:
-            axpy(rhs, -coeffs[0], value, reduce)
-            if rhs:
-                if _is_constant(rhs):
-                    return None
-                leftover.append((m, rhs))
-    else:
-        # Forward elimination to row echelon form.
-        echelon: dict[int, tuple[dict[int, Scalar], TermDict]] = {}
-        for col in range(len(order)):
-            sel = next((ri for ri, (_, coeffs, _) in enumerate(rows) if col in coeffs), None)
-            if sel is None:
+    # Forward elimination to row echelon form.  A used or emptied row has
+    # no coefficients left, and a row that elimination fills in at a later
+    # column joins that column's rows.
+    echelon: list[tuple[tuple[str, Word], dict, TermDict]] = []
+    for col in sorted(rows_with):
+        live = []
+        for i in rows_with[col]:
+            if col in rows[i][1]:
+                live.append(i)
+        if not live:
+            solution[col] = {}  # free
+            continue
+        pivot = min(live)
+        _, coeffs, rhs = rows[pivot]
+        inv = fld.inv(coeffs[col])
+        pivot_coeffs = {unk: reduce(c * inv) for unk, c in coeffs.items()}
+        rhs = {mono: reduce(v * inv) for mono, v in rhs.items()}
+        coeffs.clear()
+        echelon.append((col, pivot_coeffs, rhs))
+        for i in live:
+            if i == pivot:
                 continue
-            _, coeffs, rhs = rows.pop(sel)
-            inv = fld.inv(coeffs[col])
-            coeffs = {i: reduce(c * inv) for i, c in coeffs.items()}
-            rhs = {mono: reduce(v * inv) for mono, v in rhs.items()}
-            echelon[col] = (coeffs, rhs)
-            remaining = []
-            for m, other_coeffs, other_rhs in rows:
-                if col in other_coeffs:
-                    # each row owns its dicts, so they are reduced in place
-                    factor = other_coeffs[col]
-                    axpy(other_coeffs, -factor, coeffs, reduce)
-                    axpy(other_rhs, -factor, rhs, reduce)
-                    if other_coeffs:
-                        remaining.append((m, other_coeffs, other_rhs))
-                    elif other_rhs:
-                        if _is_constant(other_rhs):
-                            return None
-                        leftover.append((m, other_rhs))
-                else:
-                    remaining.append((m, other_coeffs, other_rhs))
-            rows = remaining
+            # each row owns its dicts, so they are reduced in place
+            m, coeffs, other_rhs = rows[i]
+            factor = coeffs[col]
+            axpy(coeffs, -factor, pivot_coeffs, reduce)
+            axpy(other_rhs, -factor, rhs, reduce)
+            for unk in pivot_coeffs:
+                if unk in coeffs and i not in rows_with[unk]:
+                    rows_with[unk].append(i)
+            if not coeffs and other_rhs:
+                if _is_constant(other_rhs):
+                    return None
+                leftover.append((m, other_rhs))
 
-        # Back-substitute; free unknowns stay zero.
-        for unk in order:
-            solution.setdefault(unk, {})
-        for col in sorted(echelon, reverse=True):
-            coeffs, rhs = echelon[col]
-            value = dict(rhs)
-            for i, c in coeffs.items():
-                if i != col:
-                    axpy(value, -c, solution[order[i]], reduce)
-            solution[order[col]] = value
+    # Back-substitute: a pivot row holds its own column and later ones.
+    for col, coeffs, rhs in reversed(echelon):
+        value = dict(rhs)
+        for unk, c in coeffs.items():
+            if unk != col:
+                axpy(value, -c, solution[unk], reduce)
+        solution[col] = value
     leftover.sort(reverse=True, key=lambda entry: entry[0])
     return solution, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
 
@@ -681,6 +724,8 @@ def factor_completely(f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS) -> li
     Every step lowers the degree, so the walk ends without a cap.  Chains
     are distinct, sorted by the text of their factors, and carry that text.
     """
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
     found = factor_all(f, options) if f.degree() >= 2 else {}
     return _complete_chains(f, found, options)
 

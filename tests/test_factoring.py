@@ -35,7 +35,7 @@ from ncfactor.freealg import (
 )
 from ncfactor.homogeneous import factor_homogeneous
 from ncfactor.oracle import brute_force_factor, chain_family, random_factorable
-from ncfactor.commutative import _is_constant, buchberger, reduce_groebner
+from ncfactor.commutative import _is_constant, axpy, buchberger, reduce_groebner
 
 
 def algebra(p=5):
@@ -263,8 +263,10 @@ class TestFactorBidegree:
         assert calls == []
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            factor_bidegree(ALG.zero(), (1, 1))
+        # every driver checks for zero first, before asking for its degree
+        for driver in (lambda f: factor_bidegree(f, (1, 1)), factor_all, factor_completely):
+            with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+                driver(ALG.zero())
 
     def test_round_trip_of_every_result(self):
         for seed in range(40):
@@ -1091,6 +1093,133 @@ def test_factor_all_agrees_with_factor_bidegree_at_every_split():
         assert found == [(split, facts) for split, facts in by_split.items() if facts], index
         answered += bool(found)
     assert answered == 381
+
+
+def _reference_solve_step(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld):
+    """`factoring._solve_step` as row-by-row elimination, the reference for its read-off.
+
+    Collects every unknown reachable from the support of fhat and the
+    known entries by closure, sorts them, and eliminates column by column,
+    each column pivoting on its first remaining row in word order; free
+    unknowns are zero.  Returns (solution, residuals) or None, as the
+    package's does.
+    """
+    reduce = fld.reduce
+    h = len(next(iter(g_words)))
+    row_of = {}
+    unknowns = set()
+    spread = list(known)
+    words = list(fhat)
+    while True:
+        for m in words:
+            if m in row_of:
+                continue
+            row = row_of[m] = []
+            if k_minus_j >= 0 and (c := g_words.get(m[:h])) is not None:
+                row.append((("H", m[h:]), c))
+            if h_minus_j >= 0 and (c := h_words.get(m[h_minus_j:])) is not None:
+                row.append((("G", m[:h_minus_j]), c))
+            for unk, _ in row:
+                if unk not in known and unk not in unknowns:
+                    unknowns.add(unk)
+                    spread.append(unk)
+        if not spread:
+            break
+        kind, word = spread.pop()
+        words = [u + word for u in g_words] if kind == "H" else [word + v for v in h_words]
+
+    order = sorted(unknowns)
+    index = {unk: i for i, unk in enumerate(order)}
+    rows, leftover = [], []
+    for m in sorted(row_of):
+        coeffs = {}
+        rhs = dict(fhat.get(m, {}))
+        for unk, c in row_of[m]:
+            if unk in known:
+                axpy(rhs, -c, known[unk], reduce)
+            else:
+                coeffs[index[unk]] = c
+        if coeffs:
+            rows.append((m, coeffs, rhs))
+        elif rhs:
+            if _is_constant(rhs):
+                return None
+            leftover.append((m, rhs))
+
+    echelon = {}
+    for col in range(len(order)):
+        sel = next((ri for ri, (_, coeffs, _) in enumerate(rows) if col in coeffs), None)
+        if sel is None:
+            continue
+        _, coeffs, rhs = rows.pop(sel)
+        inv = fld.inv(coeffs[col])
+        coeffs = {i: reduce(c * inv) for i, c in coeffs.items()}
+        rhs = {mono: reduce(v * inv) for mono, v in rhs.items()}
+        echelon[col] = (coeffs, rhs)
+        remaining = []
+        for m, other_coeffs, other_rhs in rows:
+            if col in other_coeffs:
+                factor = other_coeffs[col]
+                axpy(other_coeffs, -factor, coeffs, reduce)
+                axpy(other_rhs, -factor, rhs, reduce)
+                if other_coeffs:
+                    remaining.append((m, other_coeffs, other_rhs))
+                elif other_rhs:
+                    if _is_constant(other_rhs):
+                        return None
+                    leftover.append((m, other_rhs))
+            else:
+                remaining.append((m, other_coeffs, other_rhs))
+        rows = remaining
+
+    solution = dict(known)
+    for unk in order:
+        solution[unk] = {}
+    for col in sorted(echelon, reverse=True):
+        coeffs, rhs = echelon[col]
+        value = dict(rhs)
+        for i, c in coeffs.items():
+            if i != col:
+                axpy(value, -c, solution[order[i]], reduce)
+        solution[order[col]] = value
+    leftover.sort(reverse=True, key=lambda entry: entry[0])
+    return solution, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(101), PrimeField(2**31 - 1), RationalField()], ids=repr
+)
+def test_solve_step_matches_the_row_by_row_elimination(field, monkeypatch):
+    # every recovery step of factor_all on 100 digest inputs built over the
+    # field: the solution (free unknowns zero) and the residuals, in order,
+    # are the reference's, so the pivot rule the digests pin holds here too
+    make_input = _load_script("fact_digest").make_input
+    solve = factoring._solve_step
+    steps = []
+    monkeypatch.setattr(factoring, "_solve_step", lambda *step: steps.append(step) or solve(*step))
+    for index in range(100):
+        f = make_input(index, field)
+        if f.degree() >= 2:
+            try:
+                factor_all(f)
+            except SearchSpaceTooLargeError:
+                pass
+    kinds = set()
+    coupled = 0
+    for step in steps:
+        fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld = step
+        assert solve(*step) == _reference_solve_step(*step), step
+        one_word_tops = len(g_words) == len(h_words) == 1
+        kinds.add((one_word_tops, bool(known)))
+        if one_word_tops and known:
+            # Without its known entries the overlap word's row holds both
+            # unknowns: the step eliminates, and the free one is zero.
+            (g_hat,), (h_hat,) = g_words, h_words
+            coupled += g_hat + h_hat[len(g_hat) - h_minus_j :] in fhat
+            unknown = (fhat, g_words, h_words, h_minus_j, k_minus_j, {}, fld)
+            assert solve(*unknown) == _reference_solve_step(*unknown), step
+    assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+    assert coupled
 
 
 def _reference_chains(f):
