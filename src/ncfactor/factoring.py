@@ -33,19 +33,19 @@ read.
 
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
-by L of the divisors between L and M.  Over F_p one `factor_all` of the
-input lists them all; over Q a split with symbols stays symbolic and hides
-divisors, so the quotient of every interval they reach is factored too.
-Over both fields exact left division on scalar dicts (`freealg.left_divide`)
-relates the divisors where transitivity does not, and the chains are the
-paths of their cover graph.
+by L of the divisors between L and M.  A `factor_all` whose facts are all
+concrete lists every divisor of its input, so the walk factors an
+interval's sub-intervals again only where the interval's own facts
+include a symbolic split, which over Q hides divisors; over F_p one
+`factor_all` of the input suffices.  Exact left division on scalar dicts
+(`freealg.left_divide`) relates the divisors where transitivity does not,
+and the chains are the paths of their cover graph.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
@@ -390,12 +390,12 @@ def _attempt_pivot(
     prepared view's degree parts) and each concrete pair on scalar dicts.  The
     head coefficients are those of the top pair `factor_homogeneous_terms`
     returns, so G_top is monic and G_top*H_top is f's top part.  The
-    convolution of the recovered parts runs on down to degree 0, where
-    below the steps g*h - f is -fhat.  With the steps' residuals (see
-    `_solve_step`) that is the system, the equations `assemble_constraints`
-    builds, in their order.  A nonzero constant residual ends the attempt
-    before enumeration or the basis over Q; an attempt without symbols has
-    only constant residuals.  Over Q an attempt with symbols returns one
+    convolution of the recovered parts runs on down to degree 0; below the
+    recovered degrees a step reaches no unknown, and its residuals are
+    -fhat.  The steps' residuals (see `_solve_step`) are the system, the
+    equations `assemble_constraints` builds, in their order.  A nonzero
+    constant residual ends the attempt before enumeration or the basis over
+    Q; an attempt without symbols has only constant residuals.  Over Q an attempt with symbols returns one
     symbolic fact, described by its reduced basis; every other attempt
     returns its concrete pairs, each multiplied back to f; a solved point
     whose pair does not do so raises AssertionError.
@@ -420,14 +420,6 @@ def _attempt_pivot(
         for i in range(1, j):
             if h - i in g_parts and k - j + i in h_parts:
                 add_word_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], reduce)
-        if j > h and j > k:
-            # below the recovered degrees g*h - f is -fhat
-            for w in sorted(fhat, reverse=True):
-                equation = {m: reduce(-v) for m, v in fhat[w].items()}
-                if _is_constant(equation):
-                    return None
-                equations.append(equation)
-            continue
         known: dict[tuple[str, Word], TermDict] = {}
         if j in symbol_at:
             # The fused word g_hat * h_hat[j:] is left-divisible by g_hat and
@@ -713,13 +705,15 @@ def factor_completely(f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS) -> li
     is a domain, so the left divisors of a factor L^-1*M are L^-1*D for the
     left divisors D of f with L | D | M (P. M. Cohn, Free Rings and Their
     Relations), and a step is irreducible exactly when D_(i-1) is a lower
-    cover of D_i.  Over F_p `factor_all(f)` lists every monic left divisor
-    of f, so it runs once.  Over Q symbolic splits hide divisors, so every
-    interval (L, M) of found divisors with a degree gap of 2 or more has its
-    quotient factored too, once per distinct quotient, and its concrete
-    facts add inner divisors.  Then one walk serves both fields:
-    `_cover_paths` relates the divisors and lists the paths from 1 to f in
-    their cover graph, each built once.
+    cover of D_i.  One walk serves both fields: it starts from
+    `factor_all(f)`, and an interval (L, M) of found divisors has its
+    quotient factored again only when the facts of the interval around it
+    include a symbolic split.  A `factor_all` whose facts are all concrete
+    lists every divisor of its input, because the attempt that settles a
+    split finds every pair of it (see `factor_bidegree`); over F_p every
+    fact is concrete, so `factor_all` runs once.  Then `_cover_paths`
+    relates the divisors and lists the paths from 1 to f in their cover
+    graph, each built once.
 
     Every step lowers the degree, so the walk ends without a cap.  Chains
     are distinct, sorted by the text of their factors, and carry that text.
@@ -736,108 +730,76 @@ def _complete_chains(
     options: FactorOptions,
 ) -> list[FactorChain]:
     """`factor_completely` for f, given `found = factor_all(f, options)`."""
-    alg = f.algebra
-    # divisors by index: 1 and f first, then each monic left divisor as found
-    elems = [alg.one(), f]
-    degree = [0, f.degree()]
-    position: dict[NCPoly, int] = {}
-    # quotient elems[i]^-1 * elems[j] of each step (i, j) a chain may take
-    quotients: dict[tuple[int, int], NCPoly] = {(0, 1): f}
+    # each monic left divisor of f found, with its right cofactor when a fact of f gives it
+    cofactors: dict[NCPoly, Optional[NCPoly]] = {}
+    walked: set[tuple[NCPoly, NCPoly]] = set()
 
-    def add_divisor(i: int, j: int, left: NCPoly, right: NCPoly) -> int:
-        # the index of elems[i]*left, which splits (i, j) into left and right
-        d = elems[i] * left if i else left
-        m = position.setdefault(d, len(elems))
-        if m == len(elems):
-            elems.append(d)
-            degree.append(d.degree())
-        quotients[(i, m)] = left
-        quotients[(m, j)] = right
-        return m
-
-    def concrete_splits(
-        i: int, j: int, facts: dict[DegreeSplit, list[SymbolicFactorization]]
-    ) -> list[int]:
-        # the indices of the divisors that the concrete facts on (i, j) split it at
-        return [
-            add_divisor(i, j, fact.left, fact.right)
+    def walk(lower: NCPoly, q: NCPoly, facts: dict[DegreeSplit, list[SymbolicFactorization]]) -> None:
+        # the divisors lower*L that the concrete facts L*R of q = lower^-1*upper give
+        splits = [
+            (lower * fact.left, fact.left, fact.right)
             for split_facts in facts.values()
             for fact in split_facts
             if fact.is_concrete
         ]
+        for d, _, right in splits:
+            # only the root's quotient is f: the others have lower degree
+            cofactors.setdefault(d, right if q == f else None)
+        if len(splits) == sum(map(len, facts.values())):
+            return  # concrete facts list every divisor of q
+        for d, left, right in splits:
+            for start, part in ((lower, left), (d, right)):
+                if part.degree() >= 2 and (start, part) not in walked:
+                    walked.add((start, part))
+                    walk(start, part, factor_all(part, options))
 
-    if alg.field.is_finite:
-        concrete_splits(0, 1, found)
-    else:
-        # symbolic splits hide divisors: factor every interval's quotient too
-        found_at = {f: found}
-        reached: set[tuple[int, int]] = set()
-
-        def discover(i: int, j: int) -> None:
-            if degree[j] - degree[i] < 2 or (i, j) in reached:
-                return
-            reached.add((i, j))
-            q = quotients[(i, j)]
-            if q not in found_at:
-                found_at[q] = factor_all(q, options)
-            for m in concrete_splits(i, j, found_at[q]):
-                discover(i, m)
-                discover(m, j)
-
-        discover(0, 1)
-    paths = _cover_paths(elems, degree, quotients)
-
-    @cache
-    def text(i: int, m: int) -> str:
-        return str(quotients[(i, m)])
-
-    ranked = sorted((tuple(map(text, path, path[1:])), path) for path in paths)
-    return [
-        FactorChain(tuple(quotients[step] for step in zip(path, path[1:])), texts)
-        for texts, path in ranked
-    ]
+    walk(f.algebra.one(), f, found)
+    return _cover_paths(f, cofactors)
 
 
-def _cover_paths(
-    elems: list[NCPoly], degree: list[int], quotients: dict[tuple[int, int], NCPoly]
-) -> list[tuple[int, ...]]:
-    """The index paths 0, ..., 1 through the cover graph of the divisors in `elems`.
+def _cover_paths(f: NCPoly, cofactors: dict[NCPoly, Optional[NCPoly]]) -> list[FactorChain]:
+    """The chains of f, the paths from 1 to f through the cover graph of its divisors.
 
-    `elems` holds 1, f and the monic left divisors of f that were found
-    (over F_p all of them, over Q those that concrete pairs show), with the
-    quotients the pairs gave in `quotients`.  Each divisor's down-set is
-    filled in ascending degree, and so is the scan over its candidates: a
-    candidate i with a divisor known not to divide m cannot divide m, so
-    only the candidates whose own down-set lies in m's are divided.  The
-    lower covers of m are the maximal members of its down-set; a cover
-    step's quotient no pair gave is divided out into `quotients`.  The paths
-    up to f are memoized per divisor, so each chain is built once.
+    `cofactors` holds the monic left divisors of f that were found (over
+    F_p all of them, over Q those that concrete pairs show), each with its
+    right cofactor in f where a fact of f gives one.  Each divisor's
+    down-set is filled in ascending degree, and so is the scan over its
+    candidates: a candidate i with a divisor known not to divide m cannot
+    divide m, so only the candidates whose own down-set lies in m's are
+    divided, and the down-set keeps each quotient divided out.  The lower
+    covers of m are the maximal members of its down-set.  A step above 1
+    is the divisor itself, and a step below f is the cofactor, divided out
+    only where there is none.  The paths up to f are memoized per divisor,
+    so each chain is built once, with each step's text rendered once.
     """
-    alg = elems[0].algebra
+    alg = f.algebra
     reduce = alg.field.reduce
-    terms = [d._terms for d in elems]
-    order = sorted(range(2, len(elems)), key=degree.__getitem__)
-    below: list[set[int]] = [set() for _ in elems]
-    divided: dict[tuple[int, int], ScalarTerms] = {}
-    for m in order:
-        below[m].add(0)
-        for i in order:
+    elems = [alg.one(), *sorted(cofactors, key=NCPoly.degree), f]
+    top = len(elems) - 1
+    degree = [d.degree() for d in elems]
+    # below[m] maps each index i of a divisor of elems[m] to elems[i]^-1 * elems[m]
+    below: list[dict[int, Optional[NCPoly]]] = [{}]
+    for m in range(1, top):
+        down: dict[int, Optional[NCPoly]] = {0: elems[m]}
+        for i in range(1, m):
             if degree[i] >= degree[m]:
                 break
-            if below[i] <= below[m]:
-                q = left_divide(terms[m], terms[i], reduce)
+            if below[i].keys() <= down.keys():
+                q = left_divide(elems[m]._terms, elems[i]._terms, reduce)
                 if q is not None:
-                    below[m].add(i)
-                    divided[(i, m)] = q
-    below[1] = set(range(len(elems))) - {1}
-    above: list[list[int]] = [[] for _ in elems]
+                    down[i] = NCPoly(alg, q)
+        below.append(down)
+    below.append({0: f, **{i: cofactors[elems[i]] for i in range(1, top)}})
+    above: list[list[tuple[int, NCPoly, str]]] = [[] for _ in elems]
     for m, down in enumerate(below):
-        for i in down.difference(*(below[k] for k in down)):
-            above[i].append(m)
-            if (i, m) not in quotients:
-                q = divided.get((i, m)) or left_divide(terms[m], terms[i], reduce)
-                quotients[(i, m)] = NCPoly(alg, q)
-    up: dict[int, list[tuple[int, ...]]] = {1: [(1,)]}
-    for i in reversed([0] + order):
-        up[i] = [(i,) + path for m in above[i] for path in up[m]]
-    return up[0]
+        for i in set(down).difference(*map(below.__getitem__, down)):
+            q = down[i]
+            if q is None:
+                q = NCPoly(alg, left_divide(f._terms, elems[i]._terms, reduce))
+            above[i].append((m, q, str(q)))
+    # (texts, factors) of each path from a divisor up to f
+    up: list[list[tuple[tuple[str, ...], tuple[NCPoly, ...]]]] = [[] for _ in elems]
+    up[top] = [((), ())]
+    for i in reversed(range(top)):
+        up[i] = [((text, *texts), (q, *factors)) for m, q, text in above[i] for texts, factors in up[m]]
+    return [FactorChain(factors, texts) for texts, factors in sorted(up[0], key=lambda path: path[0])]

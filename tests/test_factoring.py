@@ -29,6 +29,7 @@ from ncfactor.freealg import (
     FreeAlgebra,
     NCPoly,
     SymbolicPoly,
+    left_divide,
     normalize_pair,
     overlap_lengths,
     word_key,
@@ -925,8 +926,10 @@ class TestFactorCompletely:
             assert all(product_of(ch.factors) == f for ch in chains)
 
     def test_one_factor_all_over_fp(self, monkeypatch):
-        # factor_all(f) lists every monic left divisor of f, and the chains
-        # are paths through them: no sub-factor is factored again
+        # a factor_all whose facts are all concrete lists every monic left
+        # divisor of its input, and the chains are paths through them: over
+        # F_p no sub-factor is factored again, and over Q only the intervals
+        # under a symbolic split are
         calls = []
         real = factoring.factor_all
         monkeypatch.setattr(
@@ -937,6 +940,14 @@ class TestFactorCompletely:
         assert calls == [f]
         assert len(chains) == 120
         assert all(ch.complete and product_of(ch.factors) == f for ch in chains)
+        rationals = FreeAlgebra(Alphabet(("x", "y", "z")), SymbolRing(RationalField(), ()))
+        # factoring every interval of found divisors makes 3, 6 and 4 calls
+        for text, count in [("-y*z*y - z*y", 1), ("2*y*x^3", 1), ("-9*z^2*y*z + 3*z^2", 4)]:
+            calls.clear()
+            f = rationals.from_text(text)
+            chains = factor_completely(f)
+            assert calls[0] == f and len(calls) == count, text
+            assert all(product_of(ch.factors) == f for ch in chains)
 
     def test_divisions_only_where_transitivity_does_not_decide(self, monkeypatch):
         # y*(xy - 1)(xy - 2)(xy - 3)(xy - 4) over F_7 has 32 monic left
@@ -1240,6 +1251,61 @@ def _reference_chains(f):
         return memo[g]
 
     return chains(f)
+
+
+def _always_recursing_q_chains(f):
+    # every maximal chain of the divisors that factoring the quotient of
+    # every interval of found divisors (degree gap 2 or more) shows, with
+    # every pair of divisors related by left division; chains as texts
+    alg = f.algebra
+    divisors = set()
+    walked = set()
+
+    def walk(lower, q):
+        if q.degree() < 2 or (lower, q) in walked:
+            return
+        walked.add((lower, q))
+        for facts in factor_all(q).values():
+            for fact in facts:
+                if fact.is_concrete:
+                    d = lower * fact.left
+                    divisors.add(d)
+                    walk(lower, fact.left)
+                    walk(d, fact.right)
+
+    walk(alg.one(), f)
+    nodes = [alg.one(), *divisors, f]
+
+    def quotient(a, b):
+        if a.degree() >= b.degree():
+            return None
+        q = left_divide(b._terms, a._terms, alg.field.reduce)
+        return None if q is None else NCPoly(alg, q)
+
+    quotients = {(a, b): q for a in nodes for b in nodes if (q := quotient(a, b)) is not None}
+
+    def chains(a):
+        if a == f:
+            return [()]
+        covers = [
+            b for (lower, b) in quotients
+            if lower == a and not any((a, c) in quotients and (c, b) in quotients for c in nodes)
+        ]
+        return [(str(quotients[(a, b)]),) + rest for b in covers for rest in chains(b)]
+
+    return sorted(chains(alg.one()))
+
+
+def test_q_walk_matches_the_always_recursing_walk():
+    # factoring an interval again only under a symbolic split loses no
+    # divisor: a factor_all whose facts are all concrete lists them all
+    make_input = _load_script("fact_digest").make_input
+    inputs = [make_input(index) for index in range(500)]
+    inputs = [f for f in inputs if not f.algebra.field.is_finite and not f.is_zero() and f.degree() >= 2]
+    inputs += [algebra(None).from_text("3*y*x^2 - 3*x^2"), make_input(904)]
+    assert str(inputs[-1]) == "-9*z^2*y*z + 3*z^2"
+    for f in inputs:
+        assert [ch.texts for ch in factor_completely(f)] == _always_recursing_q_chains(f), f
 
 
 def _chain_input(seed):
