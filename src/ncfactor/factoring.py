@@ -213,8 +213,8 @@ def _solve_step(
     index from each unknown (column) to its rows.  Columns run in sorted
     order, each pivoting on its first remaining row in word order; the fact
     digests pin that rule.  Unknowns left free are zero.  An unknown can be
-    free only at a j where the leading head words overlap, and in the
-    attempt that settles a split the leading pair's symbol fixes it (see
+    free only at a free degree j, where the leading head words overlap, and
+    in the attempt that settles a split its pair's symbol at j fixes it (see
     `factor_bidegree`).
 
     Returns the solution and the residuals, the nonzero coefficients of
@@ -383,8 +383,10 @@ def _attempt_pivot(
 
     Returns the attempt's factorizations, or None when its system is
     inconsistent.  The attempt that settles a split zeroes no free
-    coefficient (see `factor_bidegree`); in a merge that is the leading
-    pair's attempt, and any pair another attempt finds, it finds too.
+    coefficient (see `factor_bidegree`), so any pair another attempt finds,
+    it finds too; in a merge that is, over F_p, the attempt of the first
+    pair in merge order that overlaps at every free degree, and over Q the
+    leading pair's.
 
     The steps run on plain coefficient dicts, and f (its terms and the
     prepared view's degree parts) and each concrete pair on scalar dicts.  The
@@ -502,26 +504,39 @@ def factor_bidegree(
     coefficients and every pivot pair's overlaps; pivots are chosen there
     and nowhere else.
 
-    One attempt settles the split: the leading head pair's (lead G_top,
-    lead H_top) when two or more pairs overlap, otherwise the overlapping
-    pair's, otherwise the first pair's.  It zeroes no free coefficient.
-    Recovery step j has a free coefficient only when G_top*Y = -X*H_top
-    has a nonzero solution (X, Y) of degrees (h - j, k - j).  Free algebras
-    are rigid (P. M. Cohn, Free Rings and Their Relations), so then
-    G_top = -X*E and H_top = E*Y for some E of degree j, unique up to a
-    scalar because the top pair at a split is unique: the free coefficient
-    sits at an overlap of the settling words, where a symbol fixes it.  So
-    any pair another attempt finds, the settling attempt finds too, and
-    when it answers nothing neither does the split.
+    One attempt settles the split, and it zeroes no free coefficient.  Call
+    j a free degree when G_top = A*E and H_top = E*B for a homogeneous E of
+    degree j.  Recovery step j has a free coefficient only when
+    G_top*Y = -X*H_top has a nonzero solution (X, Y) of degrees
+    (h - j, k - j).  Free algebras are rigid (P. M. Cohn, Free Rings and
+    Their Relations), so then j is a free degree (A = -X, B = Y), with E
+    unique up to a scalar because the top pair at a split is unique, and
+    the free direction (A, -B) is one-dimensional.  Each word of A*E splits
+    uniquely at h - j, so supp(G_top) = supp(A) x supp(E): a pair (u, v)
+    that overlaps at j puts its symbol on G's coefficient at u[:h - j],
+    which the free direction moves, since A[u[:h - j]] != 0.  So the
+    attempt of a pair that overlaps at every free degree finds every pair
+    of the split, and when it answers nothing neither does the split.  The
+    leading head pair (lead G_top, lead H_top) = (lead A*lead E,
+    lead E*lead B) overlaps at every free degree, so only its overlaps are
+    tried (`_free_degrees`).
 
-    With at most one overlapping pair the settling facts are the answer.
-    Otherwise the pivot pairs run in order of increasing overlap count, the
-    settling result is reused at its turn, each pair is kept from the first
-    attempt that reports it, and the loop stops once it holds every pair of
-    the settling attempt.  The loop finds no factorization the settling
-    attempt misses; it picks which attempt reports a pair, and so the
-    fact's `solutions`, which the benchmark pools pin
-    (`perfbench/workloads.py::cli_answer`).
+    The overlapping pair settles when only one overlaps, and the first pair
+    when none does; their facts are the answer.  With two or more
+    overlapping pairs the pivot pairs run in merge order, by increasing
+    overlap count: each pair is kept from the first attempt that reports
+    it, the settling result is reused at its turn, and the loop stops once
+    it holds every pair of the settling attempt.  Over F_p the first pair
+    in merge order that overlaps at every free degree settles, so where it
+    comes first its attempt is the only one run.  Over Q the leading pair
+    settles: a settling attempt with symbols returns one symbolic fact, so
+    the loop runs every attempt ordered before it, and the concrete facts
+    those report are kept; settling on an earlier pair would stop the loop
+    before some of them (32 of the 4622 facts of the first 3000
+    `scripts/fact_digest.py` inputs were lost that way).  The loop finds no
+    factorization the settling attempt misses; it picks which attempt
+    reports a pair, and so the fact's `solutions`, which the benchmark
+    pools pin (`perfbench/workloads.py::cli_answer`).
     """
     h, k = split
     if h < 1 or k < 1:
@@ -554,6 +569,9 @@ def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[Symbolic
     overlapping = [pivot for pivot in pivots if pivot[2]]
     if len(overlapping) > 1:
         settling = next(pivot for pivot in pivots if pivot[:2] == lead)
+        if alg.field.is_finite:
+            free = _free_degrees(g_head, h_head, settling[2], alg.field)
+            settling = next(pivot for pivot in pivots if free.issubset(pivot[2]))
     else:
         settling = (overlapping or pivots)[0]
     settled = _attempt_pivot(view, g_head, h_head, settling, options)
@@ -571,6 +589,30 @@ def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[Symbolic
         if wanted <= merged.keys():
             break
     return list(merged.values())
+
+
+def _monic(terms: ScalarTerms, fld) -> ScalarTerms:
+    """Nonzero terms scaled to coefficient 1 at their leading word."""
+    inv = fld.inv(terms[max(terms, key=word_key)])
+    return {w: fld.reduce(c * inv) for w, c in terms.items()}
+
+
+def _free_degrees(g_head: ScalarTerms, h_head: ScalarTerms, overlaps: tuple[int, ...], fld) -> set[int]:
+    """The free degrees of a top pair: the j with G_top = A*E and H_top = E*B, deg E = j.
+
+    Every free degree is an overlap of the leading head words, lead(A)*lead(E)
+    and lead(E)*lead(B), so only `overlaps`, the leading pair's, are tried:
+    j is free when G_top's right factor of degree j and H_top's left factor
+    of degree j (`factor_homogeneous_terms`) agree once both are monic.
+    """
+    h, k = len(next(iter(g_head))), len(next(iter(h_head)))
+    free = set()
+    for j in overlaps:
+        g_split = (None, g_head) if j == h else factor_homogeneous_terms(g_head, h - j, fld)
+        h_split = (h_head, None) if j == k else factor_homogeneous_terms(h_head, j, fld)
+        if g_split and h_split and _monic(g_split[1], fld) == _monic(h_split[0], fld):
+            free.add(j)
+    return free
 
 
 def _exact_quotient(target: TermDict, lead: Monomial, rest: TermDict, reduce: Reduce) -> Optional[TermDict]:

@@ -3,6 +3,7 @@ import importlib.util
 import math
 from fractions import Fraction
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -125,24 +126,26 @@ class TestFactorBidegree:
                 [(W("y"), W("yx"), (1,))],
                 [("y + x + 1", "y*x + 2")],
             ),
-            # (x, xy) and (y, yy) both overlap: the leading pair (y, yy) runs
-            # first, then the others in order, and its result is reused
+            # (x, xy) and (y, yy) both overlap, and the tops y + x and
+            # (y + x)*y make 1 a free degree: over F_p the first pair in
+            # merge order that overlaps at 1, (x, xy), settles and runs
+            # first, then the merge runs the pairs in order, reuses its
+            # result and stops there
             (
                 5, "(y + x + 1)*(y^2 + x*y)", (1, 2),
                 [
-                    (W("y"), W("yy"), (1,)),
+                    (W("x"), W("xy"), (1,)),
                     (W("x"), W("yy"), ()),
                     (W("y"), W("xy"), ()),
-                    (W("x"), W("xy"), (1,)),
                 ],
                 [("y + x + 1", "y^2 + x*y"), ("y + x", "y^2 + x*y + y")],
             ),
-            # the same heads, and the leading pair's attempt answers nothing,
-            # so no other attempt runs (the exhaustive oracle finds no pair
-            # over F_5 either)
+            # the same heads, and the settling attempt answers nothing, so no
+            # other attempt runs (the exhaustive oracle finds no pair over F_5
+            # either); over Q the leading pair (y, yy) settles
             (
                 5, "(y + x + 1)*(y^2 + x*y) + x", (1, 2),
-                [(W("y"), W("yy"), (1,))],
+                [(W("x"), W("xy"), (1,))],
                 [],
             ),
             (
@@ -150,17 +153,20 @@ class TestFactorBidegree:
                 [(W("y"), W("yy"), (1,))],
                 [],
             ),
-            # (x, xy) and (x, xx) overlap, so the leading pair (y, xy) settles;
-            # the merge runs (y, xx), reaches the settling result and stops,
-            # on both fields, once it holds every pair of the settling attempt
+            # (x, xy) and (x, xx) overlap; over Q the leading pair (y, xy)
+            # settles, and the merge runs (y, xx), reaches the settling result
+            # and stops once it holds every pair of the settling attempt
             (
                 None, "(y - 3*x - 1)*(3*x*y - 2*x^2)", (1, 2),
                 [(W("y"), W("xy"), ()), (W("y"), W("xx"), ())],
                 [("y - 3*x - 1", "3*x*y - 2*x^2")],
             ),
+            # over F_5 the tops y + 2*x and x*(3*y + 3*x) share no factor, so
+            # there is no free degree and the first pair in merge order,
+            # (y, xx), settles: the merge stops at once
             (
                 5, "(y - 3*x - 1)*(3*x*y - 2*x^2)", (1, 2),
-                [(W("y"), W("xy"), ()), (W("y"), W("xx"), ())],
+                [(W("y"), W("xx"), ())],
                 [("y + 2*x + 4", "3*x*y + 3*x^2")],
             ),
         ],
@@ -562,6 +568,123 @@ def test_merge_over_rationals_keeps_every_reported_pair(case):
             if fact.is_concrete and (fact.left, fact.right) not in answer:
                 assert len(overlapping) <= 1
                 assert any(_is_point_of((fact.left, fact.right), kept) for kept in facts)
+
+
+def test_settling_pair_finds_the_leading_pairs_pairs(monkeypatch):
+    # Over F_p a split with two or more overlapping head pairs settles on the
+    # first pair in merge order that overlaps at every free degree; the
+    # attempt that settles (the first one factor_bidegree runs) returns the
+    # leading pair's pair set.  The inputs are the F_p inputs among the first
+    # 400 digest inputs (the shared-middle kind has free degrees) and 100
+    # three-letter F_101 (3,4) products.
+    make_input = _load_script("fact_digest").make_input
+    inputs = [make_input(index) for index in range(400) if index % 5 != 4]
+    inputs += [random_factorable(seed, PrimeField(101), 3, 4, term_cap=8, n_vars=3)[0] for seed in range(100)]
+    attempt = factoring._attempt_pivot
+    runs = []
+
+    def recorded(view, g_head, h_head, pivot, options):
+        facts = attempt(view, g_head, h_head, pivot, options)
+        runs.append((pivot, facts))
+        return facts
+
+    monkeypatch.setattr(factoring, "_attempt_pivot", recorded)
+    checked = moved = 0
+    for f in inputs:
+        if f.is_zero() or f.degree() < 2 or f.is_homogeneous():
+            continue
+        n = f.degree()
+        for b in range(1, n):
+            top = factor_homogeneous(f.homogeneous_part(n), b, n - b)
+            if top is None:
+                continue
+            g_head, h_head = (dict(part.terms()) for part in top)
+            if sum(bool(overlap_lengths(u, v)) for u in g_head for v in h_head) < 2:
+                continue
+            lead = (top[0].leading_word(), top[1].leading_word())
+            runs.clear()
+            try:
+                factor_bidegree(f, (b, n - b))
+                leading = attempt(
+                    factoring._prepare(f), g_head, h_head, (*lead, overlap_lengths(*lead)), DEFAULT_OPTIONS
+                )
+            except SearchSpaceTooLargeError:
+                continue
+            settling, settled = runs[0]
+            assert pair_set(settled or ()) == pair_set(leading or ()), (f, b, settling)
+            checked += 1
+            moved += settling[:2] != lead
+    assert (checked, moved) == (240, 225)
+
+
+def _has_free_direction(g_top, h_top, j):
+    """Whether G_top*Y + X*H_top = 0 has a nonzero solution with deg X = h - j, deg Y = k - j.
+
+    Builds the homogeneous linear system on the coefficients of X and Y,
+    one equation per word of degree h + k - j, and eliminates it over F_p.
+    """
+    alg = g_top.algebra
+    p = alg.field.p
+    h, k = g_top.degree(), h_top.degree()
+    x_words = list(product(range(alg.alphabet.size), repeat=h - j))
+    y_words = list(product(range(alg.alphabet.size), repeat=k - j))
+    unknowns = [("X", w) for w in x_words] + [("Y", w) for w in y_words]
+    rows = {}
+    for u, c in g_top.terms():
+        for y in y_words:
+            rows.setdefault(u + y, {})[("Y", y)] = c
+    for v, c in h_top.terms():
+        for x in x_words:
+            rows.setdefault(x + v, {})[("X", x)] = c
+    matrix = [[row.get(unk, 0) for unk in unknowns] for row in rows.values()]
+    rank = 0
+    for col in range(len(unknowns)):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = pow(matrix[rank][col], -1, p)
+        matrix[rank] = [v * inv % p for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [(a - factor * b) % p for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank < len(unknowns)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_free_degrees_are_the_kernel_degrees(p):
+    # the helper, which tries only the leading pair's overlaps, returns
+    # exactly the j at which the recovery step has a free direction, on tops
+    # built as A*E and c*E*B (one free degree at least) and on random tops
+    rng = random.Random(p)
+    alg = FreeAlgebra(Alphabet(("x", "y", "z")[: 2 + p % 2]), SymbolRing(PrimeField(p), ()))
+
+    def homogeneous(d):
+        poly = alg.zero()
+        while poly.is_zero():
+            for _ in range(rng.randint(1, 3)):
+                word = tuple(rng.randrange(alg.alphabet.size) for _ in range(d))
+                poly = poly + alg.monomial(word, rng.randrange(1, p))
+        return poly
+
+    seen = set()
+    for trial in range(60):
+        if trial % 2:
+            e = homogeneous(rng.randint(1, 2))
+            g_top = homogeneous(rng.randint(0, 2)) * e
+            h_top = e.scale(rng.randrange(1, p)) * homogeneous(rng.randint(0, 2))
+        else:
+            g_top, h_top = homogeneous(rng.randint(1, 3)), homogeneous(rng.randint(1, 3))
+        g_head, h_head = dict(g_top.terms()), dict(h_top.terms())
+        overlaps = overlap_lengths(g_top.leading_word(), h_top.leading_word())
+        free = factoring._free_degrees(g_head, h_head, overlaps, alg.field)
+        degrees = range(1, min(g_top.degree(), h_top.degree()) + 1)
+        kernel = {j for j in degrees if _has_free_direction(g_top, h_top, j)}
+        assert free == kernel, (g_top, h_top)
+        seen.add(bool(free))
+    assert seen == {True, False}
 
 
 def symbolic(ring, coeffs):
