@@ -8,6 +8,10 @@ Each fact contributes its split, left, right, system (equations in order),
 solutions and pivots; an enumeration cap stop contributes one line.  Two
 checkouts that print the same digest returned the same facts.  One digest
 per field precedes the total, so a changed total names the fields it moved.
+A `pairs sha256` line per field hashes only each input's pair set (the
+sorted split, left and right of its facts, and any cap stop), so it holds
+where a change moves only which attempt reports a pair, and with it the
+fact's system, solutions and pivots.
 With --prime P every input is built over F_P instead (coefficients drawn
 from 1..P-1, factor degrees up to 3), which exercises the recovery's
 divisions by head coefficients at a large prime.
@@ -83,24 +87,26 @@ def make_input(index, field=None):
 
 
 def fact_lines(f):
+    """The fact lines and the pair lines of one input; both start with the input line."""
     if f.is_zero() or f.degree() < 2:
-        return [f"input {f}: skipped"]
+        return [f"input {f}: skipped"], [f"input {f}: skipped"]
     lines = [f"input {f} over {f.algebra.field!r}"]
     try:
         found = factor_all(f)
     except SearchSpaceTooLargeError as exc:
-        return lines + [f"cap stop: {exc}"]
+        lines.append(f"cap stop: {exc}")
+        return lines, lines
+    pairs = []
     for split, facts in found.items():
         for fact in facts:
             solutions = None if fact.solutions is None else [
                 sorted((name, str(value)) for name, value in sol.items())
                 for sol in fact.solutions
             ]
-            lines.append(
-                f"{tuple(split)} | {fact.left} | {fact.right} | {fact.system} | "
-                f"{solutions} | {fact.pivots}"
-            )
-    return lines
+            pair = f"{tuple(split)} | {fact.left} | {fact.right}"
+            lines.append(f"{pair} | {fact.system} | {solutions} | {fact.pivots}")
+            pairs.append(pair)
+    return lines, lines[:1] + sorted(pairs)
 
 
 def main() -> int:
@@ -110,19 +116,25 @@ def main() -> int:
     args = parser.parse_args()
     field = PrimeField(args.prime) if args.prime else None
     digest = hashlib.sha256()
-    by_field = {fld: hashlib.sha256() for fld in ([field] if field else FIELDS)}
+    fields = [field] if field else FIELDS
+    by_field = {fld: hashlib.sha256() for fld in fields}
+    pairs_by_field = {fld: hashlib.sha256() for fld in fields}
     facts = 0
     for index in range(args.count):
         f = make_input(index, field)
-        lines = fact_lines(f)
+        lines, pair_lines = fact_lines(f)
         facts += sum(line.startswith("(") for line in lines)
         for line in lines:
             digest.update(line.encode() + b"\n")
             by_field[f.algebra.field].update(line.encode() + b"\n")
+        for line in pair_lines:
+            pairs_by_field[f.algebra.field].update(line.encode() + b"\n")
     print(f"inputs: {args.count}")
     print(f"facts: {facts}")
     for field, field_digest in by_field.items():
         print(f"sha256 {field!r}: {field_digest.hexdigest()}")
+    for field, field_digest in pairs_by_field.items():
+        print(f"pairs sha256 {field!r}: {field_digest.hexdigest()}")
     print(f"sha256: {digest.hexdigest()}")
     return 0
 
