@@ -89,7 +89,8 @@ def make_input(index, field=None):
 def fact_lines(f):
     """The fact lines and the pair lines of one input; both start with the input line."""
     if f.is_zero() or f.degree() < 2:
-        return [f"input {f}: skipped"], [f"input {f}: skipped"]
+        lines = [f"input {f}: skipped"]
+        return lines, lines
     lines = [f"input {f} over {f.algebra.field!r}"]
     try:
         found = factor_all(f)

@@ -5,7 +5,10 @@ parts are recovered degree by degree from the relation between homogeneous
 parts of F and of the factors.  Where the pivot words of the two top parts
 overlap, one coefficient split is genuinely ambiguous, so a fresh extension
 symbol is introduced for it and the final coefficient-matching system over
-all symbols is solved exactly.  A step's row for a word holds at most one
+all symbols is solved exactly.  One pivot attempt settles each split and
+finds every pair of it (`factor_bidegree`): over F_p its facts are the
+answer, and over Q a merge keeps the concrete facts that the attempts
+before it report.  A step's row for a word holds at most one
 unknown of each factor (`_solve_step`): where every unknown lies in one
 row, as when both top parts are single words, the step reads each unknown
 off its row; otherwise it eliminates column by column over an index from
@@ -384,9 +387,7 @@ def _attempt_pivot(
     Returns the attempt's factorizations, or None when its system is
     inconsistent.  The attempt that settles a split zeroes no free
     coefficient (see `factor_bidegree`), so any pair another attempt finds,
-    it finds too; in a merge that is, over F_p, the attempt of the first
-    pair in merge order that overlaps at every free degree, and over Q the
-    leading pair's.
+    it finds too.
 
     The steps run on plain coefficient dicts, and f (its terms and the
     prepared view's degree parts) and each concrete pair on scalar dicts.  The
@@ -397,10 +398,11 @@ def _attempt_pivot(
     -fhat.  The steps' residuals (see `_solve_step`) are the system, the
     equations `assemble_constraints` builds, in their order.  A nonzero
     constant residual ends the attempt before enumeration or the basis over
-    Q; an attempt without symbols has only constant residuals.  Over Q an attempt with symbols returns one
-    symbolic fact, described by its reduced basis; every other attempt
-    returns its concrete pairs, each multiplied back to f; a solved point
-    whose pair does not do so raises AssertionError.
+    Q; an attempt without symbols has only constant residuals.  Over Q an
+    attempt with symbols returns one symbolic fact, described by its reduced
+    basis; every other attempt returns its concrete pairs, each multiplied
+    back to f; a solved point whose pair does not do so raises
+    AssertionError.
     """
     f, f_parts = view
     g_hat, h_hat, overlaps = pivot
@@ -521,22 +523,20 @@ def factor_bidegree(
     lead E*lead B) overlaps at every free degree, so only its overlaps are
     tried (`_free_degrees`).
 
-    The overlapping pair settles when only one overlaps, and the first pair
-    when none does; their facts are the answer.  With two or more
-    overlapping pairs the pivot pairs run in merge order, by increasing
-    overlap count: each pair is kept from the first attempt that reports
-    it, the settling result is reused at its turn, and the loop stops once
-    it holds every pair of the settling attempt.  Over F_p the first pair
-    in merge order that overlaps at every free degree settles, so where it
-    comes first its attempt is the only one run.  Over Q the leading pair
-    settles: a settling attempt with symbols returns one symbolic fact, so
-    the loop runs every attempt ordered before it, and the concrete facts
-    those report are kept; settling on an earlier pair would stop the loop
-    before some of them (32 of the 4622 facts of the first 3000
-    `scripts/fact_digest.py` inputs were lost that way).  The loop finds no
-    factorization the settling attempt misses; it picks which attempt
-    reports a pair, and so the fact's `solutions`, which the benchmark
-    pools pin (`perfbench/workloads.py::cli_answer`).
+    Pivot pairs are ordered by increasing overlap count.  The overlapping
+    pair settles when only one overlaps, and the first pair when none does.
+    With two or more overlapping pairs the first pair that overlaps at
+    every free degree settles over F_p, and the leading pair over Q.  The
+    settling pair fixes each fact's `solutions`, which the benchmark pools
+    pin (`perfbench/workloads.py::cli_answer`).  Its facts are the answer,
+    except over Q with two or more overlapping pairs: a settling attempt
+    with symbols returns one symbolic fact, so a merge runs the pairs in
+    order, keeps each pair from the first attempt that reports it, reuses
+    the settling result at its turn, and stops once it holds every pair of
+    the settling attempt.  It finds no factorization the settling attempt
+    misses, but keeps the concrete facts that earlier attempts report
+    (settling on an earlier pair lost 32 of the 4622 facts of the first
+    3000 `scripts/fact_digest.py` inputs).
     """
     h, k = split
     if h < 1 or k < 1:
@@ -575,7 +575,7 @@ def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[Symbolic
     else:
         settling = (overlapping or pivots)[0]
     settled = _attempt_pivot(view, g_head, h_head, settling, options)
-    if not settled or len(overlapping) <= 1:
+    if not settled or len(overlapping) <= 1 or alg.field.is_finite:
         return settled or []
     wanted = {(fact.left, fact.right) for fact in settled}
     merged: dict[tuple[NCPoly, NCPoly], SymbolicFactorization] = {}

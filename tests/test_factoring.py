@@ -128,17 +128,12 @@ class TestFactorBidegree:
             ),
             # (x, xy) and (y, yy) both overlap, and the tops y + x and
             # (y + x)*y make 1 a free degree: over F_p the first pair in
-            # merge order that overlaps at 1, (x, xy), settles and runs
-            # first, then the merge runs the pairs in order, reuses its
-            # result and stops there
+            # pivot order that overlaps at 1, (x, xy), settles, and its
+            # attempt alone answers the split
             (
                 5, "(y + x + 1)*(y^2 + x*y)", (1, 2),
-                [
-                    (W("x"), W("xy"), (1,)),
-                    (W("x"), W("yy"), ()),
-                    (W("y"), W("xy"), ()),
-                ],
-                [("y + x + 1", "y^2 + x*y"), ("y + x", "y^2 + x*y + y")],
+                [(W("x"), W("xy"), (1,))],
+                [("y + x", "y^2 + x*y + y"), ("y + x + 1", "y^2 + x*y")],
             ),
             # the same heads, and the settling attempt answers nothing, so no
             # other attempt runs (the exhaustive oracle finds no pair over F_5
@@ -162,8 +157,8 @@ class TestFactorBidegree:
                 [("y - 3*x - 1", "3*x*y - 2*x^2")],
             ),
             # over F_5 the tops y + 2*x and x*(3*y + 3*x) share no factor, so
-            # there is no free degree and the first pair in merge order,
-            # (y, xx), settles: the merge stops at once
+            # there is no free degree and the first pair in pivot order,
+            # (y, xx), settles and alone answers the split
             (
                 5, "(y - 3*x - 1)*(3*x*y - 2*x^2)", (1, 2),
                 [(W("y"), W("xx"), ())],
@@ -173,7 +168,7 @@ class TestFactorBidegree:
         ids=[
             "no-overlap", "one-overlap", "two-overlaps",
             "leading-answers-nothing-F5", "leading-answers-nothing-Q",
-            "merge-stops-Q", "merge-stops-F5",
+            "merge-stops-Q", "no-free-degree-F5",
         ],
     )
     def test_only_the_settling_pivot_runs(self, p, text, split, pivots, pairs, monkeypatch):
@@ -376,8 +371,8 @@ class TestScanAmbiguities:
     """Inputs where a monomial is explainable through a non-pivot head word.
 
     A naive quotient scan forces wrong coefficients on these; the per-step
-    linear solve and the merge across pivot attempts recover the full
-    solution set.  Each case is cross-checked against the exhaustive oracle.
+    linear solve in the settling pivot attempt recovers the full solution
+    set.  Each case is cross-checked against the exhaustive oracle.
     """
 
     def _check(self, f, split, exhaustive=True):
@@ -404,8 +399,8 @@ class TestScanAmbiguities:
         assert len(self._check(f, (1, 2))) == 2
 
     def test_leading_pair_answering_nothing(self):
-        # (x, xy) and (y, yy) both overlap and the leading pair (y, yy)
-        # answers nothing, so factor_bidegree runs no other attempt
+        # (x, xy) and (y, yy) both overlap and the settling pair (x, xy)
+        # answers nothing, so the split has no factorization
         f = ALG.from_text("(y + x + 1)*(y^2 + x*y) + x")
         assert self._check(f, (1, 2)) == set()
 
@@ -572,8 +567,8 @@ def test_merge_over_rationals_keeps_every_reported_pair(case):
 
 def test_settling_pair_finds_the_leading_pairs_pairs(monkeypatch):
     # Over F_p a split with two or more overlapping head pairs settles on the
-    # first pair in merge order that overlaps at every free degree; the
-    # attempt that settles (the first one factor_bidegree runs) returns the
+    # first pair in pivot order that overlaps at every free degree; its
+    # attempt is the only one factor_bidegree runs, and it returns the
     # leading pair's pair set.  The inputs are the F_p inputs among the first
     # 400 digest inputs (the shared-middle kind has free degrees) and 100
     # three-letter F_101 (3,4) products.
@@ -610,6 +605,7 @@ def test_settling_pair_finds_the_leading_pairs_pairs(monkeypatch):
                 )
             except SearchSpaceTooLargeError:
                 continue
+            assert len(runs) == 1, (f, b, [pivot for pivot, _ in runs])
             settling, settled = runs[0]
             assert pair_set(settled or ()) == pair_set(leading or ()), (f, b, settling)
             checked += 1
@@ -949,8 +945,9 @@ class TestFactorAll:
             assert set(result) <= knapsack_splits(f)
 
     def test_skipped_attempt_cannot_stop_the_input(self):
-        # a merge attempt after the leading pair's needs 101^3 points here;
-        # the leading pair's attempt answers every split without it
+        # at (3,3) the pair (x^3, x^3) overlaps at 1, 2 and 3, so its system
+        # has 101^3 candidate points; the settling pair (x^3, x^2*y) overlaps
+        # at both free degrees, and over F_p its attempt alone answers
         alg = algebra(101)
         f = alg.from_text(
             "26*x^5*y + 41*x^6 + 92*x^4*y + 16*x^5 + 65*x^4 + 6*x^2*y + 25*x^3 + 24*x^2"
