@@ -6,34 +6,46 @@ the outcome with the benchmark's own gate (``perfbench/workloads.py``):
 multiply-back, planted pair, chain count, recorded answer digest or cap stop.
 Stops with exit 1 at the first wrong or lost answer.  Per workload it prints
 how many of the recorded failures (cap stops) now answer and how many still
-stop, and how many pivot attempts (``factoring._attempt_pivot`` calls) the
-pool made; CI diffs the whole output against ``tests/golden/check_pools.txt``,
-so a change that runs more attempts shows there although CI cannot time it.
+stop, and how many pivot attempts, recovery steps and solver calls
+(``factoring._attempt_pivot``, ``_solve_step`` and ``enumerate_solutions``
+calls) the pool made; CI diffs the whole output against
+``tests/golden/check_pools.txt``, so a change that runs more of them shows
+there although CI cannot time it.
 
 Usage: python scripts/check_pools.py [WORKLOAD ...]   (default: all three)
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads as wl
 
+# the counted functions of ``factoring`` and what their calls are
+COUNTED = {
+    "_attempt_pivot": "pivot attempts",
+    "_solve_step": "recovery steps",
+    "enumerate_solutions": "enumerate_solutions calls",
+}
+
 
 def main(names: list[str]) -> int:
     pkg = wl.import_package()
-    attempt = pkg.factoring._attempt_pivot
-    attempts = 0
+    counts = Counter()
 
-    def counted(*args):
-        nonlocal attempts
-        attempts += 1
-        return attempt(*args)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
 
-    pkg.factoring._attempt_pivot = counted
+        return counted
+
+    for name in COUNTED:
+        setattr(pkg.factoring, name, counting(name, getattr(pkg.factoring, name)))
     for workload in names or wl.WORKLOADS:
-        attempts = 0
+        counts.clear()
         pool = wl.load_pool(workload)
         failures = pool["failures"]
         entries = [e for stratum in pool["strata"] for e in stratum] + failures
@@ -48,7 +60,8 @@ def main(names: list[str]) -> int:
         stopped = statuses[len(entries) - len(failures):].count("stopped as recorded")
         print(f"{workload}: {len(entries)} inputs pass the gate; of {len(failures)} recorded "
               f"failures, {len(failures) - stopped} now answer and {stopped} still stop")
-        print(f"{workload}: {attempts} pivot attempts")
+        for name, what in COUNTED.items():
+            print(f"{workload}: {counts[name]} {what}")
     return 0
 
 

@@ -25,7 +25,10 @@ each point's pair on such dicts.  Symbolic G and H, over Q only, are
 `freealg.SymbolicPoly` values on the recovery's dicts.  A residual that is
 a nonzero constant ends its attempt before the solver: that equation is an
 exact consequence of g*h - f = 0 for every value of the symbols.  Over F_p
-every point is found by elimination (`commutative.enumerate_solutions`):
+the points of a one-symbol system are the common roots of its residuals,
+kept as each step returns them, so its attempt ends at the first residual
+that leaves none; any other system is solved by elimination
+(`commutative.enumerate_solutions`):
 peeling univariate equations by their roots, substituting a symbol out of
 a linear equation, and the roots of a resultant of two equations in two
 symbols; only where none applies does it branch over a symbol's values.
@@ -59,6 +62,8 @@ from .commutative import (
     Reduce,
     SymbolRing,
     TermDict,
+    _dense,
+    _horner,
     _is_constant,
     add_product,
     axpy,
@@ -68,6 +73,7 @@ from .commutative import (
     monomial_divides,
     monomial_quotient,
     reduce_groebner,
+    roots_mod_p,
 )
 from .errors import ContextMismatchError
 from .fields import PrimeField, Scalar
@@ -398,7 +404,11 @@ def _attempt_pivot(
     -fhat.  The steps' residuals (see `_solve_step`) are the system, the
     equations `assemble_constraints` builds, in their order.  A nonzero
     constant residual ends the attempt before enumeration or the basis over
-    Q; an attempt without symbols has only constant residuals.  Over Q an
+    Q; an attempt without symbols has only constant residuals.  Over F_p an
+    attempt with one symbol keeps the common roots of its residuals as they
+    arrive, ends at the first residual that leaves none, and takes them,
+    ascending, as its points; `enumerate_solutions` solves every other F_p
+    system, a one-symbol one without residuals included.  Over Q an
     attempt with symbols returns one symbolic fact, described by its reduced
     basis; every other attempt returns its concrete pairs, each multiplied
     back to f; a solved point whose pair does not do so raises
@@ -418,6 +428,8 @@ def _attempt_pivot(
     g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
     h_parts: dict[int, WordTerms] = {k: {w: {zero: c} for w, c in h_head.items()}}
     equations: list[TermDict] = []
+    roots: Optional[list[int]] = None  # of the residuals so far, for one symbol over F_p
+    one_symbol = fld.is_finite and len(symbols) == 1
 
     for j in range(1, n + 1):
         fhat = {w: {zero: c} for w, c in f_parts.get(n - j, {}).items()}
@@ -443,6 +455,15 @@ def _attempt_pivot(
             return None
         solution, residuals = step
         equations.extend(residuals)
+        if one_symbol:
+            for eq in residuals:
+                dense = _dense(eq, 0)
+                if roots is None:
+                    roots = roots_mod_p(dense, fld.p)
+                else:
+                    roots = [t for t in roots if not _horner(dense, t, fld.p)]
+                if not roots:
+                    return None
         parts: dict[str, WordTerms] = {"G": {}, "H": {}}
         for (kind, word), value in solution.items():
             if value:
@@ -469,6 +490,8 @@ def _attempt_pivot(
         if not one_letter and fact.reduced_basis == (ring.one(),):
             return None  # unit ideal: no admissible symbol values
         return [fact]
+    elif roots is not None:
+        solutions = [{symbols[0]: t} for t in roots]
     else:
         solutions = enumerate_solutions(system, cap=options.enumeration_cap)
         if not solutions:
@@ -562,6 +585,9 @@ def _factor_split(view: _Input, h: int, options: FactorOptions) -> list[Symbolic
         # nothing below the top: the homogeneous pair is the whole answer
         pair = (NCPoly(alg, g_head), NCPoly(alg, h_head))
         return [SymbolicFactorization(*pair, ConstraintSystem(alg.ring, ()), ({},), lead)]
+    if len(g_head) == len(h_head) == 1:
+        # one-word top parts: their only pair settles
+        return _attempt_pivot(view, g_head, h_head, (*lead, overlap_lengths(*lead)), options) or []
     pivots = sorted(
         ((u, v, overlap_lengths(u, v)) for u in g_head for v in h_head),
         key=lambda pivot: (len(pivot[2]), pivot[0], pivot[1]),

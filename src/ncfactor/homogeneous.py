@@ -6,7 +6,8 @@ cancellation and the factor pair at a given split is unique up to a scalar.
 The factor-recovery scan splits the leading word of F into a pivot prefix
 and suffix, reads H off the left-quotients by the prefix and G off the
 right-quotients by the suffix in one pass over F's terms, scales G monic
-and verifies the product, all on an NCPoly's scalar word dicts
+and checks the product term by term, without forming it (G*H has one word
+per pair of their words), all on an NCPoly's scalar word dicts
 (`freealg.ScalarTerms`).  `factor_homogeneous` checks f and wraps the scan,
 `factor_homogeneous_terms`.  Which word is the pivot does not matter for
 the normalized pair; pivot choice for the inhomogeneous recovery belongs to
@@ -20,7 +21,7 @@ from typing import Optional
 
 from .errors import RefinementError
 from .fields import Field
-from .freealg import NCPoly, ScalarTerms, left_quotient, scalar_product, word_key
+from .freealg import NCPoly, ScalarTerms, left_quotient, word_key
 
 
 def factor_homogeneous(f: NCPoly, h: int, k: int) -> Optional[tuple[NCPoly, NCPoly]]:
@@ -45,7 +46,7 @@ def factor_homogeneous_terms(terms: ScalarTerms, h: int, fld: Field) -> Optional
     """`factor_homogeneous` on the terms of nonzero homogeneous f, deg f > h, unchecked.
 
     The raw quotient sums reproduce G and H only up to the pivot coefficients,
-    so the pair is rescaled to make the product match f before it is verified.
+    so the pair is rescaled to make the product match f before it is checked.
     """
     pivot = max(terms, key=word_key)
     g_hat, h_hat = pivot[:h], pivot[h:]
@@ -61,9 +62,14 @@ def factor_homogeneous_terms(terms: ScalarTerms, h: int, fld: Field) -> Optional
     # leads g_terms with coefficient gamma*eta: dividing by it makes G monic.
     inv = fld.inv(g_terms[g_hat])
     g_terms = {w: fld.reduce(c * inv) for w, c in g_terms.items()}
-    if scalar_product(g_terms, h_terms, fld.reduce) == terms:
-        return g_terms, h_terms
-    return None
+    # G*H has |G|*|H| distinct words, so it is f when each of them is f's
+    if len(terms) != len(g_terms) * len(h_terms):
+        return None
+    for u, a in g_terms.items():
+        for v, b in h_terms.items():
+            if terms.get(u + v) != fld.reduce(a * b):
+                return None
+    return g_terms, h_terms
 
 
 def refine(g1: NCPoly, h1: NCPoly, g2: NCPoly, h2: NCPoly) -> NCPoly:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncfactor import factoring
 from ncfactor.cli import Request, run
-from ncfactor.commutative import ConstraintSystem, SymbolRing
+from ncfactor.commutative import ConstraintSystem, CPoly, SymbolRing, enumerate_solutions
 from ncfactor.errors import BudgetExceededError, ContextMismatchError, SearchSpaceTooLargeError
 from ncfactor.factoring import (
     DEFAULT_OPTIONS,
@@ -235,17 +235,31 @@ class TestFactorBidegree:
         assert {(fact.left * fact.right) for fact in factor_bidegree(f, (2, 2))} == {f}
 
     def test_pair_that_fails_to_multiply_back_raises(self, monkeypatch):
-        # a1 = 2 is not a root of the (2, 3) system (its roots over F_5 are 1
-        # and 4), so the pair substituted there is not a factorization of f;
-        # an attempt with symbols still hands its system to the solver
+        # a1 = 2 is not a root of the (2, 3) system 4*a1^2 + 1 = 0 (its roots
+        # over F_5 are 1 and 4), so the pair substituted there is not a
+        # factorization of f; a one-symbol attempt takes its points from the
+        # roots of its residuals
         f = ALG.from_text("y*x*y*x*y - y")
-        systems = []
-        monkeypatch.setattr(
-            factoring, "enumerate_solutions", lambda system, cap: systems.append(system) or [{"a1": 2}]
-        )
+        residuals = []
+        monkeypatch.setattr(factoring, "roots_mod_p", lambda coeffs, p: residuals.append(coeffs) or [2])
         with pytest.raises(AssertionError, match="fails to multiply back"):
             factor_bidegree(f, (2, 3))
-        assert [system.symbols for system in systems] == [("a1",)]
+        assert residuals == [[1, 0, 4]]
+
+    def test_two_symbol_pair_that_fails_to_multiply_back_raises(self, monkeypatch):
+        # the (2, 2) attempt of (x^2 + y)*(x^2 + 1) has the two symbols of the
+        # overlaps of x^2 with itself, and its system goes to the solver,
+        # whose only point is a1 = a2 = 0
+        f = ALG.from_text("(x*x + y)*(x*x + 1)")
+        systems = []
+        monkeypatch.setattr(
+            factoring,
+            "enumerate_solutions",
+            lambda system, cap: systems.append(system) or [{"a1": 1, "a2": 0}],
+        )
+        with pytest.raises(AssertionError, match="fails to multiply back"):
+            factor_bidegree(f, (2, 2))
+        assert [system.symbols for system in systems] == [("a1", "a2")]
 
     @pytest.mark.parametrize("p", [5, None])
     def test_attempt_without_symbols_is_decided_by_its_multiply_back(self, p, monkeypatch):
@@ -944,22 +958,6 @@ class TestFactorAll:
             assert {s: pair_set(v) for s, v in result.items()} == expected
             assert set(result) <= knapsack_splits(f)
 
-    def test_skipped_attempt_cannot_stop_the_input(self):
-        # at (3,3) the pair (x^3, x^3) overlaps at 1, 2 and 3, so its system
-        # has 101^3 candidate points; the settling pair (x^3, x^2*y) overlaps
-        # at both free degrees, and over F_p its attempt alone answers
-        alg = algebra(101)
-        f = alg.from_text(
-            "26*x^5*y + 41*x^6 + 92*x^4*y + 16*x^5 + 65*x^4 + 6*x^2*y + 25*x^3 + 24*x^2"
-        )
-        result = factor_all(f)
-        assert {tuple(split): len(facts) for split, facts in result.items()} == {
-            (1, 5): 2, (2, 4): 3, (3, 3): 3, (4, 2): 2, (5, 1): 1,
-        }
-        for facts in result.values():
-            for fact in facts:
-                assert fact.left * fact.right == f
-
     def test_two_letter_product_at_mersenne_prime_answers(self):
         # the (2,5) system has no univariate equation; a linear one eliminates
         # a2 and leaves a1^3 = c, and c is not a cube mod 2^31 - 1
@@ -1351,6 +1349,64 @@ def test_solve_step_matches_the_row_by_row_elimination(field, monkeypatch):
             assert solve(*unknown) == _reference_solve_step(*unknown), step
     assert kinds == {(True, False), (True, True), (False, False), (False, True)}
     assert coupled
+
+
+def _record_steps(monkeypatch):
+    """The results of the `_solve_step` calls `factoring` makes, in order."""
+    solve, steps = factoring._solve_step, []
+    monkeypatch.setattr(factoring, "_solve_step", lambda *step: steps.append(solve(*step)) or steps[-1])
+    return steps
+
+
+@pytest.mark.parametrize("field, count", [(None, 400), (PrimeField(2**31 - 1), 200)], ids=["digest", "p2147483647"])
+def test_one_symbol_points_are_the_enumerated_ones(field, count, monkeypatch):
+    # Over F_p a one-symbol attempt takes its points from the common roots
+    # of its residuals and ends at the first step that leaves none.  On
+    # every such attempt of the digest inputs its points are the solver's
+    # on the residuals it saw; an attempt that ended early has none there
+    # (nor, then, in its whole system), and had some before its last step.
+    make_input = _load_script("fact_digest").make_input
+    steps = _record_steps(monkeypatch)
+    attempt = factoring._attempt_pivot
+    ended = {"answered": 0, "early": 0}
+
+    def points(results):
+        ring = SymbolRing(f.algebra.field, ("a1",))
+        equations = tuple(CPoly(ring, eq) for _, eqs in results for eq in eqs)
+        return enumerate_solutions(ConstraintSystem(ring, equations))
+
+    def checked(view, g_head, h_head, pivot, options):
+        steps.clear()
+        facts = attempt(view, g_head, h_head, pivot, options)
+        if not f.algebra.field.is_finite or len(pivot[2]) != 1 or steps[-1] is None:
+            return facts  # not one symbol over F_p, or a constant residual ended it
+        if facts is None:
+            before = steps[:-1]
+            assert points(steps) == [] and (not any(eqs for _, eqs in before) or points(before)), (f, pivot)
+            ended["early"] += 1
+        else:
+            assert [fact.solutions[0] for fact in facts] == points(steps), (f, pivot)
+            ended["answered"] += 1
+        return facts
+
+    monkeypatch.setattr(factoring, "_attempt_pivot", checked)
+    for index in range(count):
+        f = make_input(index, field)
+        if not f.is_zero() and f.degree() >= 2:
+            factor_all(f)
+    assert ended == ({"answered": 130, "early": 33} if field else {"answered": 217, "early": 45})
+
+
+def test_one_symbol_attempt_ends_at_a_residual_without_roots(monkeypatch):
+    # (x^2 + x + 1)*y + x over F_2 at (1, 2): the tops x and x*y overlap at
+    # 1, and the second step leaves the residual a1^2 + a1 + 1, which has no
+    # root in F_2, so the attempt ends there, before its third step and the
+    # solver
+    steps = _record_steps(monkeypatch)
+    calls = _record_solver_calls(monkeypatch)
+    assert factor_bidegree(algebra(2).from_text("x*x*y + x*y + y + x"), (1, 2)) == []
+    assert len(steps) == 2 and {(2,): 1, (1,): 1, (0,): 1} in steps[-1][1]
+    assert calls == []
 
 
 def _reference_chains(f):
