@@ -6,11 +6,11 @@ the outcome with the benchmark's own gate (``perfbench/workloads.py``):
 multiply-back, planted pair, chain count, recorded answer digest or cap stop.
 Stops with exit 1 at the first wrong or lost answer.  Per workload it prints
 how many of the recorded failures (cap stops) now answer and how many still
-stop, and how many pivot attempts, recovery steps and solver calls
-(``factoring._attempt_pivot``, ``_solve_step`` and ``enumerate_solutions``
-calls) the pool made; CI diffs the whole output against
-``tests/golden/check_pools.txt``, so a change that runs more of them shows
-there although CI cannot time it.
+stop, and how many pivot attempts, recovery steps, recovery steps that
+eliminate and solver calls (``factoring._attempt_pivot``, ``_solve_step``,
+``_eliminate`` and ``enumerate_solutions`` calls) the pool made; CI diffs
+the whole output against ``tests/golden/check_pools.txt``, so a change that
+runs more of them shows there although CI cannot time it.
 
 Usage: python scripts/check_pools.py [WORKLOAD ...]   (default: all three)
 """
@@ -27,6 +27,7 @@ import workloads as wl
 COUNTED = {
     "_attempt_pivot": "pivot attempts",
     "_solve_step": "recovery steps",
+    "_eliminate": "recovery steps eliminate",
     "enumerate_solutions": "enumerate_solutions calls",
 }
 

@@ -300,8 +300,17 @@ def _solve_step(
         else:
             residuals.reverse()
             return solution, residuals
-        solution = dict(known)
+    return _eliminate(equations, known, fld)
 
+
+def _eliminate(
+    equations: dict[Word, tuple[list[tuple[tuple[str, Word], Scalar]], TermDict]],
+    known: dict[tuple[str, Word], TermDict],
+    fld,
+) -> Optional[tuple[dict[tuple[str, Word], TermDict], list[TermDict]]]:
+    """The elimination of `_solve_step`, on the rows of the words it reached."""
+    reduce = fld.reduce
+    solution = dict(known)
     # One row per word with an unknown, in word order; a word with no
     # unknown left is a condition on the symbols alone.
     rows: list[tuple[Word, dict, TermDict]] = []
