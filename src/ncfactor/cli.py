@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -177,7 +178,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    # argparse takes "-x*y" for an option: a leading "-" and a character no option has make it the expression
+    signed = [arg for arg in argv[:end] if re.fullmatch(r"-(?!-).*[^\w-].*", arg, re.DOTALL)]
+    args = parser.parse_args([a for a in argv[:end] if a not in signed] + ["--", *signed, *argv[end + 1 :]] if signed else argv)
     if args.field is not None:
         try:
             field: Field = PrimeField(args.field)

@@ -8,16 +8,19 @@ symbol is introduced for it and the final coefficient-matching system over
 all symbols is solved exactly.  One pivot attempt settles each split and
 finds every pair of it (`factor_bidegree`): over F_p its facts are the
 answer, and over Q a merge keeps the concrete facts that the attempts
-before it report.  A step's row for a word holds at most one
-unknown of each factor (`_solve_step`): where every unknown lies in one
-row, as when both top parts are single words, the step reads each unknown
-off its row; otherwise it eliminates column by column over an index from
-each unknown to its rows.  The recovery runs on plain coefficient
-dicts ({word: {monomial: scalar}}, residues mod p over F_p, Fractions over
-Q) with `freealg.add_word_product`, `commutative.axpy` and the field's
-`reduce`, down to degree 0; the coefficients of g*h - f it leaves are the
-system, so G and H are not multiplied again (`assemble_constraints` is the
-reference).  The drivers check f and split its scalar terms ({word:
+before it report.  Each step returns the new G and H parts and its
+residuals (`_solve_step`), and a word's row holds at most one unknown of
+each factor.  Where every unknown lies in one row, as when both top parts
+are single words, one pass reads the step off: a word with the G-top word
+as prefix gives an H coefficient, one with the H-top word as suffix a G
+coefficient, any other a residual, and the overlap symbol fixes both
+unknowns of the overlap word.  Otherwise the step eliminates over an index
+from each unknown to its rows (`_eliminate`).  The recovery runs on plain
+coefficient dicts ({word: {monomial: scalar}}, residues mod p over F_p,
+Fractions over Q) with `freealg.add_word_product`, `commutative.axpy` and
+the field's `reduce`, down to degree 0; the coefficients of g*h - f it
+leaves are the system, so G and H are not multiplied again
+(`assemble_constraints` is the reference).  The drivers check f and split its scalar terms ({word:
 scalar}, an NCPoly's own) by degree once (`_prepare`); each split splits
 the top part (`homogeneous.factor_homogeneous_terms`), and evaluates
 (`freealg.evaluate_terms`) and multiplies back (`freealg.scalar_product`)
@@ -193,7 +196,7 @@ def _solve_step(
     k_minus_j: int,
     known: dict[tuple[str, Word], TermDict],
     fld,
-) -> Optional[tuple[dict[tuple[str, Word], TermDict], list[TermDict]]]:
+) -> Optional[tuple[WordTerms, WordTerms, list[TermDict]]]:
     """Solve one degree step of the recovery for the unknown factor parts.
 
     The relation fhat = G_top * H_new + G_new * H_top is linear in the
@@ -205,36 +208,69 @@ def _solve_step(
     `h_words` map the head words of G_top and H_top to their coefficients.
     So the row of a word holds at most one unknown of each factor, and an
     unknown of H (of G) lies in one row per head word of G_top (of H_top).
-    Right-hand sides may involve extension symbols from earlier steps;
-    entries fixed by the overlap symbol arrive through `known`, move to the
-    right-hand side, and their rows are read too.  Coefficients are plain
-    dicts (`TermDict`).
+    Right-hand sides may involve extension symbols from earlier steps, and
+    `known` holds the unknowns the overlap symbol fixes.
 
-    When every unknown of the step lies in one row (both top parts single
-    words, or the other factor's top part one word for the only factor
-    with unknowns), the step is one scan in word order: each unknown is its
-    row's right-hand side over its head coefficient, and every other row is
-    a residual.  Two unknowns then share a row only at an overlap of the
-    two words, where `known` fixes both.  A row that holds two unknowns,
-    neither known, sends the step to the elimination, which also serves
-    every other step: the rows reached from the support of fhat, through
-    the other head words too, are eliminated over the base field with an
-    index from each unknown (column) to its rows.  Columns run in sorted
-    order, each pivoting on its first remaining row in word order; the fact
-    digests pin that rule.  Unknowns left free are zero.  An unknown can be
-    free only at a free degree j, where the leading head words overlap, and
-    in the attempt that settles a split its pair's symbol at j fixes it (see
-    `factor_bidegree`).
+    When every unknown lies in one row (the top part of each factor that
+    meets unknowns is one word: u of G_top, v of H_top), one pass over
+    fhat reads the step off: a word u*x gives H_new[x], its dict in fhat
+    (G_top is monic), a word y*v gives G_new[y], over v's coefficient, and
+    any other word is a residual.  `known` is nonempty only there, at an
+    overlap j of u and v, and its two unknowns empty the row of the overlap
+    word u*v[j:]; a word of both kinds otherwise sends the step to
+    `_eliminate`, which also solves every step with unknowns in several rows.
 
-    Returns the solution and the residuals, the nonzero coefficients of
-    g*h - f in this degree in descending word order: minus the right-hand
-    side of each row left with no unknown and of each row that elimination
-    empties (a pivot row is solved exactly).  Returns None as soon as a
-    residual is a nonzero constant, which no value of the symbols satisfies.
+    Returns (G_new, H_new, residuals): each part's nonzero coefficients by
+    word, sharing dicts with fhat and `known`, which stay unchanged, and
+    minus the right-hand sides of the rows left without an unknown, the
+    nonzero coefficients of g*h - f in this degree, in descending word
+    order.  Returns None as soon as a residual is a nonzero constant, which
+    no value of the symbols satisfies.
+    """
+    if k_minus_j >= 0 and len(g_words) > 1 or h_minus_j >= 0 and len(h_words) > 1:
+        return _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld)
+    reduce = fld.reduce
+    g_new: WordTerms = {}
+    h_new: WordTerms = {}
+    for (kind, word), value in known.items():
+        (g_new if kind == "G" else h_new)[word] = value
+    h = len(next(iter(g_words)))
+    # the one head word of each factor whose other factor has unknowns; G_top is monic
+    u = next(iter(g_words)) if k_minus_j >= 0 else None
+    v, eta = next(iter(h_words.items())) if h_minus_j >= 0 else (None, 1)
+    inv_eta = 1 if eta == 1 else fld.inv(eta)
+    residual_words = []
+    for m, rhs in fhat.items():
+        to_h = m[:h] == u
+        if m[h_minus_j:] == v:
+            if to_h:
+                if ("H", m[h:]) in known:
+                    continue  # the overlap word
+                return _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld)
+            g_new[m[:h_minus_j]] = rhs if eta == 1 else {mono: reduce(c * inv_eta) for mono, c in rhs.items()}
+        elif to_h:
+            h_new[m[h:]] = rhs
+        elif _is_constant(rhs):
+            return None
+        else:
+            residual_words.append(m)
+    residual_words.sort(reverse=True)
+    return g_new, h_new, [{mono: reduce(-c) for mono, c in fhat[m].items()} for m in residual_words]
+
+
+def _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld):
+    """`_solve_step` by elimination over the base field: same arguments, same result.
+
+    The rows reached from fhat and `known` through every head word are
+    eliminated with an index from each unknown (column) to its rows.
+    Columns run in sorted order, each pivoting on its first remaining row
+    in word order; the fact digests pin that rule.  Unknowns left free are
+    zero: one can be free only at a free degree, where in the attempt that
+    settles a split its pair's symbol fixes it (see `factor_bidegree`).  A
+    row that elimination empties is a residual too.
     """
     reduce = fld.reduce
     h = len(next(iter(g_words)))
-    # an unknown of H (of G) lies in one row per head word of G_top (of H_top)
     spread_h = k_minus_j >= 0 and len(g_words) > 1
     spread_g = h_minus_j >= 0 and len(h_words) > 1
     # The unknowns in the row of each word reached, H's first, with their
@@ -277,39 +313,6 @@ def _solve_step(
                     for v in h_words:
                         pending.append(unk[1] + v)
         equations[m] = free, rhs
-
-    solution = dict(known)
-    if not (spread_h or spread_g):
-        # Every unknown lies in one row: read it off, in word order.
-        residuals: list[TermDict] = []
-        for _, (free, rhs) in sorted(equations.items()):
-            if not free:
-                if rhs:
-                    if _is_constant(rhs):
-                        return None
-                    residuals.append({mono: reduce(-v) for mono, v in rhs.items()})
-            elif len(free) == 1:
-                (unk, c), = free
-                if c == 1:  # always for H: a one-word G_top is monic
-                    solution[unk] = dict(rhs)
-                else:
-                    inv = fld.inv(c)
-                    solution[unk] = {mono: reduce(v * inv) for mono, v in rhs.items()}
-            else:
-                break  # two unknowns, neither known: eliminate below
-        else:
-            residuals.reverse()
-            return solution, residuals
-    return _eliminate(equations, known, fld)
-
-
-def _eliminate(
-    equations: dict[Word, tuple[list[tuple[tuple[str, Word], Scalar]], TermDict]],
-    known: dict[tuple[str, Word], TermDict],
-    fld,
-) -> Optional[tuple[dict[tuple[str, Word], TermDict], list[TermDict]]]:
-    """The elimination of `_solve_step`, on the rows of the words it reached."""
-    reduce = fld.reduce
     solution = dict(known)
     # One row per word with an unknown, in word order; a word with no
     # unknown left is a condition on the symbols alone.
@@ -368,8 +371,10 @@ def _eliminate(
             if unk != col:
                 axpy(value, -c, solution[unk], reduce)
         solution[col] = value
+    g_new = {word: value for (kind, word), value in solution.items() if kind == "G" and value}
+    h_new = {word: value for (kind, word), value in solution.items() if kind == "H" and value}
     leftover.sort(reverse=True, key=lambda entry: entry[0])
-    return solution, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
+    return g_new, h_new, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
 
 
 # A checked input of the drivers: f and its scalar terms by degree.
@@ -430,10 +435,11 @@ def _attempt_pivot(
     fld = f.algebra.field
     reduce = fld.reduce
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
-    symbol_at = {j: i for i, j in enumerate(overlaps)}
+    # each overlap's symbol, as a coefficient
+    symbol_at = {j: {tuple(int(i == s) for i in range(len(symbols))): fld.one} for s, j in enumerate(overlaps)}
     zero = (0,) * len(symbols)
-    gamma = g_head[g_hat]
     eta = h_head[h_hat]
+    inv_gamma = fld.inv(g_head[g_hat]) if overlaps else None
     g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
     h_parts: dict[int, WordTerms] = {k: {w: {zero: c} for w, c in h_head.items()}}
     equations: list[TermDict] = []
@@ -451,18 +457,17 @@ def _attempt_pivot(
             # right-divisible by h_hat at once, so its coefficient c splits
             # into a free part alpha (to G) and (c - alpha*eta)/gamma (to H)
             # for a fresh symbol alpha.
-            alpha = {tuple(int(i == symbol_at[j]) for i in range(len(symbols))): fld.one}
+            alpha = symbol_at[j]
             rest = dict(fhat.get(g_hat + h_hat[j:], {}))
             axpy(rest, -eta, alpha, reduce)
-            inv_gamma = fld.inv(gamma)
             known[("G", g_hat[: h - j])] = alpha
-            known[("H", h_hat[j:])] = {m: reduce(v * inv_gamma) for m, v in rest.items()}
+            known[("H", h_hat[j:])] = rest if inv_gamma == 1 else {m: reduce(v * inv_gamma) for m, v in rest.items()}
         elif not fhat:
             continue  # every unknown of the step is zero
         step = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)
         if step is None:
             return None
-        solution, residuals = step
+        g_new, h_new, residuals = step
         equations.extend(residuals)
         if one_symbol:
             for eq in residuals:
@@ -473,14 +478,10 @@ def _attempt_pivot(
                     roots = [t for t in roots if not _horner(dense, t, fld.p)]
                 if not roots:
                     return None
-        parts: dict[str, WordTerms] = {"G": {}, "H": {}}
-        for (kind, word), value in solution.items():
-            if value:
-                parts[kind][word] = value
         if h - j >= 0:
-            g_parts[h - j] = parts["G"]
+            g_parts[h - j] = g_new
         if k - j >= 0:
-            h_parts[k - j] = parts["H"]
+            h_parts[k - j] = h_new
 
     # parts of one factor have distinct degrees, so their words never collide
     g_terms = {w: c for part in g_parts.values() for w, c in part.items()}

@@ -195,6 +195,21 @@ class TestBehavior:
         assert code == 0
         assert "(x) * (x)" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--field", "5", "-x*y"],
+            ["--field", "5", "-(x*y)"],
+            ["-x*y", "--field", "5"],
+            ["--field", "5", "--", "-x*y"],
+        ],
+        ids=["sign", "signed-group", "before-options", "after-dashes"],
+    )
+    def test_leading_sign_expression(self, argv):
+        # an argument with a leading sign and a character no option name has
+        # is the expression, with or without spaces in it
+        assert capture(argv) == capture(["--field", "5", "4*x*y"]) == capture(["--field", "5", "-x*y + 0"])
+
 
 class TestErrors:
     def test_parse_error_nonzero_exit(self):
@@ -218,6 +233,14 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             capture(["y*x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", ["--bogus", "-q", "-x"])
+    def test_unknown_option_is_usage_error(self, option, capsys):
+        # a leading-sign expression needs a character no option name has
+        with pytest.raises(SystemExit) as exc:
+            main(["--field", "5", option, "x*y"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     def test_non_prime_field_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib.util
 import math
@@ -1315,17 +1316,48 @@ def _reference_solve_step(fhat, g_words, h_words, h_minus_j, k_minus_j, known, f
     return solution, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
 
 
+def _reference_parts(step):
+    """`_reference_solve_step` on step, as `_solve_step` returns it: (G_new, H_new, residuals)."""
+    result = _reference_solve_step(*step)
+    if result is None:
+        return None
+    solution, residuals = result
+    parts = {"G": {}, "H": {}}
+    for (kind, word), value in solution.items():
+        if value:
+            parts[kind][word] = value
+    return parts["G"], parts["H"], residuals
+
+
+def _replayed(step):
+    """`_solve_step` on deep copies of step, after checking it leaves them unchanged."""
+    copied = copy.deepcopy(step)
+    result = factoring._solve_step(*copied)
+    assert copied == step, step
+    return result
+
+
 @pytest.mark.parametrize(
     "field", [PrimeField(2), PrimeField(101), PrimeField(2**31 - 1), RationalField()], ids=repr
 )
 def test_solve_step_matches_the_row_by_row_elimination(field, monkeypatch):
     # every recovery step of factor_all on 100 digest inputs built over the
-    # field: the solution (free unknowns zero) and the residuals, in order,
-    # are the reference's, so the pivot rule the digests pin holds here too
+    # field: the parts (free unknowns zero) and the residuals, in order, are
+    # the reference's, so the pivot rule the digests pin holds here too.
+    # The read-off returns dicts of fhat and `known` as parts, so each step
+    # is also replayed on deep copies, which it must leave unchanged, and
+    # its arguments, copied at the call, must be unchanged after the run.
+    # No step whose top parts are single words reaches the elimination.
     make_input = _load_script("fact_digest").make_input
-    solve = factoring._solve_step
-    steps = []
-    monkeypatch.setattr(factoring, "_solve_step", lambda *step: steps.append(step) or solve(*step))
+    solve, eliminate = factoring._solve_step, factoring._eliminate
+    steps, eliminated = [], []
+
+    def recorded(*step):
+        steps.append((step, copy.deepcopy(step[0]), copy.deepcopy(step[5])))
+        return solve(*step)
+
+    monkeypatch.setattr(factoring, "_solve_step", recorded)
+    monkeypatch.setattr(factoring, "_eliminate", lambda *step: eliminated.append(step) or eliminate(*step))
     for index in range(100):
         f = make_input(index, field)
         if f.degree() >= 2:
@@ -1333,11 +1365,14 @@ def test_solve_step_matches_the_row_by_row_elimination(field, monkeypatch):
                 factor_all(f)
             except SearchSpaceTooLargeError:
                 pass
+    monkeypatch.undo()
+    assert eliminated and all(len(g_words) + len(h_words) > 2 for _, g_words, h_words, *_ in eliminated)
     kinds = set()
     coupled = 0
-    for step in steps:
-        fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld = step
-        assert solve(*step) == _reference_solve_step(*step), step
+    for step, fhat, known in steps:
+        assert (step[0], step[5]) == (fhat, known), step
+        assert _replayed(step) == _reference_parts(step), step
+        _, g_words, h_words, h_minus_j, k_minus_j, known, fld = step
         one_word_tops = len(g_words) == len(h_words) == 1
         kinds.add((one_word_tops, bool(known)))
         if one_word_tops and known:
@@ -1346,7 +1381,7 @@ def test_solve_step_matches_the_row_by_row_elimination(field, monkeypatch):
             (g_hat,), (h_hat,) = g_words, h_words
             coupled += g_hat + h_hat[len(g_hat) - h_minus_j :] in fhat
             unknown = (fhat, g_words, h_words, h_minus_j, k_minus_j, {}, fld)
-            assert solve(*unknown) == _reference_solve_step(*unknown), step
+            assert _replayed(unknown) == _reference_parts(unknown), step
     assert kinds == {(True, False), (True, True), (False, False), (False, True)}
     assert coupled
 
@@ -1372,7 +1407,7 @@ def test_one_symbol_points_are_the_enumerated_ones(field, count, monkeypatch):
 
     def points(results):
         ring = SymbolRing(f.algebra.field, ("a1",))
-        equations = tuple(CPoly(ring, eq) for _, eqs in results for eq in eqs)
+        equations = tuple(CPoly(ring, eq) for *_, eqs in results for eq in eqs)
         return enumerate_solutions(ConstraintSystem(ring, equations))
 
     def checked(view, g_head, h_head, pivot, options):
@@ -1382,7 +1417,7 @@ def test_one_symbol_points_are_the_enumerated_ones(field, count, monkeypatch):
             return facts  # not one symbol over F_p, or a constant residual ended it
         if facts is None:
             before = steps[:-1]
-            assert points(steps) == [] and (not any(eqs for _, eqs in before) or points(before)), (f, pivot)
+            assert points(steps) == [] and (not any(eqs for *_, eqs in before) or points(before)), (f, pivot)
             ended["early"] += 1
         else:
             assert [fact.solutions[0] for fact in facts] == points(steps), (f, pivot)
@@ -1405,7 +1440,7 @@ def test_one_symbol_attempt_ends_at_a_residual_without_roots(monkeypatch):
     steps = _record_steps(monkeypatch)
     calls = _record_solver_calls(monkeypatch)
     assert factor_bidegree(algebra(2).from_text("x*x*y + x*y + y + x"), (1, 2)) == []
-    assert len(steps) == 2 and {(2,): 1, (1,): 1, (0,): 1} in steps[-1][1]
+    assert len(steps) == 2 and {(2,): 1, (1,): 1, (0,): 1} in steps[-1][2]
     assert calls == []
 
 
