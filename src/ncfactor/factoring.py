@@ -435,9 +435,9 @@ def _attempt_pivot(
     fld = f.algebra.field
     reduce = fld.reduce
     symbols = tuple(f"a{i + 1}" for i in range(len(overlaps)))
-    # each overlap's symbol, as a coefficient
-    symbol_at = {j: {tuple(int(i == s) for i in range(len(symbols))): fld.one} for s, j in enumerate(overlaps)}
     zero = (0,) * len(symbols)
+    # each overlap's symbol, as a coefficient
+    symbol_at = {j: {zero[:s] + (1,) + zero[s + 1 :]: fld.one} for s, j in enumerate(overlaps)}
     eta = h_head[h_hat]
     inv_gamma = fld.inv(g_head[g_hat]) if overlaps else None
     g_parts: dict[int, WordTerms] = {h: {w: {zero: c} for w, c in g_head.items()}}
@@ -448,9 +448,9 @@ def _attempt_pivot(
 
     for j in range(1, n + 1):
         fhat = {w: {zero: c} for w, c in f_parts.get(n - j, {}).items()}
-        for i in range(1, j):
-            if h - i in g_parts and k - j + i in h_parts:
-                add_word_product(fhat, -1, g_parts[h - i], h_parts[k - j + i], reduce)
+        for dg, g_part in g_parts.items():
+            if dg < h and (dh := n - j - dg) < k and dh in h_parts:
+                add_word_product(fhat, -1, g_part, h_parts[dh], reduce)
         known: dict[tuple[str, Word], TermDict] = {}
         if j in symbol_at:
             # The fused word g_hat * h_hat[j:] is left-divisible by g_hat and
@@ -478,9 +478,9 @@ def _attempt_pivot(
                     roots = [t for t in roots if not _horner(dense, t, fld.p)]
                 if not roots:
                     return None
-        if h - j >= 0:
+        if g_new:
             g_parts[h - j] = g_new
-        if k - j >= 0:
+        if h_new:
             h_parts[k - j] = h_new
 
     # parts of one factor have distinct degrees, so their words never collide
