@@ -8,19 +8,19 @@ symbol is introduced for it and the final coefficient-matching system over
 all symbols is solved exactly.  One pivot attempt settles each split and
 finds every pair of it (`factor_bidegree`): over F_p its facts are the
 answer, and over Q a merge keeps the concrete facts that the attempts
-before it report.  Each step returns the new G and H parts and its
-residuals (`_solve_step`), and a word's row holds at most one unknown of
-each factor.  Where every unknown lies in one row, as when both top parts
-are single words, one pass reads the step off: a word with the G-top word
-as prefix gives an H coefficient, one with the H-top word as suffix a G
-coefficient, any other a residual, and the overlap symbol fixes both
-unknowns of the overlap word.  Otherwise the step eliminates over an index
-from each unknown to its rows (`_eliminate`).  The recovery runs on plain
-coefficient dicts ({word: {monomial: scalar}}, residues mod p over F_p,
-Fractions over Q) with `freealg.add_word_product`, `commutative.axpy` and
-the field's `reduce`, down to degree 0; the coefficients of g*h - f it
-leaves are the system, so G and H are not multiplied again
-(`assemble_constraints` is the reference).  The drivers check f and split its scalar terms ({word:
+before it report.  A step (`_solve_step`) returns the new G and H parts and
+its residuals; a word's row holds at most one unknown of each factor.
+Where every unknown lies in one row, as when both top parts are single
+words, one pass reads the step off: a word with the G-top word as prefix
+gives an H coefficient, one with the H-top word as suffix a G coefficient,
+any other a residual, and the overlap symbol fixes both unknowns of the
+overlap word.  Otherwise the step eliminates over an index from each
+unknown to its rows (`_eliminate`).  The recovery runs on plain coefficient
+dicts ({word: {monomial: scalar}}, residues mod p over F_p, Fractions over
+Q) with `freealg.add_word_product`, `commutative.axpy` and the field's
+`reduce`, down to degree 0; the coefficients of g*h - f it leaves are the
+system, so G and H are not multiplied again (`assemble_constraints` is the
+reference).  The drivers check f and split its scalar terms ({word:
 scalar}, an NCPoly's own) by degree once (`_prepare`); each split splits
 the top part (`homogeneous.factor_homogeneous_terms`), and evaluates
 (`freealg.evaluate_terms`) and multiplies back (`freealg.scalar_product`)
