@@ -14,13 +14,16 @@ Where every unknown lies in one row, as when both top parts are single
 words, one pass reads the step off: a word with the G-top word as prefix
 gives an H coefficient, one with the H-top word as suffix a G coefficient,
 any other a residual, and the overlap symbol fixes both unknowns of the
-overlap word.  Otherwise the step eliminates over an index from each
-unknown to its rows (`_eliminate`).  The recovery runs on plain coefficient
-dicts ({word: {monomial: scalar}}, residues mod p over F_p, Fractions over
-Q) with `freealg.add_word_product`, `commutative.axpy` and the field's
-`reduce`, down to degree 0; the coefficients of g*h - f it leaves are the
-system, so G and H are not multiplied again (`assemble_constraints` is the
-reference).  The drivers check f and split its scalar terms ({word:
+overlap word.  Otherwise the step eliminates (`_eliminate`) in one pass
+over its rows in word order, each reduced by the pivot rows before it.  As
+in the column-by-column rule the fact digests pin, every reduction
+subtracts an earlier row from a later one, so both keep the first basis of
+the rows in word order, and with it the same parts and residuals.  The
+recovery runs on plain coefficient dicts ({word: {monomial: scalar}},
+residues mod p over F_p, Fractions over Q) with `freealg.add_word_product`,
+`commutative.axpy` and the field's `reduce`, down to degree 0; the
+coefficients of g*h - f it leaves are the system, so G and H are not
+multiplied again (`assemble_constraints` is the reference).  The drivers check f and split its scalar terms ({word:
 scalar}, an NCPoly's own) by degree once (`_prepare`); each split splits
 the top part (`homogeneous.factor_homogeneous_terms`), and evaluates
 (`freealg.evaluate_terms`) and multiplies back (`freealg.scalar_product`)
@@ -218,7 +221,8 @@ def _solve_step(
     any other word is a residual.  `known` is nonempty only there, at an
     overlap j of u and v, and its two unknowns empty the row of the overlap
     word u*v[j:]; a word of both kinds otherwise sends the step to
-    `_eliminate`, which also solves every step with unknowns in several rows.
+    `_eliminate`, which also solves every step with unknowns in several rows
+    by one pass over its rows in word order.
 
     Returns (G_new, H_new, residuals): each part's nonzero coefficients by
     word, sharing dicts with fhat and `known`, which stay unchanged, and
@@ -262,119 +266,88 @@ def _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld):
     """`_solve_step` by elimination over the base field: same arguments, same result.
 
     The rows reached from fhat and `known` through every head word are
-    eliminated with an index from each unknown (column) to its rows.
-    Columns run in sorted order, each pivoting on its first remaining row
-    in word order; the fact digests pin that rule.  Unknowns left free are
-    zero: one can be free only at a free degree, where in the attempt that
-    settles a split its pair's symbol fixes it (see `factor_bidegree`).  A
-    row that elimination empties is a residual too.
+    visited once, in word order.  Each is reduced by the pivot rows found so
+    far, smallest column first, and becomes the pivot row of its first
+    unknown left; a row with no unknown left is a residual.  Every reduction
+    subtracts an earlier row from a later one, so the pivot rows are the
+    first basis of the rows in word order, with the leading columns, parts
+    and residuals of the rule the fact digests pin: columns in sorted order,
+    each pivoting on its first remaining row in word order.  Unknowns left
+    free are zero: one can be free only at a free degree, where in the
+    attempt that settles a split its pair's symbol fixes it (see
+    `factor_bidegree`).
     """
     reduce = fld.reduce
     h = len(next(iter(g_words)))
-    spread_h = k_minus_j >= 0 and len(g_words) > 1
-    spread_g = h_minus_j >= 0 and len(h_words) > 1
+
     # The unknowns in the row of each word reached, H's first, with their
     # head coefficients, and its right-hand side.  Entries in `known` move
     # to the right-hand side; they are nonzero data, so their rows are read
     # too, as are the other rows of an unknown.
-    equations: dict[Word, tuple[list[tuple[tuple[str, Word], Scalar]], TermDict]] = {}
+    equations: dict[Word, tuple[dict[tuple[str, Word], Scalar], TermDict]] = {}
     pending = list(fhat)
     for kind, word in known:
-        if kind == "H":
-            for u in g_words:
-                pending.append(u + word)
-        else:
-            for v in h_words:
-                pending.append(word + v)
+        pending += [u + word for u in g_words] if kind == "H" else [word + v for v in h_words]
     while pending:
         m = pending.pop()
         if m in equations:
             continue
-        free = []
-        rhs = fhat.get(m, {})
+        coeffs, rhs = {}, fhat.get(m, {})
         if k_minus_j >= 0 and (c := g_words.get(m[:h])) is not None:
             unk = ("H", m[h:])
             if unk in known:
                 rhs = dict(rhs)
                 axpy(rhs, -c, known[unk], reduce)
             else:
-                free.append((unk, c))
-                if spread_h:
-                    for u in g_words:
-                        pending.append(u + unk[1])
+                coeffs[unk] = c
+                pending += [u + unk[1] for u in g_words]
         if h_minus_j >= 0 and (c := h_words.get(m[h_minus_j:])) is not None:
             unk = ("G", m[:h_minus_j])
             if unk in known:
                 rhs = dict(rhs)
                 axpy(rhs, -c, known[unk], reduce)
             else:
-                free.append((unk, c))
-                if spread_g:
-                    for v in h_words:
-                        pending.append(unk[1] + v)
-        equations[m] = free, rhs
-    solution = dict(known)
-    # One row per word with an unknown, in word order; a word with no
-    # unknown left is a condition on the symbols alone.
-    rows: list[tuple[Word, dict, TermDict]] = []
-    rows_with: dict[tuple[str, Word], list[int]] = {}
-    leftover: list[tuple[Word, TermDict]] = []
-    for m, (free, rhs) in sorted(equations.items()):
-        if free:
-            for unk, _ in free:
-                rows_with.setdefault(unk, []).append(len(rows))
-            rows.append((m, dict(free), dict(rhs)))
+                coeffs[unk] = c
+                pending += [unk[1] + v for v in h_words]
+        equations[m] = coeffs, rhs
+
+    # One pass in word order; a pivot row holds its own column, with
+    # coefficient 1, and later ones.
+    pivots: dict[tuple[str, Word], tuple[dict, TermDict]] = {}
+    residuals: list[TermDict] = []  # in word order
+    for _, (coeffs, rhs) in sorted(equations.items()):
+        if coeffs:
+            rhs = dict(rhs)  # reduced in place
+        while reducible := [unk for unk in coeffs if unk in pivots]:
+            col = min(reducible)
+            pivot_coeffs, pivot_rhs = pivots[col]
+            factor = coeffs[col]
+            axpy(coeffs, -factor, pivot_coeffs, reduce)
+            axpy(rhs, -factor, pivot_rhs, reduce)
+        if coeffs:
+            col = min(coeffs)
+            inv = fld.inv(coeffs[col])
+            pivots[col] = (
+                {unk: reduce(c * inv) for unk, c in coeffs.items()},
+                {mono: reduce(v * inv) for mono, v in rhs.items()},
+            )
         elif rhs:
             if _is_constant(rhs):
                 return None
-            leftover.append((m, rhs))
+            residuals.append(rhs)
 
-    # Forward elimination to row echelon form.  A used or emptied row has
-    # no coefficients left, and a row that elimination fills in at a later
-    # column joins that column's rows.
-    echelon: list[tuple[tuple[str, Word], dict, TermDict]] = []
-    for col in sorted(rows_with):
-        live = []
-        for i in rows_with[col]:
-            if col in rows[i][1]:
-                live.append(i)
-        if not live:
-            solution[col] = {}  # free
-            continue
-        pivot = min(live)
-        _, coeffs, rhs = rows[pivot]
-        inv = fld.inv(coeffs[col])
-        pivot_coeffs = {unk: reduce(c * inv) for unk, c in coeffs.items()}
-        rhs = {mono: reduce(v * inv) for mono, v in rhs.items()}
-        coeffs.clear()
-        echelon.append((col, pivot_coeffs, rhs))
-        for i in live:
-            if i == pivot:
-                continue
-            # each row owns its dicts, so they are reduced in place
-            m, coeffs, other_rhs = rows[i]
-            factor = coeffs[col]
-            axpy(coeffs, -factor, pivot_coeffs, reduce)
-            axpy(other_rhs, -factor, rhs, reduce)
-            for unk in pivot_coeffs:
-                if unk in coeffs and i not in rows_with[unk]:
-                    rows_with[unk].append(i)
-            if not coeffs and other_rhs:
-                if _is_constant(other_rhs):
-                    return None
-                leftover.append((m, other_rhs))
-
-    # Back-substitute: a pivot row holds its own column and later ones.
-    for col, coeffs, rhs in reversed(echelon):
+    # Back-substitute; a column without a pivot row is zero.
+    solution = dict(known)
+    for col in sorted(pivots, reverse=True):
+        coeffs, rhs = pivots[col]
         value = dict(rhs)
         for unk, c in coeffs.items():
-            if unk != col:
+            if unk != col and unk in solution:
                 axpy(value, -c, solution[unk], reduce)
         solution[col] = value
     g_new = {word: value for (kind, word), value in solution.items() if kind == "G" and value}
     h_new = {word: value for (kind, word), value in solution.items() if kind == "H" and value}
-    leftover.sort(reverse=True, key=lambda entry: entry[0])
-    return g_new, h_new, [{mono: reduce(-v) for mono, v in rhs.items()} for _, rhs in leftover]
+    return g_new, h_new, [{mono: reduce(-v) for mono, v in rhs.items()} for rhs in reversed(residuals)]
 
 
 # A checked input of the drivers: f and its scalar terms by degree.

@@ -1226,13 +1226,13 @@ def test_factor_all_agrees_with_factor_bidegree_at_every_split():
 
 
 def _reference_solve_step(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld):
-    """`factoring._solve_step` as row-by-row elimination, the reference for its read-off.
+    """`factoring._solve_step` as column-order elimination, the reference for both its paths.
 
     Collects every unknown reachable from the support of fhat and the
     known entries by closure, sorts them, and eliminates column by column,
     each column pivoting on its first remaining row in word order; free
-    unknowns are zero.  Returns (solution, residuals) or None, as the
-    package's does.
+    unknowns are zero.  Returns (solution, residuals), or None where the
+    package's returns None; `_reference_parts` gives the package's form.
     """
     reduce = fld.reduce
     h = len(next(iter(g_words)))
@@ -1340,7 +1340,7 @@ def _replayed(step):
 @pytest.mark.parametrize(
     "field", [PrimeField(2), PrimeField(101), PrimeField(2**31 - 1), RationalField()], ids=repr
 )
-def test_solve_step_matches_the_row_by_row_elimination(field, monkeypatch):
+def test_solve_step_matches_the_column_order_elimination(field, monkeypatch):
     # every recovery step of factor_all on 100 digest inputs built over the
     # field: the parts (free unknowns zero) and the residuals, in order, are
     # the reference's, so the pivot rule the digests pin holds here too.
@@ -1384,6 +1384,74 @@ def test_solve_step_matches_the_row_by_row_elimination(field, monkeypatch):
             assert _replayed(unknown) == _reference_parts(unknown), step
     assert kinds == {(True, False), (True, True), (False, False), (False, True)}
     assert coupled
+
+
+class _CountingInverses:
+    """A field whose inversions are counted: the reference inverts once per pivot."""
+
+    def __init__(self, fld):
+        self.reduce, self._inv, self.inverses = fld.reduce, fld.inv, 0
+
+    def inv(self, a):
+        self.inverses += 1
+        return self._inv(a)
+
+
+def _synthetic_step(rng, fld, nsymbols):
+    """A recovery step with 2-3 head words in both top parts, over two letters."""
+    h, k = rng.randint(1, 3), rng.randint(1, 3)
+    j = rng.randint(1, max(h, k))
+    scalars = [c for c in map(fld.coerce, (1, -1, 2, Fraction(1, 3))) if c]
+
+    def words(length, count):
+        return rng.sample(list(product((0, 1), repeat=length)), min(count, 2**length))
+
+    def terms():
+        monomials = list(product(range(3), repeat=nsymbols))
+        return {mono: rng.choice(scalars) for mono in rng.sample(monomials, min(rng.randint(1, 2), len(monomials)))}
+
+    g_words = {w: rng.choice(scalars) for w in words(h, rng.randint(2, 3))}
+    h_words = {w: rng.choice(scalars) for w in words(k, rng.randint(2, 3))}
+    fhat = {w: terms() for w in words(h + k - j, rng.randint(0, 3))}
+    known = {}
+    for kind, length in (("G", h - j), ("H", k - j)):
+        if length >= 0 and rng.random() < 0.3:
+            known[(kind, words(length, 1)[0])] = terms()
+    return fhat, g_words, h_words, h - j, k - j, known, fld
+
+
+def test_eliminate_matches_the_column_order_elimination_on_synthetic_steps(monkeypatch):
+    # Steps the digest corpora never reach: 2-3 head words in both top
+    # parts, `known` entries there, right-hand sides in 0-2 symbols, over
+    # F_2, F_5, F_(2^31 - 1) and Q.  `_eliminate` visits the rows in word
+    # order and the reference eliminates column by column; their parts and
+    # residuals, in order, agree, and the step is left unchanged.  The
+    # reference's inversions (one per pivot) and reductions show that the
+    # set holds a free column, a reduction that adds an unknown to a row
+    # and a constant-residual exit.
+    shapes = {"free column": 0, "fill-in": 0, "constant residual": 0}
+    plain_axpy = axpy
+
+    def counted_axpy(acc, s, c, reduce):
+        before = set(acc)
+        plain_axpy(acc, s, c, reduce)
+        # only the reference's coefficient rows are keyed by column index
+        shapes["fill-in"] += any(isinstance(key, int) for key in set(acc) - before)
+
+    monkeypatch.setitem(globals(), "axpy", counted_axpy)
+    rng = random.Random(35)
+    for fld in (PrimeField(2), PrimeField(5), PrimeField(2**31 - 1), RationalField()):
+        for _ in range(400):
+            step = _synthetic_step(rng, fld, rng.randint(0, 2))
+            copied = copy.deepcopy(step)
+            assert factoring._eliminate(*copied) == _reference_parts(step) and copied == step, step
+            counting = _CountingInverses(fld)
+            result = _reference_solve_step(*step[:-1], counting)
+            if result is None:
+                shapes["constant residual"] += 1
+            else:
+                shapes["free column"] += counting.inverses < len(result[0]) - len(step[5])
+    assert all(shapes.values()), shapes
 
 
 def _record_steps(monkeypatch):
