@@ -34,7 +34,7 @@ from .factoring import (
 )
 from .fields import Field, PrimeField, RationalField
 from .freealg import Alphabet, FreeAlgebra
-from .parsing import identifiers_in, parse_expression, scan
+from .parsing import identifiers_in, parse_expression, read
 
 
 @dataclass
@@ -109,8 +109,8 @@ def run(request: Request) -> tuple[int, str]:
     source, names = request.expression, request.variables
     try:
         if names is None:
-            # the parser reads the same scan: the text is scanned once
-            source = scan(source)
+            # the parser takes the same reading: the text is read once
+            source = read(source)
             names = tuple(sorted(identifiers_in(source)))
             if not names:
                 return 2, "error: expression has no variables and none were declared"

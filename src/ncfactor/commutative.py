@@ -146,30 +146,25 @@ class SymbolRing:
         return f"SymbolRing({self.field!r}, symbols={self.symbols})"
 
 
-def scalar_term(value: Scalar, unit: str) -> tuple[bool, str]:
-    """(negative, body) of the term value*unit; `unit` is "" for a constant.
+def join_terms(terms: list[tuple[Scalar, str]]) -> str:
+    """The sum of (value, unit) terms, in order, as "-a + b - c"; no terms print as "0".
 
-    Only a negative rational prints with a sign; a unit magnitude (1 in both
-    fields) is left out in front of a nonempty unit.
+    `unit` is "" for a constant.  Only a negative rational prints with a
+    sign, so an F_p residue never does; a unit magnitude (1 in both fields)
+    is left out in front of a nonempty unit.
     """
-    negative = not isinstance(value, int) and value < 0
-    mag = -value if negative else value
-    if not unit:
-        return negative, str(mag)
-    if mag == 1:
-        return negative, unit
-    return negative, f"{mag}*{unit}"
-
-
-def join_terms(terms: Iterable[tuple[bool, str]]) -> str:
-    """Join (negative, body) terms as "-a + b - c"; no terms print as "0"."""
     chunks: list[str] = []
-    for negative, body in terms:
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
+    for value, unit in terms:
+        if isinstance(value, int) or value > 0:
+            chunks.append(" + ")
         else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks) if chunks else "0"
+            chunks.append(" - ")
+            value = -value
+        chunks.append((unit if value == 1 else f"{value}*{unit}") if unit else str(value))
+    if not chunks:
+        return "0"
+    chunks[0] = "-" if chunks[0] == " - " else ""
+    return "".join(chunks)
 
 
 def _check_same_ring(a: "CPoly", b: "CPoly") -> None:
@@ -302,17 +297,14 @@ class CPoly:
         # terms only: equal polynomials hash equal, and __eq__ separates rings
         return hash(frozenset(self._terms.items()))
 
-    def _format_monomial(self, mono: Monomial) -> str:
-        parts = []
-        for name, e in zip(self.ring.symbols, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self) -> str:
-        return join_terms(scalar_term(coeff, self._format_monomial(mono)) for mono, coeff in self.terms())
+        """The terms in descending lex order, each monomial as "a1^2*a3"."""
+        symbols, terms = self.ring.symbols, self._terms
+        shown: list[tuple[Scalar, str]] = []
+        for mono in sorted(terms, reverse=True):
+            unit = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(symbols, mono) if e])
+            shown.append((terms[mono], unit))
+        return join_terms(shown)
 
     def __repr__(self) -> str:
         return f"CPoly({self})"
@@ -326,8 +318,10 @@ class ConstraintSystem:
     equations: tuple[CPoly, ...] = dataclass_field(default_factory=tuple)
 
     def __post_init__(self):
+        ring = self.ring
         for eq in self.equations:
-            if eq.ring != self.ring:
+            # the identity test first: the solver's equations all share the system's ring
+            if eq.ring is not ring and eq.ring != ring:
                 raise ContextMismatchError("equation ring differs from system ring")
 
     @property

@@ -50,7 +50,8 @@ class PrimeField:
 
     def coerce(self, x: Scalar) -> int:
         """Map an integer or rational into F_p (canonical representative)."""
-        if isinstance(x, Fraction):
+        # the int test first: an isinstance test against Fraction, an ABC, is slow
+        if not isinstance(x, int) and isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator {x.denominator} vanishes in F_{self.p}")
             return x.numerator * self.inv(x.denominator % self.p) % self.p

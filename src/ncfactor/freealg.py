@@ -33,7 +33,6 @@ from .commutative import (
     add_product,
     axpy,
     join_terms,
-    scalar_term,
 )
 from .errors import ContextMismatchError
 from .fields import Scalar
@@ -159,15 +158,18 @@ class Alphabet:
 
     def format_word(self, word: Word) -> str:
         """The word as a product of letter runs, "x^2*y"; "" for the empty word."""
+        names = self.names
         parts: list[str] = []
-        i = 0
-        while i < len(word):
-            j = i
-            while j < len(word) and word[j] == word[i]:
-                j += 1
-            run = j - i
-            parts.append(self.names[word[i]] if run == 1 else f"{self.names[word[i]]}^{run}")
-            i = j
+        run, prev = 0, None
+        for letter in word:
+            if letter == prev:
+                run += 1
+                continue
+            if run:
+                parts.append(names[prev] if run == 1 else f"{names[prev]}^{run}")
+            run, prev = 1, letter
+        if run:
+            parts.append(names[prev] if run == 1 else f"{names[prev]}^{run}")
         return "*".join(parts)
 
     def __eq__(self, other) -> bool:
@@ -358,8 +360,9 @@ class NCPoly:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        alphabet = self.algebra.alphabet
-        return join_terms(scalar_term(c, alphabet.format_word(w)) for w, c in self.terms())
+        """The terms in descending (degree, lex) word order, each word as letter runs."""
+        fmt, terms = self.algebra.alphabet.format_word, self._terms
+        return join_terms([(terms[w], fmt(w)) for w in sorted(terms, key=word_key, reverse=True)])
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"
@@ -396,16 +399,18 @@ class SymbolicPoly:
         return hash(frozenset((w, frozenset(c.items())) for w, c in self.terms.items()))
 
     def __str__(self) -> str:
-        alphabet = self.algebra.alphabet
-
-        def term(word: Word, coeff: TermDict) -> tuple[bool, str]:
-            unit = alphabet.format_word(word)
+        """As an NCPoly prints, with each non-constant coefficient in parentheses before its word."""
+        fmt, one = self.algebra.alphabet.format_word, self.ring.field.one
+        shown: list[tuple[Scalar, str]] = []
+        for word in sorted(self.terms, key=word_key, reverse=True):
+            coeff, unit = self.terms[word], fmt(word)
             if _is_constant(coeff):
-                return scalar_term(next(iter(coeff.values())), unit)
-            shown = CPoly(self.ring, coeff)
-            return False, f"({shown})*{unit}" if unit else f"({shown})"
-
-        return join_terms(term(w, self.terms[w]) for w in sorted(self.terms, key=word_key, reverse=True))
+                shown.append((next(iter(coeff.values())), unit))
+            else:
+                # a unit magnitude prints its unit alone, with a '+'
+                text = f"({CPoly(self.ring, coeff)})"
+                shown.append((one, f"{text}*{unit}" if unit else text))
+        return join_terms(shown)
 
     def __repr__(self) -> str:
         return f"SymbolicPoly({self})"

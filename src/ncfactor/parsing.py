@@ -13,14 +13,19 @@ variable, at most MAX_EXPONENT times; groups nest at most MAX_NESTING deep.
 Coefficients are integers or integer ratios of at most
 MAX_COEFFICIENT_DIGITS significant digits each, reduced into the
 coefficient field (a ratio whose denominator vanishes mod p is rejected).
-Errors carry the offending position and the expected-token set.  One
-regular expression scans the text once (`scan`), a catch-all alternative
-making any other character an error; a caller that infers the alphabet
-from the identifiers first hands the same scan to the parser.  Recursive
-descent runs by token index on an NCPoly's scalar word dicts
-(`freealg.ScalarTerms`).  A term is one coefficient and one word until a
-group appears, and then a dict that each '*' multiplies by
-`scalar_product`.
+Errors carry the offending position and the expected-token set.
+
+The text is read once (`read`).  A flat sum (no group, ratio or non-ASCII
+character, every term a '*' product of integers and `var ['^' INT]`) is
+read term by term: split at its signs and then at '*', with each distinct
+factor text resolved once, so a term costs one dict lookup per factor.
+Anything else, every error included, goes unchanged to the grammar: one
+regular expression scans it into tokens (`scan`), a catch-all alternative
+making any other character an error, and recursive descent runs by token
+index on an NCPoly's scalar word dicts (`freealg.ScalarTerms`).  There a
+term is one coefficient and one word until a group appears, and then a
+dict that each '*' multiplies by `scalar_product`.  A caller that infers
+the alphabet from the identifiers hands the same reading to the parser.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from __future__ import annotations
 import re
 import string
 from fractions import Fraction
-from typing import NamedTuple, Union
+from itertools import chain
+from typing import NamedTuple, Optional, Union
 
 from .errors import ParseError
 from .fields import Scalar
@@ -49,7 +55,24 @@ _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/]|\S)")
 # Any other first character is a non-ASCII decimal digit (an "int") or bad.
 _KIND = dict.fromkeys(string.digits, "int") | dict.fromkeys(string.ascii_letters + "_", "ident")
 _KIND |= {op: op for op in "-+*^()/"}
-_ATOM = ("INT", "identifier", "'('")
+# Texts the flat reader leaves to the grammar: those with a character outside
+# its ASCII set, and those with whitespace between two word characters ("x y",
+# "2 3"), which dropping the whitespace would join.
+_NOT_FLAT = re.compile(r"[^\w*^+\s-]", re.ASCII)
+_GAP = re.compile(r"\s(?<=\w\s)\s*\w", re.ASCII)
+
+
+class FlatSum(NamedTuple):
+    """A flat sum read term by term: each term's factor texts, in order.
+
+    A term's sign rides on its first factor ("-3", "-x^2").  `factors` maps
+    each distinct factor text, in source order, to (coefficient, identifier,
+    exponent): (c, "", 0) for an integer c, (+-1, name, n) for `name^n`.
+    """
+
+    text: str
+    terms: list[list[str]]
+    factors: dict[str, tuple[int, str, int]]
 
 
 class Tokens(NamedTuple):
@@ -70,14 +93,71 @@ def scan(text: str) -> Tokens:
     return Tokens(text, kinds + ["end"], texts + [""])
 
 
+def _literal(digits: str, max_digits: int) -> Optional[int]:
+    """The value of a decimal literal, or None past max_digits significant digits.
+
+    The digits are counted first: int() raises ValueError on an overlong literal.
+    """
+    significant = digits.lstrip("0")
+    return int(significant or "0") if len(significant) <= max_digits else None
+
+
+def _exponent(digits: str) -> Optional[int]:
+    """The value of an exponent literal, or None above MAX_EXPONENT."""
+    n = _literal(digits, len(str(MAX_EXPONENT)))
+    return n if n is not None and n <= MAX_EXPONENT else None
+
+
+def _factor(text: str) -> Optional[tuple[int, str, int]]:
+    """What one factor of a flat term is (see FlatSum), or None to leave it to the grammar.
+
+    text holds word characters, '^' and at most a leading '-'.
+    """
+    sign = -1 if text[:1] == "-" else 1
+    body = text[1:] if sign < 0 else text
+    if body.isdigit():
+        value = _literal(body, MAX_COEFFICIENT_DIGITS)
+        return None if value is None else (sign * value, "", 0)
+    name, caret, exponent = body.partition("^")
+    if not name or name[0].isdigit():
+        return None
+    if not caret:
+        return sign, name, 1
+    n = _exponent(exponent) if exponent.isdigit() else None
+    return None if n is None else (sign, name, n)
+
+
+def read(text: str) -> Union[FlatSum, Tokens]:
+    """The text read once: term by term when it is a flat sum, else its `scan`."""
+    if _NOT_FLAT.search(text) or _GAP.search(text):
+        return scan(text)
+    # every '-' starts a term, so splitting at '+' keeps each sign on its term
+    pieces = "".join(text.split()).replace("-", "+-").split("+")
+    if not pieces[0] and len(pieces) > 1:
+        del pieces[0]  # the sign in front of the first term
+    terms = [piece.split("*") for piece in pieces]
+    factors = {}
+    # an empty term or factor ("x + - y", "x**y", "x *", "") is an empty or "-" factor text
+    for factor in dict.fromkeys(chain.from_iterable(terms)):
+        kind = _factor(factor)
+        if kind is None:
+            return scan(text)
+        factors[factor] = kind
+    return FlatSum(text, terms, factors)
+
+
 def _position(text: str, i: int) -> int:
     """The position of token i of text (the end token's is len(text)); read for errors only."""
     return ([m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)])[i]
 
 
-def identifiers_in(source: Union[str, Tokens]) -> list[str]:
+def identifiers_in(source: Union[str, FlatSum, Tokens]) -> list[str]:
     """Distinct identifiers in source order; used to infer an alphabet."""
-    _, kinds, texts = source if isinstance(source, Tokens) else scan(source)
+    if isinstance(source, str):
+        source = read(source)
+    if isinstance(source, FlatSum):
+        return list(dict.fromkeys(name for _, name, _ in source.factors.values() if name))
+    _, kinds, texts = source
     return list(dict.fromkeys(tok for kind, tok in zip(kinds, texts) if kind == "ident"))
 
 
@@ -173,18 +253,16 @@ class _Parser:
         i += 2
         if self.kinds[i] != "int":
             raise self.error(i, "exponent must be an integer", ("INT",))
-        text = self.texts[i]
-        # compare digit counts first: a huge literal is never converted
-        if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
+        n = _exponent(self.texts[i])
+        if n is None:
             raise self.error(i, f"exponent exceeds {MAX_EXPONENT}")
-        return (letter,) * int(text), i + 1
+        return (letter,) * n, i + 1
 
     def integer(self, i: int) -> int:
-        # count digits first: int() raises ValueError on an overlong literal
-        digits = self.texts[i].lstrip("0")
-        if len(digits) > MAX_COEFFICIENT_DIGITS:
+        value = _literal(self.texts[i], MAX_COEFFICIENT_DIGITS)
+        if value is None:
             raise self.error(i, f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits")
-        return int(digits or "0")
+        return value
 
     def coefficient(self, i: int) -> tuple[Scalar, int]:
         """The field value of `INT ['/' INT]` at token i, and the index after it."""
@@ -202,6 +280,41 @@ class _Parser:
             raise self.error(i, f"coefficient {num}/{den} is not reducible in {self.field!r}") from None
 
 
-def parse_expression(source: Union[str, Tokens], algebra: FreeAlgebra) -> NCPoly:
-    """Parse expression text, or its `scan`, into an NCPoly over the given algebra."""
-    return _Parser(source if isinstance(source, Tokens) else scan(source), algebra).parse()
+def _flat_poly(flat: FlatSum, algebra: FreeAlgebra) -> Optional[NCPoly]:
+    """The polynomial of a flat sum, or None when it names a letter outside the alphabet.
+
+    Coefficients stay integers, reduced per factor over F_p, until each
+    word's sum is coerced into the field once.
+    """
+    field, index = algebra.field, algebra.alphabet.index
+    values: dict[str, tuple[int, Word]] = {}
+    for factor, (coeff, name, n) in flat.factors.items():
+        try:
+            values[factor] = field.reduce(coeff), ((index(name),) * n if name else ())
+        except KeyError:
+            return None
+    acc: dict[Word, int] = {}
+    for factors in flat.terms:
+        coeff, word = 1, ()
+        for factor in factors:
+            c, w = values[factor]
+            coeff *= c
+            word += w
+        # as in the grammar, a term that is 0 in the field adds no word; a
+        # product of residues is 0 only when one of them is
+        if coeff:
+            acc[word] = acc.get(word, 0) + coeff
+    coerce = field.coerce
+    return NCPoly(algebra, {word: r for word, v in acc.items() if (r := coerce(v))})
+
+
+def parse_expression(source: Union[str, FlatSum, Tokens], algebra: FreeAlgebra) -> NCPoly:
+    """Parse expression text, or its `read`, into an NCPoly over the given algebra."""
+    if isinstance(source, str):
+        source = read(source)
+    if isinstance(source, FlatSum):
+        poly = _flat_poly(source, algebra)
+        if poly is not None:
+            return poly
+        source = scan(source.text)  # the grammar reports the unknown identifier
+    return _Parser(source, algebra).parse()

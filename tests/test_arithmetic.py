@@ -69,7 +69,7 @@ def stored(fld, terms):
         if fld.is_finite:
             assert type(v) is int and 0 < v < fld.p
         else:
-            # the printer's sign test (scalar_term) relies on Fraction values
+            # the printer's sign test (join_terms) relies on Fraction values
             assert type(v) is Fraction and v != 0
         out[key] = v
     return out

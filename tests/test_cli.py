@@ -390,21 +390,41 @@ def test_run_api_directly():
     assert "(y*x + 1) * (y*x*y + 4*y)" in report
 
 
-@pytest.mark.parametrize("variables", [None, ("x", "y")])
-def test_text_is_scanned_once(variables, monkeypatch):
-    # inferring the alphabet and parsing read one scan of the text
-    scans = []
-    pattern = parsing._TOKEN_RE
+# the flat cases keep the ids they had when the test took only `variables`
+@pytest.mark.parametrize(
+    "text,variables,scanned",
+    [
+        pytest.param("y*x*y*x*y - y", None, False, id="None"),
+        pytest.param("y*x*y*x*y - y", ("x", "y"), False, id="variables1"),
+        pytest.param("y*x*(y*x*y) - y", None, True, id="grouped-None"),
+        pytest.param("y*x*(y*x*y) - y", ("x", "y"), True, id="grouped-variables"),
+    ],
+)
+def test_text_is_scanned_once(text, variables, scanned, monkeypatch):
+    # inferring the alphabet and parsing take one reading of the text: the
+    # flat reader looks at it once, and only a text it declines is scanned
+    # into tokens, once
+    reads, scans = [], []
+    flat, tokens = parsing._NOT_FLAT, parsing._TOKEN_RE
 
     class Counting:
-        def findall(self, text):
-            scans.append(text)
-            return pattern.findall(text)
+        def __init__(self, pattern, seen):
+            self.pattern, self.seen = pattern, seen
 
-    monkeypatch.setattr(parsing, "_TOKEN_RE", Counting())
-    code, report = run(Request("y*x*y*x*y - y", PrimeField(5), variables, (2, 3)))
+        def search(self, text):
+            self.seen.append(text)
+            return self.pattern.search(text)
+
+        def findall(self, text):
+            self.seen.append(text)
+            return self.pattern.findall(text)
+
+    monkeypatch.setattr(parsing, "_NOT_FLAT", Counting(flat, reads))
+    monkeypatch.setattr(parsing, "_TOKEN_RE", Counting(tokens, scans))
+    code, report = run(Request(text, PrimeField(5), variables, (2, 3)))
     assert code == 0 and "(y*x + 1) * (y*x*y + 4*y)" in report
-    assert scans == ["y*x*y*x*y - y"]
+    assert reads == [text]
+    assert scans == ([text] if scanned else [])
 
 
 def test_rationals_request_symbolic_description():

@@ -129,6 +129,18 @@ def test_system_texts_render_each_equation_once_in_order(r5ab):
     assert str(ConstraintSystem(r5ab, ())) == "<empty system>"
 
 
+def test_system_rejects_an_equation_from_another_ring(r5ab):
+    # an equal ring built apart is the same ring; different symbols or a
+    # different field are not
+    a = r5ab.symbol("a")
+    assert ConstraintSystem(SymbolRing(PrimeField(5), ("a", "b")), (a + 1,)).equations == (a + 1,)
+    for other in (SymbolRing(PrimeField(5), ("a",)), SymbolRing(PrimeField(7), ("a", "b"))):
+        with pytest.raises(ContextMismatchError, match="equation ring differs from system ring"):
+            ConstraintSystem(other, (a * a, a + 1))
+        with pytest.raises(ContextMismatchError):
+            ConstraintSystem(r5ab, (a, other.symbol("a")))
+
+
 def test_enumerate_solutions_quadratic(r5a):
     a = r5a.symbol("a")
     sols = enumerate_solutions(ConstraintSystem(r5a, (a * a - 1,)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncfactor import parsing
 from ncfactor.commutative import SymbolRing
 from ncfactor.errors import ParseError
 from ncfactor.fields import PrimeField, RationalField
@@ -302,3 +303,123 @@ def test_random_expression_trees_match_ncpoly_arithmetic(p):
         text, expected = _random_expression(rng, alg, rng.randint(0, 3), seen)
         assert parse_expression(text, alg) == expected, (case, text)
         assert identifiers_in(text) == list(dict.fromkeys(seen)), (case, text)
+
+
+# -- the flat reader against the grammar --------------------------------------
+#
+# parse_expression reads a flat sum term by term and hands every other text
+# to the grammar.  Both must give the same terms, in the same order and with
+# the same scalar types (Fraction over Q: the printer tells the fields apart
+# by `isinstance(value, int)`), or the same ParseError.
+
+
+def _grammar(text, alg):
+    return parsing._Parser(parsing.scan(text), alg).parse()
+
+
+def _outcome(parse, text, alg):
+    """The terms a parse gives, with their scalar types, or its error's message, position and expected set."""
+    try:
+        terms = parse(text, alg)._terms
+    except ParseError as e:
+        return str(e), e.position, e.expected
+    return [(word, type(v), v) for word, v in terms.items()]
+
+
+def _check_reader(text, alg, flat):
+    """The reader and the grammar agree on text; `flat` says whether the reader keeps it."""
+    assert _outcome(parse_expression, text, alg) == _outcome(_grammar, text, alg), text
+    try:
+        tokens = parsing.scan(text)
+    except ParseError:
+        assert not flat
+        return
+    assert isinstance(parsing.read(text), parsing.FlatSum) == flat, text
+    assert identifiers_in(text) == identifiers_in(tokens), text
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1, None], ids=["F_2", "F_101", "F_2^31-1", "Q"])
+def test_reader_matches_grammar_on_seeded_products(p):
+    field = PrimeField(p) if p else RationalField()
+    flat = 0
+    for seed in range(60):
+        f, _, _ = random_factorable(seed, field, 2 + seed % 3, 2 + seed % 2, term_cap=8, n_vars=3)
+        text = str(f)
+        # over Q a ratio coefficient is left to the grammar
+        kept = "/" not in text
+        _check_reader(text, f.algebra, kept)
+        flat += kept
+    assert flat >= 20
+
+
+FLAT_TEXTS = [
+    # signs and spacing
+    "+x*y",
+    "-x*y",
+    "  - 6 + x*y^2*x+y*2*x -3*x*y + 0*x*x + x^0*y*x*0",
+    "\tx\n+\ty ^ 2 - 3 * x ",
+    "x ^ 2*y-y",
+    "-2-x",
+    # coefficients
+    "x^0",
+    "x^01 + x^000",
+    "0*x",
+    "x*2*y + y*x*0",
+    "0*y + x + y",  # a zero term adds no word, so y comes after x
+    "101*5*y + x + y",  # and so does a term that is 0 in F_5 and F_101
+    "x*y - x*y",
+    "2*x + 3*x - 0",
+    "7*x*3*x - 21*x^2 + 1",
+    "0" * 5000 + "7*x",
+    "1" * MAX_COEFFICIENT_DIGITS + "*y",
+    f"x^{MAX_EXPONENT // 1000}*y",
+    "x^" + "0" * 5000 + "2",  # only significant digits go to int(), which refuses 4301 or more
+]
+
+DECLINED_TEXTS = [
+    "٣*x",  # a non-ASCII digit
+    "x + y",  # non-ASCII whitespace
+    "(x + y)*x",
+    "1/2*x + y",
+    "x*z",  # z is no letter of the alphabet: the reader keeps it, the grammar reports it
+    f"x^{MAX_EXPONENT + 1} - 1",
+    "x^" + "1" + "0" * 5000,
+    "1" + "0" * MAX_COEFFICIENT_DIGITS + "*x",
+    "",
+    "   ",
+    "+",
+    "-",
+    "x +",
+    "x -",
+    "x*",
+    "*x",
+    "x^",
+    "x**y",
+    "x^^2",
+    "x^2^3",
+    "x^y",
+    "x^-2",
+    "x^+2",
+    "x + - y",
+    "- - x",
+    "+-x",
+    "x*-y",
+    "x y",
+    "2 3*x",
+    "x^2 3",
+    "2x",
+    "x2*y",
+    "_*x",
+    "1_0*x",
+    "x & y",
+]
+
+
+@pytest.mark.parametrize("p", [5, 101, None], ids=["F_5", "F_101", "Q"])
+def test_reader_matches_grammar_on_edge_syntax(p):
+    alg = algebra(p)
+    for text in FLAT_TEXTS:
+        _check_reader(text, alg, True)
+    for text in DECLINED_TEXTS:
+        # "x*z", "x2*y" and "_*x" are read flat; the alphabet rejects them when they are built
+        _check_reader(text, alg, text in ("x*z", "x2*y", "_*x"))
