@@ -2,7 +2,8 @@
 
 Builds a seeded corpus of products plus perturbed (mostly irreducible)
 polynomials, then compares the number of degree splits a full sweep would
-try against the number the filter admits.
+try against the number the filter admits, and against the number the
+Newton polygon bound (`newton_splits`, the one `factor_all` applies) allows.
 
 Usage: python scripts/knapsack_report.py [--prime P] [--cases N]
 """
@@ -14,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ncfactor import PrimeField, knapsack_splits, random_factorable
+from ncfactor import PrimeField, knapsack_splits, newton_splits, random_factorable
 
 
 def main() -> int:
@@ -40,18 +41,21 @@ def main() -> int:
 
     total_all = 0
     total_filtered = 0
+    total_newton = 0
     fully_pruned = 0
     for f in corpus:
         n = f.degree()
         admissible = knapsack_splits(f)
         total_all += n - 1
         total_filtered += len(admissible)
+        total_newton += len(newton_splits(f))
         if not admissible:
             fully_pruned += 1
     reduction = total_all / total_filtered if total_filtered else float("inf")
     print(f"cases: {len(corpus)} over {field!r}")
     print(f"splits without filter: {total_all}")
     print(f"splits with filter:    {total_filtered}")
+    print(f"splits Newton allows:  {total_newton}")
     print(f"reduction factor:      {reduction:.2f}")
     print(f"inputs pruned to zero splits (image irreducible): {fully_pruned}")
     return 0

@@ -43,6 +43,11 @@ the unit ideal (no factorization) and describes the admissible symbol
 values; over F_p it is never needed for the answer and computed only when
 read.
 
+`factor_all` tries only the splits that f's Newton polygon allows when f's
+words use at most two letters (`newton_splits`): graded by letter counts,
+the polygon of a product is the Minkowski sum of its factors' polygons, so
+deg G is a degree that some lattice summand of f's polygon allows.
+
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
 by L of the divisors between L and M.  A `factor_all` whose facts are all
@@ -59,6 +64,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
+from math import gcd
 from typing import NamedTuple, Optional, Union
 
 from .commutative import (
@@ -732,20 +738,94 @@ def knapsack_splits(f: NCPoly) -> set[DegreeSplit]:
     return {DegreeSplit(b, n - b) for b in sums if 1 <= b <= n - 1}
 
 
+def newton_splits(f: NCPoly) -> set[DegreeSplit]:
+    """Degree splits that the Newton polygon of f allows, when f's words use at most two letters.
+
+    Graded by letter counts (#x, #y), K<x,y> is a domain, so in every
+    direction the extreme graded component of G*H is the product of those
+    of G and H, which is nonzero.  Hence the Newton polygon of G*H, the
+    convex hull of the points (#x(w), #y(w)) of its words, is the Minkowski
+    sum NP(G) + NP(H) (Ostrowski; S. Gao, Absolute irreducibility of
+    polynomials via Newton polytopes).  So NP(G) is a lattice summand of
+    NP(f): its edges run along NP(f)'s primitive edge directions u_i with
+    integer lengths 0 <= c_i <= g_i, NP(f)'s, and the c_i*u_i sum to zero.
+    deg G, the largest a + b on NP(G), is its max(a + b) - min a - min b
+    plus min a + min b.  The first term is the sum of max(0, e_b, -e_a)
+    over its edge vectors e, walked counterclockwise (twice its mixed area
+    with the unit triangle).  The second places NP(G): NP(G) and NP(H) lie
+    in N^2 and their minima add up to NP(f)'s, so it is any t in
+    [0, min a + min b over NP(f)].
+
+    Each edge but the last extends, for every sum of c_i*u_i reached, the
+    bit mask of the sums of c_i*max(0, u_ib, -u_ia) that reach it; the last
+    edge closes the summands by lookup.  A letter f does not use has count
+    0 on NP(f), so on both factors, and one letter gives a segment on an
+    axis, which allows every split.  With three or more letters every split
+    is returned: planar projections of that grading cost more than they
+    save.
+    """
+    if f.is_zero():
+        raise ValueError("cannot filter splits of the zero polynomial")
+    terms = f._terms
+    n = max(map(len, terms))
+    letters = set().union(*terms)
+    if len(letters) > 2:
+        return {DegreeSplit(b, n - b) for b in range(1, n)}
+    x = min(letters, default=None)
+    points = sorted({(k, len(w) - k) for w in terms for k in (w.count(x),)})
+
+    def half_hull(points):
+        # the lower hull of points sorted ascending, the upper one of points
+        # sorted descending, counterclockwise without its last vertex
+        out = []
+        for a, b in points:
+            while len(out) > 1 and (out[-1][0] - out[-2][0]) * (b - out[-2][1]) <= (out[-1][1] - out[-2][1]) * (
+                a - out[-2][0]
+            ):
+                out.pop()
+            out.append((a, b))
+        return out[:-1]
+
+    hull = half_hull(points) + half_hull(points[::-1])
+    edges = []  # (u_i, g_i, step_i = max(0, u_ib, -u_ia))
+    for (a0, b0), (a1, b1) in zip(hull, hull[1:] + hull[:1]):
+        g = gcd(a1 - a0, b1 - b0)
+        ua, ub = (a1 - a0) // g, (b1 - b0) // g
+        edges.append((ua, ub, g, max(0, ub, -ua)))
+    reach = {(0, 0): 1}  # sum of c_i*u_i -> bit mask of the sums of c_i*step_i reaching it
+    for ua, ub, g, step in edges[:-1]:
+        extended: dict[tuple[int, int], int] = {}
+        for (sa, sb), mask in reach.items():
+            for c in range(g + 1):
+                key = (sa + c * ua, sb + c * ub)
+                extended[key] = extended.get(key, 0) | mask << c * step
+        reach = extended
+    shapes = 0 if edges else 1  # a point's only summand is a point
+    for ua, ub, g, step in edges[-1:]:
+        for c in range(g + 1):
+            shapes |= reach.get((-c * ua, -c * ub), 0) << c * step
+    allowed = 0
+    for t in range(points[0][0] + min(b for _, b in points) + 1):
+        allowed |= shapes << t
+    return {DegreeSplit(b, n - b) for b in range(1, n) if allowed >> b & 1}
+
+
 def factor_all(
     f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS
 ) -> dict[DegreeSplit, list[SymbolicFactorization]]:
     """Factorizations of f at every split, keyed by split; empty splits are left out.
 
-    `knapsack_splits` is not consulted: it never changes an answer, and its
-    trial division costs more than the top-part check every split starts with.
+    Only the splits `newton_splits` allows are tried; the others have no
+    factorization.  `knapsack_splits` is not consulted: it never changes an
+    answer, and its trial division costs more than the top-part check every
+    split starts with.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() < 2:
         raise ValueError("need degree >= 2 for a nontrivial split")
-    view, n = _prepare(f), f.degree()
-    return {DegreeSplit(b, n - b): facts for b in range(1, n) if (facts := _factor_split(view, b, options))}
+    view = _prepare(f)
+    return {split: facts for split in sorted(newton_splits(f)) if (facts := _factor_split(view, split.h, options))}
 
 
 def factor_completely(f: NCPoly, options: FactorOptions = DEFAULT_OPTIONS) -> list[FactorChain]:

@@ -24,6 +24,7 @@ from ncfactor.factoring import (
     factor_bidegree,
     factor_completely,
     knapsack_splits,
+    newton_splits,
 )
 from ncfactor.fields import PrimeField, RationalField
 from ncfactor.freealg import (
@@ -877,6 +878,71 @@ class TestKnapsackSplits:
                     assert DegreeSplit(b, n - b) in splits
 
 
+def _summand_splits(edges, low, n):
+    """Splits of a polygon's lattice summands, by brute force over the edge lengths.
+
+    `edges` lists the polygon's primitive edge directions counterclockwise
+    with their lattice lengths, and `low` is its min a + min b.  Every
+    vector c of lengths 0 <= c_i <= g_i that closes up is walked as a
+    polygon, and its max(a + b) - min a - min b plus each t in [0, low] is
+    a degree the summand allows.
+    """
+    allowed = set()
+    for c in product(*(range(g + 1) for _, g in edges)):
+        vertices = [(0, 0)]
+        for ((ua, ub), _), ci in zip(edges, c):
+            a, b = vertices[-1]
+            vertices.append((a + ci * ua, b + ci * ub))
+        if vertices[-1] != (0, 0):
+            continue
+        span = max(a + b for a, b in vertices) - min(a for a, _ in vertices) - min(b for _, b in vertices)
+        allowed |= {span + t for t in range(low + 1)}
+    return {DegreeSplit(b, n - b) for b in allowed if 1 <= b <= n - 1}
+
+
+class TestNewtonSplits:
+    @pytest.mark.parametrize(
+        "text, edges, low, expected",
+        [
+            # a point, (2, 1): every placement, t = 0..3
+            ("x*y*x + y*x*x", [], 3, {(1, 2), (2, 1)}),
+            # a segment from (0, 0) to (3, 3) through (1, 1), edge gcd 3: summands of even degree
+            ("x*y*x*y*x*y + y*x + 1", [((1, 1), 3), ((-1, -1), 3)], 0, {(2, 4), (4, 2)}),
+            # a primitive triangle: only the point and the whole
+            ("1 + x*x*y + x*y*y", [((2, 1), 1), ((-1, 1), 1), ((-1, -2), 1)], 0, set()),
+            # a triangle whose edges have gcd 2: its half is the only proper summand
+            ("1 + x^4*y^2 + x^2*y^4", [((2, 1), 2), ((-1, 1), 2), ((-1, -2), 2)], 0, {(3, 3)}),
+            # a parallelogram: its sides are summands, not homothetic to it
+            ("(1 + x*x*y)*(1 + x*y*y)", [((2, 1), 1), ((1, 2), 1), ((-2, -1), 1), ((-1, -2), 1)], 0, {(3, 3)}),
+            # the primitive triangle moved off the b = 0 axis: t = 1 admits 1 and 4
+            ("x + x^3*y + x^2*y^2", [((2, 1), 1), ((-1, 1), 1), ((-1, -2), 1)], 1, {(1, 3), (3, 1)}),
+        ],
+        ids=["point", "segment", "primitive-triangle", "gcd-2-triangle", "parallelogram", "off-axes"],
+    )
+    def test_hand_made_supports_match_the_summand_enumeration(self, text, edges, low, expected):
+        f = ALG.from_text(text)
+        assert newton_splits(f) == _summand_splits(edges, low, f.degree()) == set(map(DegreeSplit._make, expected))
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(101), PrimeField(2**31 - 1), RationalField()], ids=repr)
+    def test_planted_two_letter_products_are_allowed(self, field):
+        for seed in range(60):
+            dg, dh = 1 + seed % 4, 1 + (seed // 4) % 4
+            f, g, h = random_factorable(seed, field, dg, dh, term_cap=4)
+            assert DegreeSplit(g.degree(), h.degree()) in newton_splits(f), (f, g, h)
+
+    def test_three_letters_allow_every_split(self):
+        f, _, _ = random_factorable(3, PrimeField(5), 2, 3, term_cap=3, n_vars=3)
+        assert len({a for w in f._terms for a in w}) == 3
+        assert newton_splits(f) == {DegreeSplit(b, 5 - b) for b in range(1, 5)}
+        # two of three letters: the polygon of the letters f uses still applies
+        three = FreeAlgebra(Alphabet(("x", "y", "z")), SymbolRing(PrimeField(5), ()))
+        assert newton_splits(three.from_text("1 + y*y*z + y*z*z")) == set()
+
+    def test_one_letter_allows_every_split(self):
+        f = one_letter(5).from_text("x^6 + x^2")
+        assert newton_splits(f) == {DegreeSplit(b, 6 - b) for b in range(1, 6)}
+
+
 class TestCommutativeFactorDegrees:
     def test_quintic_image_degrees(self):
         img = ALG.from_text("y*x*y*x*y - y").commutative_image()
@@ -940,9 +1006,10 @@ class TestFactorAll:
         assert len(result[DegreeSplit(2, 3)]) == 2
         assert len(result[DegreeSplit(3, 2)]) == 2
 
-    def test_factor_all_tries_every_split(self):
-        # factor_all is factor_bidegree at every split, and the degree filter
-        # still admits every split that has an answer
+    def test_factor_all_answers_as_factor_bidegree_within_both_filters(self):
+        # factor_all answers as factor_bidegree at every split, though it
+        # tries only the splits the Newton polygon allows; both degree
+        # filters admit every split that has an answer
         polys = [ALG.from_text("y*x*y*x*y - y")]
         for seed in range(40):
             field = PrimeField(2 + seed % 2)
@@ -958,6 +1025,7 @@ class TestFactorAll:
             result = factor_all(f)
             assert {s: pair_set(v) for s, v in result.items()} == expected
             assert set(result) <= knapsack_splits(f)
+            assert set(result) <= newton_splits(f)
 
     def test_two_letter_product_at_mersenne_prime_answers(self):
         # the (2,5) system has no univariate equation; a linear one eliminates
@@ -1496,7 +1564,9 @@ def test_one_symbol_points_are_the_enumerated_ones(field, count, monkeypatch):
     for index in range(count):
         f = make_input(index, field)
         if not f.is_zero() and f.degree() >= 2:
-            factor_all(f)
+            # every split, not only those factor_all tries, so every attempt is checked
+            for b in range(1, f.degree()):
+                factor_bidegree(f, (b, f.degree() - b))
     assert ended == ({"answered": 130, "early": 33} if field else {"answered": 217, "early": 45})
 
 
