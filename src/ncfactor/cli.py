@@ -191,15 +191,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         field = RationalField()
     variables = None
-    if args.vars:
+    if args.vars is not None:
         variables = tuple(name.strip() for name in args.vars.split(",") if name.strip())
     degrees = None
-    if args.degrees:
+    if args.degrees is not None:
         try:
             h_str, k_str = args.degrees.split(",")
             degrees = (int(h_str), int(k_str))
         except ValueError:
-            parser.error("--degrees expects two integers h,k")
+            print("error: --degrees expects two integers h,k", file=sys.stderr)
+            return 2
     expression = args.expression
     if expression == "-":
         expression = sys.stdin.read()

@@ -9,21 +9,23 @@ all symbols is solved exactly.  One pivot attempt settles each split and
 finds every pair of it (`factor_bidegree`): over F_p its facts are the
 answer, and over Q a merge keeps the concrete facts that the attempts
 before it report.  A step (`_solve_step`) returns the new G and H parts and
-its residuals; a word's row holds at most one unknown of each factor.
-Where every unknown lies in one row, as when both top parts are single
-words, one pass reads the step off: a word with the G-top word as prefix
-gives an H coefficient, one with the H-top word as suffix a G coefficient,
-any other a residual, and the overlap symbol fixes both unknowns of the
-overlap word.  Otherwise the step eliminates (`_eliminate`) in one pass
-over its rows in word order, each reduced by the pivot rows before it.  As
-in the column-by-column rule the fact digests pin, every reduction
-subtracts an earlier row from a later one, so both keep the first basis of
-the rows in word order, and with it the same parts and residuals.  The
-recovery runs on plain coefficient dicts ({word: {monomial: scalar}},
-residues mod p over F_p, Fractions over Q) with `freealg.add_word_product`,
-`commutative.axpy` and the field's `reduce`, down to degree 0; the
-coefficients of g*h - f it leaves are the system, so G and H are not
-multiplied again (`assemble_constraints` is the reference).  The drivers check f and split its scalar terms ({word:
+its residuals.  The row of a word holds H_new[x] iff the word is u*x for a
+G-top word u, and G_new[y] iff it is y*v for an H-top word v, so only a
+word u*v[j:] where u's last j letters are v's first j holds both.  Unless
+such a row couples two unknowns the overlap symbol leaves free, one pass
+reads the step off: an unknown's first row in word order gives its value,
+and its other rows, less their share of it, are residuals.  A coupled step
+eliminates (`_eliminate`) in one pass over its rows in word order, each
+reduced by the pivot rows before it.  Either way every reduction subtracts
+an earlier row from a later one, as in the column-by-column rule, so all
+three keep the first basis of the rows in word order, and with it the same
+parts and residuals: the fact digests pin that basis, not which routine
+computes it.  The recovery runs on plain coefficient dicts ({word:
+{monomial: scalar}}, residues mod p over F_p, Fractions over Q) with
+`freealg.add_word_product`, `commutative.axpy` and the field's `reduce`,
+down to degree 0; the coefficients of g*h - f it leaves are the system, so
+G and H are not multiplied again (`assemble_constraints` is the
+reference).  The drivers check f and split its scalar terms ({word:
 scalar}, an NCPoly's own) by degree once (`_prepare`); each split splits
 the top part (`homogeneous.factor_homogeneous_terms`), and evaluates
 (`freealg.evaluate_terms`) and multiplies back (`freealg.scalar_product`)
@@ -197,6 +199,9 @@ def assemble_constraints(f: NCPoly, g: SymbolicPoly, h: SymbolicPoly) -> Constra
     )
 
 
+_NO_WORDS: dict[Word, Scalar] = {}
+
+
 def _solve_step(
     fhat: WordTerms,
     g_words: dict[Word, Scalar],
@@ -218,17 +223,24 @@ def _solve_step(
     So the row of a word holds at most one unknown of each factor, and an
     unknown of H (of G) lies in one row per head word of G_top (of H_top).
     Right-hand sides may involve extension symbols from earlier steps, and
-    `known` holds the unknowns the overlap symbol fixes.
+    `known` holds unknowns the overlap symbol fixes; their rows are read
+    too, with the known parts moved to the right-hand side.
 
-    When every unknown lies in one row (the top part of each factor that
-    meets unknowns is one word: u of G_top, v of H_top), one pass over
-    fhat reads the step off: a word u*x gives H_new[x], its dict in fhat
-    (G_top is monic), a word y*v gives G_new[y], over v's coefficient, and
-    any other word is a residual.  `known` is nonempty only there, at an
-    overlap j of u and v, and its two unknowns empty the row of the overlap
-    word u*v[j:]; a word of both kinds otherwise sends the step to
-    `_eliminate`, which also solves every step with unknowns in several rows
-    by one pass over its rows in word order.
+    A row holds H_new[x] iff it is u*x for a head word u of G_top, and
+    G_new[y] iff it is y*v for a head word v of H_top, so it holds both iff
+    it is u*v[j:] where u's last j letters are v's first j: only where head
+    words overlap can a row couple a G and an H unknown.  Unless some row
+    reached from fhat and `known` couples two unknowns that `known` leaves
+    free, every unknown has rows of its own and one pass reads the step
+    off.  An unknown's value is its first row in word order, the one at its
+    factor's least head word (u0*x for H_new[x], y*v0 for G_new[y]),
+    divided by that head word's coefficient; with one head word that row
+    is read off as it comes.  Its other rows, less their head coefficient
+    times the value, and each row without an unknown are residuals.  A
+    coupled step goes to `_eliminate`.  Both keep the first basis of the
+    step's rows in word order, which is what the fact digests pin, not
+    which routine computes it: no reduction of the read-off involves two
+    unknowns.
 
     Returns (G_new, H_new, residuals): each part's nonzero coefficients by
     word, sharing dicts with fhat and `known`, which stay unchanged, and
@@ -237,39 +249,105 @@ def _solve_step(
     order.  Returns None as soon as a residual is a nonzero constant, which
     no value of the symbols satisfies.
     """
-    if k_minus_j >= 0 and len(g_words) > 1 or h_minus_j >= 0 and len(h_words) > 1:
-        return _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld)
     reduce = fld.reduce
+    h = len(next(iter(g_words)))
+    # the head words whose rows hold an unknown: G_top's where H_new has
+    # words, H_top's where G_new has, and none otherwise
+    g_heads = g_words if k_minus_j >= 0 else _NO_WORDS
+    h_heads = h_words if h_minus_j >= 0 else _NO_WORDS
     g_new: WordTerms = {}
     h_new: WordTerms = {}
-    for (kind, word), value in known.items():
-        (g_new if kind == "G" else h_new)[word] = value
-    h = len(next(iter(g_words)))
-    # the one head word of each factor whose other factor has unknowns; G_top is monic
-    u = next(iter(g_words)) if k_minus_j >= 0 else None
-    v, eta = next(iter(h_words.items())) if h_minus_j >= 0 else (None, 1)
-    inv_eta = 1 if eta == 1 else fld.inv(eta)
-    residual_words = []
-    for m, rhs in fhat.items():
-        to_h = m[:h] == u
-        if m[h_minus_j:] == v:
-            if to_h:
-                if ("H", m[h:]) in known:
-                    continue  # the overlap word
-                return _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld)
-            g_new[m[:h_minus_j]] = rhs if eta == 1 else {mono: reduce(c * inv_eta) for mono, c in rhs.items()}
-        elif to_h:
-            h_new[m[h:]] = rhs
-        elif _is_constant(rhs):
-            return None
+    rows = fhat
+    known_h = known_g = False  # whether `known` fixes an H or a G unknown
+    if known:
+        for (kind, word), value in known.items():
+            if kind == "H":
+                known_h = True
+            else:
+                known_g = True
+            if value:
+                (g_new if kind == "G" else h_new)[word] = value
+            # the rows of a known unknown are read too
+            for head in g_words if kind == "H" else h_words:
+                m = head + word if kind == "H" else word + head
+                if m not in rows:
+                    if rows is fhat:
+                        rows = dict(fhat)
+                    rows[m] = {}
+    # the rows read so far of each free unknown whose factor's top part has
+    # several words, by head word
+    shared: dict[tuple[str, Word], dict[Word, TermDict]] = {}
+    residual_rows = []
+    for m, rhs in rows.items():
+        c = g_heads.get(m[:h])
+        d = h_heads.get(m[h_minus_j:])
+        if known_h and c is not None and (value := known.get(("H", m[h:]))) is not None:
+            rhs = dict(rhs)
+            axpy(rhs, -c, value, reduce)
+            c = None
+        if known_g and d is not None and (value := known.get(("G", m[:h_minus_j]))) is not None:
+            rhs = dict(rhs)
+            axpy(rhs, -d, value, reduce)
+            d = None
+        if d is None:
+            if c is None:
+                if rhs:
+                    if _is_constant(rhs):
+                        return None
+                    residual_rows.append((m, rhs))
+            elif len(g_words) > 1:
+                shared.setdefault(("H", m[h:]), {})[m[:h]] = rhs
+            elif rhs:
+                h_new[m[h:]] = rhs if c == 1 else _scaled(rhs, fld.inv(c), reduce)
+        elif c is None:
+            if len(h_words) > 1:
+                shared.setdefault(("G", m[:h_minus_j]), {})[m[h_minus_j:]] = rhs
+            elif rhs:
+                g_new[m[:h_minus_j]] = rhs if d == 1 else _scaled(rhs, fld.inv(d), reduce)
         else:
-            residual_words.append(m)
-    residual_words.sort(reverse=True)
-    return g_new, h_new, [{mono: reduce(-c) for mono, c in fhat[m].items()} for m in residual_words]
+            return _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld)
+    if shared:
+        # each such unknown's rows in word order; one not read above holds
+        # no known part, so it couples the step if it holds the other
+        # factor's unknown too
+        for (kind, x), by_head in shared.items():
+            heads = g_words if kind == "H" else h_words
+            value = None
+            for u in sorted(heads):
+                m = u + x if kind == "H" else x + u
+                rhs = by_head.get(u)
+                if rhs is None:
+                    if (m[h_minus_j:] in h_heads) if kind == "H" else (m[:h] in g_heads):
+                        return _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld)
+                    rhs = {}
+                c = heads[u]
+                if value is None:
+                    value = rhs if c == 1 else _scaled(rhs, fld.inv(c), reduce)
+                    if value:
+                        (h_new if kind == "H" else g_new)[x] = value
+                else:
+                    rest = dict(rhs)
+                    axpy(rest, -c, value, reduce)
+                    if rest:
+                        if _is_constant(rest):
+                            return None
+                        residual_rows.append((m, rest))
+    if not residual_rows:
+        return g_new, h_new, []
+    residual_rows.sort(reverse=True)  # by word alone: no word is read twice
+    return g_new, h_new, [{mono: reduce(-c) for mono, c in rhs.items()} for _, rhs in residual_rows]
+
+
+def _scaled(terms: TermDict, s: Scalar, reduce: Reduce) -> TermDict:
+    """s*terms, as a new dict."""
+    return {mono: reduce(c * s) for mono, c in terms.items()}
 
 
 def _eliminate(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld):
     """`_solve_step` by elimination over the base field: same arguments, same result.
+
+    `_solve_step` calls it only for a step in which some reached row
+    couples a G and an H unknown that `known` leaves free.
 
     The rows reached from fhat and `known` through every head word are
     visited once, in word order.  Each is reduced by the pivot rows found so
@@ -435,12 +513,16 @@ def _attempt_pivot(
             # The fused word g_hat * h_hat[j:] is left-divisible by g_hat and
             # right-divisible by h_hat at once, so its coefficient c splits
             # into a free part alpha (to G) and (c - alpha*eta)/gamma (to H)
-            # for a fresh symbol alpha.
+            # for a fresh symbol alpha.  With one G head word the fused
+            # word's row is the only one of that H unknown, and the step
+            # reads (c - alpha*eta)/gamma off it; with several it need not
+            # be the first, so the H part is fixed here, at the fused word.
             alpha = symbol_at[j]
-            rest = dict(fhat.get(g_hat + h_hat[j:], {}))
-            axpy(rest, -eta, alpha, reduce)
             known[("G", g_hat[: h - j])] = alpha
-            known[("H", h_hat[j:])] = rest if inv_gamma == 1 else {m: reduce(v * inv_gamma) for m, v in rest.items()}
+            if len(g_head) > 1:
+                rest = dict(fhat.get(g_hat + h_hat[j:], {}))
+                axpy(rest, -eta, alpha, reduce)
+                known[("H", h_hat[j:])] = rest if inv_gamma == 1 else _scaled(rest, inv_gamma, reduce)
         elif not fhat:
             continue  # every unknown of the step is zero
         step = _solve_step(fhat, g_head, h_head, h - j, k - j, known, fld)

@@ -338,6 +338,9 @@ class TestErrors:
             (["--vars", "x,y", "x*z"], 2, "parse error: unknown identifier 'z' at position 2"),
             (["--vars", "x,x", "x*x"], 2, "error: duplicate variable names in ('x', 'x')"),
             (["--vars", ",", "x*y"], 2, "error: --vars declares no variables"),
+            (["--vars", "", "x*y"], 2, "error: --vars declares no variables"),
+            (["--degrees", "", "x*y"], 2, "error: --degrees expects two integers h,k"),
+            (["--degrees", " ", "x*y"], 2, "error: --degrees expects two integers h,k"),
             (["3"], 2, "error: expression has no variables and none were declared"),
             (["x - x"], 2, "error: cannot factor the zero polynomial"),
             (["--degrees", "3,3", "x*x"], 2, "error: degree 2 != 3 + 3"),
@@ -346,7 +349,8 @@ class TestErrors:
         ],
         ids=[
             "bad-character", "bad-character-with-vars", "unknown-identifier", "duplicate-vars",
-            "empty-vars", "no-variables", "zero", "split-mismatch", "zero-cap", "cap-exceeded",
+            "empty-vars", "empty-string-vars", "empty-string-degrees", "blank-degrees", "no-variables",
+            "zero", "split-mismatch", "zero-cap", "cap-exceeded",
         ],
     )
     def test_failure_classes(self, argv, code, message):

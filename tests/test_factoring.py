@@ -1405,6 +1405,35 @@ def _replayed(step):
     return result
 
 
+def _has_coupled_row(fhat, g_words, h_words, h_minus_j, k_minus_j, known, fld):
+    """Whether a row reached from fhat and `known` holds a G and an H unknown, neither in `known`.
+
+    Such a row is u*v[j:] for head words u, v where u's last j letters are
+    v's first j.  Rows are reached as the reference reaches them: fhat's,
+    a known unknown's, and every row of each free unknown reached.
+    """
+    h = len(next(iter(g_words)))
+    pending = list(fhat)
+    for kind, word in known:
+        pending += [u + word for u in g_words] if kind == "H" else [word + v for v in h_words]
+    seen = set()
+    while pending:
+        m = pending.pop()
+        if m in seen:
+            continue
+        seen.add(m)
+        free = []
+        if k_minus_j >= 0 and m[:h] in g_words and ("H", m[h:]) not in known:
+            free.append(("H", m[h:]))
+            pending += [u + m[h:] for u in g_words]
+        if h_minus_j >= 0 and m[h_minus_j:] in h_words and ("G", m[:h_minus_j]) not in known:
+            free.append(("G", m[:h_minus_j]))
+            pending += [m[:h_minus_j] + v for v in h_words]
+        if len(free) == 2:
+            return True
+    return False
+
+
 @pytest.mark.parametrize(
     "field", [PrimeField(2), PrimeField(101), PrimeField(2**31 - 1), RationalField()], ids=repr
 )
@@ -1415,14 +1444,18 @@ def test_solve_step_matches_the_column_order_elimination(field, monkeypatch):
     # The read-off returns dicts of fhat and `known` as parts, so each step
     # is also replayed on deep copies, which it must leave unchanged, and
     # its arguments, copied at the call, must be unchanged after the run.
-    # No step whose top parts are single words reaches the elimination.
+    # Every step that reaches the elimination has a reached row u*v[j:]
+    # whose two unknowns are both missing from `known`, and steps whose top
+    # parts have several words are read off too, with and without `known`.
     make_input = _load_script("fact_digest").make_input
     solve, eliminate = factoring._solve_step, factoring._eliminate
     steps, eliminated = [], []
 
     def recorded(*step):
-        steps.append((step, copy.deepcopy(step[0]), copy.deepcopy(step[5])))
-        return solve(*step)
+        fhat, known, before = copy.deepcopy(step[0]), copy.deepcopy(step[5]), len(eliminated)
+        result = solve(*step)
+        steps.append((step, fhat, known, len(eliminated) > before))
+        return result
 
     monkeypatch.setattr(factoring, "_solve_step", recorded)
     monkeypatch.setattr(factoring, "_eliminate", lambda *step: eliminated.append(step) or eliminate(*step))
@@ -1434,15 +1467,15 @@ def test_solve_step_matches_the_column_order_elimination(field, monkeypatch):
             except SearchSpaceTooLargeError:
                 pass
     monkeypatch.undo()
-    assert eliminated and all(len(g_words) + len(h_words) > 2 for _, g_words, h_words, *_ in eliminated)
+    assert eliminated and all(_has_coupled_row(*step) for step in eliminated)
     kinds = set()
     coupled = 0
-    for step, fhat, known in steps:
+    for step, fhat, known, eliminates in steps:
         assert (step[0], step[5]) == (fhat, known), step
         assert _replayed(step) == _reference_parts(step), step
         _, g_words, h_words, h_minus_j, k_minus_j, known, fld = step
         one_word_tops = len(g_words) == len(h_words) == 1
-        kinds.add((one_word_tops, bool(known)))
+        kinds.add((one_word_tops, bool(known), eliminates))
         if one_word_tops and known:
             # Without its known entries the overlap word's row holds both
             # unknowns: the step eliminates, and the free one is zero.
@@ -1450,7 +1483,7 @@ def test_solve_step_matches_the_column_order_elimination(field, monkeypatch):
             coupled += g_hat + h_hat[len(g_hat) - h_minus_j :] in fhat
             unknown = (fhat, g_words, h_words, h_minus_j, k_minus_j, {}, fld)
             assert _replayed(unknown) == _reference_parts(unknown), step
-    assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+    assert {(True, False, False), (True, True, False), (False, False, False), (False, True, False)} <= kinds
     assert coupled
 
 
@@ -1492,11 +1525,13 @@ def test_eliminate_matches_the_column_order_elimination_on_synthetic_steps(monke
     # Steps the digest corpora never reach: 2-3 head words in both top
     # parts, `known` entries there, right-hand sides in 0-2 symbols, over
     # F_2, F_5, F_(2^31 - 1) and Q.  `_eliminate` visits the rows in word
-    # order and the reference eliminates column by column; their parts and
-    # residuals, in order, agree, and the step is left unchanged.  The
-    # reference's inversions (one per pivot) and reductions show that the
-    # set holds a free column, a reduction that adds an unknown to a row
-    # and a constant-residual exit.
+    # order, `_solve_step` reads uncoupled steps off, and the reference
+    # eliminates column by column; their parts and residuals, in order,
+    # agree, and the step is left unchanged.  Some steps are read off and
+    # some eliminate, each of those with a coupled row.  The reference's
+    # inversions (one per pivot) and reductions show that the set holds a
+    # free column, a reduction that adds an unknown to a row and a
+    # constant-residual exit.
     shapes = {"free column": 0, "fill-in": 0, "constant residual": 0}
     plain_axpy = axpy
 
@@ -1507,12 +1542,19 @@ def test_eliminate_matches_the_column_order_elimination_on_synthetic_steps(monke
         shapes["fill-in"] += any(isinstance(key, int) for key in set(acc) - before)
 
     monkeypatch.setitem(globals(), "axpy", counted_axpy)
+    eliminate, eliminated = factoring._eliminate, []
+    monkeypatch.setattr(factoring, "_eliminate", lambda *step: eliminated.append(step) or eliminate(*step))
+    read_off = 0
     rng = random.Random(35)
     for fld in (PrimeField(2), PrimeField(5), PrimeField(2**31 - 1), RationalField()):
         for _ in range(400):
             step = _synthetic_step(rng, fld, rng.randint(0, 2))
+            expected = _reference_parts(step)
             copied = copy.deepcopy(step)
-            assert factoring._eliminate(*copied) == _reference_parts(step) and copied == step, step
+            assert eliminate(*copied) == expected and copied == step, step
+            before = len(eliminated)
+            assert _replayed(step) == expected, step
+            read_off += len(eliminated) == before
             counting = _CountingInverses(fld)
             result = _reference_solve_step(*step[:-1], counting)
             if result is None:
@@ -1520,6 +1562,7 @@ def test_eliminate_matches_the_column_order_elimination_on_synthetic_steps(monke
             else:
                 shapes["free column"] += counting.inverses < len(result[0]) - len(step[5])
     assert all(shapes.values()), shapes
+    assert read_off and eliminated and all(_has_coupled_row(*step) for step in eliminated)
 
 
 def _record_steps(monkeypatch):
