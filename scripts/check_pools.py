@@ -6,9 +6,10 @@ the outcome with the benchmark's own gate (``perfbench/workloads.py``):
 multiply-back, planted pair, chain count, recorded answer digest or cap stop.
 Stops with exit 1 at the first wrong or lost answer.  Per workload it prints
 how many of the recorded failures (cap stops) now answer and how many still
-stop, and how many pivot attempts, recovery steps, recovery steps that
-eliminate and solver calls (``factoring._attempt_pivot``, ``_solve_step``,
-``_eliminate`` and ``enumerate_solutions`` calls) the pool made; CI diffs
+stop, and how many splits were tried, pivot attempts, recovery steps,
+recovery steps that eliminate and solver calls (``factoring._factor_split``,
+``_attempt_pivot``, ``_solve_step``, ``_eliminate`` and
+``enumerate_solutions`` calls) the pool made; CI diffs
 the whole output against ``tests/golden/check_pools.txt``, so a change that
 runs more of them shows there although CI cannot time it.
 
@@ -25,6 +26,7 @@ import workloads as wl
 
 # the counted functions of ``factoring`` and what their calls are
 COUNTED = {
+    "_factor_split": "splits tried",
     "_attempt_pivot": "pivot attempts",
     "_solve_step": "recovery steps",
     "_eliminate": "recovery steps eliminate",
