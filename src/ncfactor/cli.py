@@ -187,7 +187,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             field: Field = PrimeField(args.field)
         except ValueError as e:
-            parser.error(str(e))
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     else:
         field = RationalField()
     variables = None

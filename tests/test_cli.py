@@ -243,9 +243,21 @@ class TestErrors:
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     def test_non_prime_field_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            capture(["--field", "6", "x*x"])
-        assert exc.value.code == 2
+        assert capture(["--field", "6", "x*x"]) == (2, "", "error: 6 is not prime\n")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("4", "4 is not prime"),
+            ("1", "1 is not prime"),
+            ("-7", "-7 is not prime"),
+            ("2147483648", "2147483648 too large (need a prime p < 2**31)"),
+        ],
+        ids=["composite", "one", "negative", "too-large"],
+    )
+    def test_bad_field_is_one_error_line(self, field, message):
+        # like every other bad option value: one "error: ..." line and exit 2, no usage block
+        assert capture(["--field", field, "x*y"]) == (2, "", f"error: {message}\n")
 
     def test_cap_exhaustion_reports_cap(self):
         # no equation of the (2,2) system is univariate or linear in a symbol,
