@@ -45,10 +45,12 @@ the unit ideal (no factorization) and describes the admissible symbol
 values; over F_p it is never needed for the answer and computed only when
 read.
 
-`factor_all` tries only the splits that f's Newton polygon allows when f's
-words use at most two letters (`newton_splits`): graded by letter counts,
-the polygon of a product is the Minkowski sum of its factors' polygons, so
-deg G is a degree that some lattice summand of f's polygon allows.
+`factor_all` tries only the splits that f's Newton polygon and its extreme
+words allow when f's words use two letters (`newton_splits`): graded by
+letter counts, the polygon of a product is the Minkowski sum of its
+factors' polygons, so NP(G) is a lattice summand of f's polygon, and at
+each vertex of NP(f) NP(G)'s vertex is the letter counts of a prefix that
+f's largest and smallest words there share.
 
 `factor_completely` walks the lattice of the input's left divisors: a free
 algebra is a domain, so the divisors of a factor L^-1*M are the quotients
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 from typing import NamedTuple, Optional, Union
 
@@ -821,40 +823,55 @@ def knapsack_splits(f: NCPoly) -> set[DegreeSplit]:
 
 
 def newton_splits(f: NCPoly) -> set[DegreeSplit]:
-    """Degree splits that the Newton polygon of f allows, when f's words use at most two letters.
+    """Degree splits that the Newton polygon of f and its extreme words allow, for two letters.
 
     Graded by letter counts (#x, #y), K<x,y> is a domain, so in every
     direction the extreme graded component of G*H is the product of those
     of G and H, which is nonzero.  Hence the Newton polygon of G*H, the
     convex hull of the points (#x(w), #y(w)) of its words, is the Minkowski
     sum NP(G) + NP(H) (Ostrowski; S. Gao, Absolute irreducibility of
-    polynomials via Newton polytopes).  So NP(G) is a lattice summand of
-    NP(f): its edges run along NP(f)'s primitive edge directions u_i with
-    integer lengths 0 <= c_i <= g_i, NP(f)'s, and the c_i*u_i sum to zero.
-    deg G, the largest a + b on NP(G), is its max(a + b) - min a - min b
-    plus min a + min b.  The first term is the sum of max(0, e_b, -e_a)
-    over its edge vectors e, walked counterclockwise (twice its mixed area
-    with the unit triangle).  The second places NP(G): NP(G) and NP(H) lie
-    in N^2 and their minima add up to NP(f)'s, so it is any t in
-    [0, min a + min b over NP(f)].
+    polynomials via Newton polytopes).  So P = NP(G) is a lattice summand of
+    NP(f): walking NP(f)'s vertices v_i counterclockwise, P's matching
+    vertices p_i move along the same primitive edge directions u_i by
+    integer lengths 0 <= c_i <= g_i, NP(f)'s, and close up.
 
-    Each edge but the last extends, for every sum of c_i*u_i reached, the
-    bit mask of the sums of c_i*max(0, u_ib, -u_ia) that reach it; the last
-    edge closes the summands by lookup.  A letter f does not use has count
-    0 on NP(f), so on both factors, and one letter gives a segment on an
-    axis, which allows every split.  With three or more letters every split
-    is returned: planar projections of that grading cost more than they
-    save.
+    f's words also place each p_i.  f's component at a vertex v is G's
+    component at p times H's at v - p, and each holds words of one length.
+    Lex order on words of one length is compatible with concatenation on
+    both sides, so f's largest word with counts v is G's largest word with
+    counts p times H's, and likewise for the smallest.  So p is the letter
+    counts of a prefix that f's largest and smallest words at v share in
+    length, with the same counts in both; it lies in [0, v], so P and
+    NP(f) - P lie in N^2.  deg G is |p| at a vertex of NP(f) where a + b is
+    largest, since p is then largest on P in that direction too.
+
+    The walk starts at such a vertex with a bit per allowed position of its
+    p, and along each edge keeps, per allowed position, the bits of the
+    starts that reach it; a start whose bit comes back to it closes a
+    summand, and its |p| is an allowed deg G.  One letter allows every
+    split, and so do three or more letters: planar projections of that
+    grading cost more than they save.
     """
     if f.is_zero():
         raise ValueError("cannot filter splits of the zero polynomial")
     terms = f._terms
     n = max(map(len, terms))
     letters = set().union(*terms)
-    if len(letters) > 2:
+    if len(letters) != 2:
         return {DegreeSplit(b, n - b) for b in range(1, n)}
-    x = min(letters, default=None)
-    points = sorted({(k, len(w) - k) for w in terms for k in (w.count(x),)})
+    x = min(letters)
+    extremes: dict[tuple[int, int], list[Word]] = {}  # point -> [largest word, smallest word]
+    for w in terms:
+        a = w.count(x)
+        point = (a, len(w) - a)
+        pair = extremes.get(point)
+        if pair is None:
+            extremes[point] = [w, w]
+        elif w > pair[0]:
+            pair[0] = w
+        elif w < pair[1]:
+            pair[1] = w
+    points = sorted(extremes)
 
     def half_hull(points):
         # the lower hull of points sorted ascending, the upper one of points
@@ -868,28 +885,36 @@ def newton_splits(f: NCPoly) -> set[DegreeSplit]:
             out.append((a, b))
         return out[:-1]
 
-    hull = half_hull(points) + half_hull(points[::-1])
-    edges = []  # (u_i, g_i, step_i = max(0, u_ib, -u_ia))
-    for (a0, b0), (a1, b1) in zip(hull, hull[1:] + hull[:1]):
+    def prefixes(v):
+        # length -> #x of the prefixes that v's largest and smallest words share in length and counts
+        high, low = extremes[v]
+        counts = accumulate(map(x.__eq__, high), initial=0)
+        if high is low:
+            return dict(enumerate(counts))
+        return {i: a for i, (a, b) in enumerate(zip(counts, accumulate(map(x.__eq__, low), initial=0))) if a == b}
+
+    hull = half_hull(points) + half_hull(points[::-1]) or points
+    top = hull.index(max(hull, key=sum))
+    hull = hull[top:] + hull[:top]
+    allowed = [prefixes(v) for v in hull]
+    # a start is p's length at the first vertex, its bit in the mask of every position it reaches;
+    # lengths 0 and n always close (G or H a constant) and are no split
+    reach = {i: 1 << i for i in allowed[0] if 0 < i < n}
+    # the edges from hull[k - 1] to hull[k], the last one back to hull[0]; a point has none
+    for k in range(1 - len(hull), 1) if len(hull) > 1 else ():
+        (a0, b0), (a1, b1) = hull[k - 1], hull[k]
         g = gcd(a1 - a0, b1 - b0)
-        ua, ub = (a1 - a0) // g, (b1 - b0) // g
-        edges.append((ua, ub, g, max(0, ub, -ua)))
-    reach = {(0, 0): 1}  # sum of c_i*u_i -> bit mask of the sums of c_i*step_i reaching it
-    for ua, ub, g, step in edges[:-1]:
-        extended: dict[tuple[int, int], int] = {}
-        for (sa, sb), mask in reach.items():
+        ua, du = (a1 - a0) // g, (a1 - a0 + b1 - b0) // g  # per primitive step: #x and length
+        current, following = allowed[k - 1], allowed[k]
+        extended: dict[int, int] = {}
+        for i, mask in reach.items():
+            a = current[i]
             for c in range(g + 1):
-                key = (sa + c * ua, sb + c * ub)
-                extended[key] = extended.get(key, 0) | mask << c * step
+                j = i + c * du
+                if following.get(j) == a + c * ua:
+                    extended[j] = extended.get(j, 0) | mask
         reach = extended
-    shapes = 0 if edges else 1  # a point's only summand is a point
-    for ua, ub, g, step in edges[-1:]:
-        for c in range(g + 1):
-            shapes |= reach.get((-c * ua, -c * ub), 0) << c * step
-    allowed = 0
-    for t in range(points[0][0] + min(b for _, b in points) + 1):
-        allowed |= shapes << t
-    return {DegreeSplit(b, n - b) for b in range(1, n) if allowed >> b & 1}
+    return {DegreeSplit(i, n - i) for i, mask in reach.items() if mask >> i & 1}
 
 
 def factor_all(

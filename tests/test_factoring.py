@@ -878,50 +878,103 @@ class TestKnapsackSplits:
                     assert DegreeSplit(b, n - b) in splits
 
 
-def _summand_splits(edges, low, n):
-    """Splits of a polygon's lattice summands, by brute force over the edge lengths.
+def _summand_splits(f, start, edges):
+    """Splits of NP(f)'s lattice summands that f's extreme words can place, by brute force.
 
-    `edges` lists the polygon's primitive edge directions counterclockwise
-    with their lattice lengths, and `low` is its min a + min b.  Every
-    vector c of lengths 0 <= c_i <= g_i that closes up is walked as a
-    polygon, and its max(a + b) - min a - min b plus each t in [0, low] is
-    a degree the summand allows.
+    `edges` lists NP(f)'s primitive edge directions counterclockwise from
+    its vertex `start`, with their lattice lengths.  Every vector c of
+    lengths 0 <= c_i <= g_i that closes up is walked as a polygon and tried
+    at every offset.  A placement counts when each of its vertices is the
+    letter counts of a prefix that the largest and the smallest word of f
+    at the matching vertex of NP(f) share in length and counts; its largest
+    a + b is then an allowed deg G.
     """
-    allowed = set()
+    n = f.degree()
+
+    def counts(w):
+        return (w.count(0), w.count(1))
+
+    def prefix_counts(v):
+        at_v = [w for w in f._terms if counts(w) == v]
+        high, low = max(at_v), min(at_v)
+        return {counts(high[:i]) for i in range(len(high) + 1) if counts(high[:i]) == counts(low[:i])}
+
+    vertices = [start]
+    for (ua, ub), g in edges[:-1]:
+        a, b = vertices[-1]
+        vertices.append((a + g * ua, b + g * ub))
+    allowed = [prefix_counts(v) for v in vertices]
+    degrees = set()
     for c in product(*(range(g + 1) for _, g in edges)):
-        vertices = [(0, 0)]
+        walk = [(0, 0)]
         for ((ua, ub), _), ci in zip(edges, c):
-            a, b = vertices[-1]
-            vertices.append((a + ci * ua, b + ci * ub))
-        if vertices[-1] != (0, 0):
+            a, b = walk[-1]
+            walk.append((a + ci * ua, b + ci * ub))
+        if walk[-1] != (0, 0):
             continue
-        span = max(a + b for a, b in vertices) - min(a for a, _ in vertices) - min(b for _, b in vertices)
-        allowed |= {span + t for t in range(low + 1)}
-    return {DegreeSplit(b, n - b) for b in allowed if 1 <= b <= n - 1}
+        for sa, sb in product(range(-n, n + 1), repeat=2):
+            placed = [(a + sa, b + sb) for a, b in walk[: len(vertices)]]
+            if all(p in at_v for p, at_v in zip(placed, allowed)):
+                degrees.add(max(a + b for a, b in placed))
+    return {DegreeSplit(d, n - d) for d in degrees if 1 <= d <= n - 1}
 
 
 class TestNewtonSplits:
     @pytest.mark.parametrize(
-        "text, edges, low, expected",
+        "text, start, edges, expected",
         [
-            # a point, (2, 1): every placement, t = 0..3
-            ("x*y*x + y*x*x", [], 3, {(1, 2), (2, 1)}),
+            # a point, (2, 1): x*y*x and y*x*x share counts only at lengths 0, 2 and 3
+            ("x*y*x + y*x*x", (2, 1), [], {(2, 1)}),
             # a segment from (0, 0) to (3, 3) through (1, 1), edge gcd 3: summands of even degree
-            ("x*y*x*y*x*y + y*x + 1", [((1, 1), 3), ((-1, -1), 3)], 0, {(2, 4), (4, 2)}),
+            ("x*y*x*y*x*y + y*x + 1", (0, 0), [((1, 1), 3), ((-1, -1), 3)], {(2, 4), (4, 2)}),
             # a primitive triangle: only the point and the whole
-            ("1 + x*x*y + x*y*y", [((2, 1), 1), ((-1, 1), 1), ((-1, -2), 1)], 0, set()),
-            # a triangle whose edges have gcd 2: its half is the only proper summand
-            ("1 + x^4*y^2 + x^2*y^4", [((2, 1), 2), ((-1, 1), 2), ((-1, -2), 2)], 0, {(3, 3)}),
+            ("1 + x*x*y + x*y*y", (0, 0), [((2, 1), 1), ((-1, 1), 1), ((-1, -2), 1)], set()),
+            # a triangle whose edges have gcd 2: its half would need the counts (2, 1) in a prefix of x^4*y^2
+            ("1 + x^4*y^2 + x^2*y^4", (0, 0), [((2, 1), 2), ((-1, 1), 2), ((-1, -2), 2)], set()),
             # a parallelogram: its sides are summands, not homothetic to it
-            ("(1 + x*x*y)*(1 + x*y*y)", [((2, 1), 1), ((1, 2), 1), ((-2, -1), 1), ((-1, -2), 1)], 0, {(3, 3)}),
-            # the primitive triangle moved off the b = 0 axis: t = 1 admits 1 and 4
-            ("x + x^3*y + x^2*y^2", [((2, 1), 1), ((-1, 1), 1), ((-1, -2), 1)], 1, {(1, 3), (3, 1)}),
+            ("(1 + x*x*y)*(1 + x*y*y)", (0, 0), [((2, 1), 1), ((1, 2), 1), ((-2, -1), 1), ((-1, -2), 1)], {(3, 3)}),
+            # the primitive triangle moved off the b = 0 axis: a point at (0, 0) or (1, 0) gives 1; the
+            # whole moved by (1, 0) would give 3, but it needs the counts (2, 1) in a prefix of x^3*y
+            ("x + x^3*y + x^2*y^2", (1, 0), [((2, 1), 1), ((-1, 1), 1), ((-1, -2), 1)], {(1, 3)}),
         ],
         ids=["point", "segment", "primitive-triangle", "gcd-2-triangle", "parallelogram", "off-axes"],
     )
-    def test_hand_made_supports_match_the_summand_enumeration(self, text, edges, low, expected):
+    def test_hand_made_supports_match_the_summand_enumeration(self, text, start, edges, expected):
         f = ALG.from_text(text)
-        assert newton_splits(f) == _summand_splits(edges, low, f.degree()) == set(map(DegreeSplit._make, expected))
+        assert newton_splits(f) == _summand_splits(f, start, edges) == set(map(DegreeSplit._make, expected))
+
+    def test_words_at_a_vertex_place_the_summand(self):
+        # one polygon, a segment from (0, 0) to (2, 2): its half needs the counts (1, 1) at length 2
+        # in both the largest and the smallest word at (2, 2)
+        for text, expected in [
+            ("x*x*y*y + 1", set()),
+            ("x*y*x*y + 1", {(2, 2)}),
+            ("x*y*x*y + x*x*y*y + 1", set()),
+            ("x*y*x*y + y*y*x*x + 1", set()),
+            ("x*y*y*x + y*x*x*y + 1", {(2, 2)}),
+        ]:
+            f = ALG.from_text(text)
+            edges = [((1, 1), 2), ((-1, -1), 2)]
+            assert newton_splits(f) == _summand_splits(f, (0, 0), edges) == set(map(DegreeSplit._make, expected)), text
+
+    def test_oracle_pairs_are_allowed(self):
+        # F_2 and F_3 planted products plus one random monomial, mostly irreducible: every split
+        # where the brute-force oracle finds a pair is allowed, and the bound rules out others
+        checked = pruned = answered = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            f, _, _ = random_factorable(seed, PrimeField(2 + seed % 2), 1 + seed % 3, 1 + seed // 3 % 3, term_cap=3)
+            f = f + f.algebra.monomial(tuple(rng.randrange(2) for _ in range(rng.randint(0, f.degree()))), 1)
+            if f.is_zero() or f.degree() < 2:
+                continue
+            n, allowed = f.degree(), newton_splits(f)
+            for b in range(1, n):
+                if brute_force_factor(f, (b, n - b)):
+                    answered += 1
+                    assert DegreeSplit(b, n - b) in allowed, f
+            checked += 1
+            pruned += n - 1 - len(allowed)
+        assert (checked, answered, pruned) == (199, 159, 322)
 
     @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(101), PrimeField(2**31 - 1), RationalField()], ids=repr)
     def test_planted_two_letter_products_are_allowed(self, field):
@@ -1026,6 +1079,57 @@ class TestFactorAll:
             assert set(expected) <= newton_splits(f)
             result = factor_all(f)
             assert {s: pair_set(v) for s, v in result.items()} == expected
+
+    def test_prefixes_skip_an_attempt_that_answers_nothing(self, monkeypatch):
+        # the polygon of x + x^3*y + x^2*y^2 allows (1,3) and (3,1), and the top part x^2*(x + y)*y
+        # splits at both, but deg G = 3 needs the counts (2, 1) in a prefix of x^3*y: only (1,3) is tried
+        calls = []
+        attempt = factoring._attempt_pivot
+        monkeypatch.setattr(factoring, "_attempt_pivot", lambda *args: calls.append(args[3]) or attempt(*args))
+        result = factor_all(ALG.from_text("x + x^3*y + x^2*y^2"))
+        assert len(calls) == 1
+        assert {s: {(str(g), str(h)) for g, h in pair_set(v)} for s, v in result.items()} == {
+            DegreeSplit(1, 3): {("x", "x*y^2 + x^2*y + 1")}
+        }
+        assert factor_bidegree(ALG.from_text("x + x^3*y + x^2*y^2"), (3, 1)) == []
+
+    def test_reversal_and_letter_swap_map_the_pairs(self):
+        # G*H = f iff rev(H)*rev(G) = rev(f), and swapping the two letters is an automorphism:
+        # the answers of the mapped inputs are the mapped answers, on the two-letter F_p inputs of
+        # the fact digest; reversal turns the prefixes newton_splits reads into suffixes
+        make_input = _load_script("fact_digest").make_input
+
+        def mapped(poly, fn):
+            return NCPoly(poly.algebra, {fn(w): c for w, c in poly._terms.items()})
+
+        def pairs(result):
+            return {split: {normalize_pair(fact.left, fact.right) for fact in facts} for split, facts in result.items()}
+
+        def reverse(w):
+            return w[::-1]
+
+        checked = 0
+        for index in range(3000):
+            f = make_input(index)
+            letters = sorted(set().union(*f._terms))
+            if index % 5 == 4 or len(letters) != 2:
+                continue
+            x, y = letters
+
+            def swap(w):
+                return tuple(y if a == x else x if a == y else a for a in w)
+
+            result = pairs(factor_all(f))
+            assert pairs(factor_all(mapped(f, reverse))) == {
+                DegreeSplit(k, h): {normalize_pair(mapped(right, reverse), mapped(left, reverse)) for left, right in found}
+                for (h, k), found in result.items()
+            }, f
+            assert pairs(factor_all(mapped(f, swap))) == {
+                split: {normalize_pair(mapped(left, swap), mapped(right, swap)) for left, right in found}
+                for split, found in result.items()
+            }, f
+            checked += 1
+        assert checked == 1397
 
     def test_two_letter_product_at_mersenne_prime_answers(self):
         # the (2,5) system has no univariate equation; a linear one eliminates

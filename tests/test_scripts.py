@@ -16,8 +16,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("chain_growth.py", ["--prime", "5", "--max-roots", "3"], "maximal chains: 24"),
         ("knapsack_report.py", ["--prime", "2", "--cases", "30"], "splits with filter:    50"),
         ("knapsack_report.py", ["--prime", "2", "--cases", "150"], "splits with filter:    250"),
-        ("knapsack_report.py", ["--prime", "2", "--cases", "30"], "splits Newton allows:  52"),
-        ("knapsack_report.py", ["--prime", "2", "--cases", "150"], "splits Newton allows:  263"),
+        ("knapsack_report.py", ["--prime", "2", "--cases", "30"], "splits Newton allows:  42"),
+        ("knapsack_report.py", ["--prime", "2", "--cases", "150"], "splits Newton allows:  225"),
     ],
 )
 def test_script_runs(script, args, expected):
