@@ -7,9 +7,10 @@ multiply-back, planted pair, chain count, recorded answer digest or cap stop.
 Stops with exit 1 at the first wrong or lost answer.  Per workload it prints
 how many of the recorded failures (cap stops) now answer and how many still
 stop, and how many splits were tried, pivot attempts, recovery steps,
-recovery steps that eliminate and solver calls (``factoring._factor_split``,
-``_attempt_pivot``, ``_solve_step``, ``_eliminate`` and
-``enumerate_solutions`` calls) the pool made; CI diffs
+recovery steps that eliminate, solver calls and left divisions
+(``factoring._factor_split``, ``_attempt_pivot``, ``_solve_step``,
+``_eliminate``, ``enumerate_solutions`` and ``left_divide`` calls) the pool
+made; CI diffs
 the whole output against ``tests/golden/check_pools.txt``, so a change that
 runs more of them shows there although CI cannot time it.
 
@@ -31,6 +32,7 @@ COUNTED = {
     "_solve_step": "recovery steps",
     "_eliminate": "recovery steps eliminate",
     "enumerate_solutions": "enumerate_solutions calls",
+    "left_divide": "left divisions",
 }
 
 
