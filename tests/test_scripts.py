@@ -19,6 +19,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("knapsack_report.py", ["--prime", "2", "--cases", "30"], "splits Newton allows:  42"),
         ("knapsack_report.py", ["--prime", "2", "--cases", "150"], "splits Newton allows:  225"),
     ],
+    # the script and the case, not the expected text, so a re-recorded count keeps the id
+    ids=[
+        "chain_growth-p5-roots3",
+        "knapsack_report-p2-cases30-filter",
+        "knapsack_report-p2-cases150-filter",
+        "knapsack_report-p2-cases30-newton",
+        "knapsack_report-p2-cases150-newton",
+    ],
 )
 def test_script_runs(script, args, expected):
     proc = subprocess.run(
