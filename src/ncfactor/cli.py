@@ -121,6 +121,9 @@ def run(request: Request) -> tuple[int, str]:
         if request.degrees is not None:
             h, k = request.degrees
             split_results = {DegreeSplit(h, k): factor_bidegree(poly, (h, k), options)}
+        elif request.complete and poly and poly.degree() == 1:
+            # no split, but a degree-1 input is its own chain, as factor_completely says
+            split_results = {}
         else:
             split_results = factor_all(poly, options)
         chains = None

@@ -185,6 +185,25 @@ class TestBehavior:
         assert out == (GOLDEN / "quintic_chains.txt").read_text()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "text,shown,chain",
+        [("x", "x", "x"), ("2*x + 3*y + 1", "3*y + 2*x + 1", "3*y + 2*x + 1")],
+        ids=["letter", "linear"],
+    )
+    def test_complete_degree_one_is_its_own_chain(self, text, shown, chain):
+        # no split, and the one chain factor_completely gives: the input itself
+        code, out, err = capture(["--field", "5", "--complete", text])
+        assert (code, err) == (0, "")
+        assert out == (
+            f"input: {shown}\nfield: F_5\nirreducible (no two-factor splits)\n"
+            f"complete factorizations:\n  ({chain})\n"
+        )
+        code, out, _ = capture(["--field", "5", "--complete", "--json", text])
+        assert code == 0
+        assert json.loads(out) == {
+            "input": text, "field": "F_5", "splits": [], "chains": [{"factors": [chain]}]
+        }
+
     def test_explicit_vars_order(self):
         code, out, _ = capture(["--field", "5", "--vars", "y,x", "y*x*y*x*y - y"])
         assert code == 0
@@ -355,6 +374,9 @@ class TestErrors:
             (["--degrees", " ", "x*y"], 2, "error: --degrees expects two integers h,k"),
             (["3"], 2, "error: expression has no variables and none were declared"),
             (["x - x"], 2, "error: cannot factor the zero polynomial"),
+            (["--complete", "x - x"], 2, "error: cannot factor the zero polynomial"),
+            (["x"], 2, "error: need degree >= 2 for a nontrivial split"),
+            (["--vars", "x", "--complete", "3"], 2, "error: need degree >= 2 for a nontrivial split"),
             (["--degrees", "3,3", "x*x"], 2, "error: degree 2 != 3 + 3"),
             (["--max-solutions", "0", "x*x"], 2, "error: enumeration cap must be positive"),
             (["--max-solutions", "4", CAP_INPUT], 3, "error: enumeration needs 25 points, cap is 4"),
@@ -362,7 +384,7 @@ class TestErrors:
         ids=[
             "bad-character", "bad-character-with-vars", "unknown-identifier", "duplicate-vars",
             "empty-vars", "empty-string-vars", "empty-string-degrees", "blank-degrees", "no-variables",
-            "zero", "split-mismatch", "zero-cap", "cap-exceeded",
+            "zero", "zero-complete", "degree-one", "constant-complete", "split-mismatch", "zero-cap", "cap-exceeded",
         ],
     )
     def test_failure_classes(self, argv, code, message):
