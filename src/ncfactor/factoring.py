@@ -974,15 +974,16 @@ def _complete_chains(
 
     def walk(lower: NCPoly, q: NCPoly, facts: dict[DegreeSplit, list[SymbolicFactorization]]) -> None:
         # the divisors lower*L that the concrete facts L*R of q = lower^-1*upper give
+        # only the root's quotient is f (the others have lower degree), and its lower is 1
+        root = q is f
         splits = [
-            (lower * fact.left, fact.left, fact.right)
+            (fact.left if root else lower * fact.left, fact.left, fact.right)
             for split_facts in facts.values()
             for fact in split_facts
             if fact.is_concrete
         ]
         for d, _, right in splits:
-            # only the root's quotient is f: the others have lower degree
-            cofactors.setdefault(d, right if q == f else None)
+            cofactors.setdefault(d, right if root else None)
         if len(splits) == sum(map(len, facts.values())):
             return  # concrete facts list every divisor of q
         for d, left, right in splits:
@@ -1004,40 +1005,51 @@ def _cover_paths(f: NCPoly, cofactors: dict[NCPoly, Optional[NCPoly]]) -> list[F
     down-set is filled in ascending degree, and so is the scan over its
     candidates: a candidate i with a divisor known not to divide m cannot
     divide m, so only the candidates whose own down-set lies in m's are
-    divided, and the down-set keeps each quotient divided out.  The lower
-    covers of m are the maximal members of its down-set.  A step above 1
-    is the divisor itself, and a step below f is the cofactor, divided out
-    only where there is none.  The paths up to f are memoized per divisor,
-    so each chain is built once, with each step's text rendered once.
+    divided, and the down-set keeps each quotient divided out, as a term
+    dict.  The lower covers of m are the maximal members of its down-set.
+    A step above 1 is the divisor itself, and a step below f is the
+    cofactor, divided out only where there is none.  Only cover steps
+    become factors: each distinct step is built as an NCPoly and rendered
+    once per call, however many cover edges share it.  The paths up to f
+    are memoized per divisor, so each chain is built once.
     """
     alg = f.algebra
     reduce = alg.field.reduce
     elems = [alg.one(), *sorted(cofactors, key=NCPoly.degree), f]
+    terms = [d._terms for d in elems]
     top = len(elems) - 1
     degree = [d.degree() for d in elems]
-    # below[m] maps each index i of a divisor of elems[m] to elems[i]^-1 * elems[m]
-    below: list[dict[int, Optional[NCPoly]]] = [{}]
+    # below[m] maps each index i of a divisor of elems[m] to the terms of elems[i]^-1 * elems[m]
+    below: list[dict[int, Optional[ScalarTerms]]] = [{}]
     for m in range(1, top):
-        down: dict[int, Optional[NCPoly]] = {0: elems[m]}
+        down: dict[int, Optional[ScalarTerms]] = {0: terms[m]}
         for i in range(1, m):
             if degree[i] >= degree[m]:
                 break
             if below[i].keys() <= down.keys():
-                q = left_divide(elems[m]._terms, elems[i]._terms, reduce)
+                q = left_divide(terms[m], terms[i], reduce)
                 if q is not None:
-                    down[i] = NCPoly(alg, q)
+                    down[i] = q
         below.append(down)
-    below.append({0: f, **{i: cofactors[elems[i]] for i in range(1, top)}})
-    above: list[list[tuple[int, NCPoly, str]]] = [[] for _ in elems]
+    cofactor_terms = {i: None if (c := cofactors[elems[i]]) is None else c._terms for i in range(1, top)}
+    below.append({0: f._terms, **cofactor_terms})
+    # each distinct step, keyed by its terms, as (factor, text)
+    steps: dict[frozenset, tuple[NCPoly, str]] = {}
+    above: list[list[tuple[int, tuple[NCPoly, str]]]] = [[] for _ in elems]
     for m, down in enumerate(below):
         for i in set(down).difference(*map(below.__getitem__, down)):
             q = down[i]
             if q is None:
-                q = NCPoly(alg, left_divide(f._terms, elems[i]._terms, reduce))
-            above[i].append((m, q, str(q)))
+                q = left_divide(f._terms, terms[i], reduce)
+            key = frozenset(q.items())
+            step = steps.get(key)
+            if step is None:
+                factor = NCPoly(alg, q)
+                step = steps[key] = (factor, str(factor))
+            above[i].append((m, step))
     # (texts, factors) of each path from a divisor up to f
     up: list[list[tuple[tuple[str, ...], tuple[NCPoly, ...]]]] = [[] for _ in elems]
     up[top] = [((), ())]
     for i in reversed(range(top)):
-        up[i] = [((text, *texts), (q, *factors)) for m, q, text in above[i] for texts, factors in up[m]]
+        up[i] = [((text, *texts), (q, *factors)) for m, (q, text) in above[i] for texts, factors in up[m]]
     return [FactorChain(factors, texts) for texts, factors in sorted(up[0], key=lambda path: path[0])]

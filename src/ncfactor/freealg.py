@@ -111,22 +111,28 @@ def left_divide(a: ScalarTerms, d: ScalarTerms, reduce: Reduce) -> Optional[Scal
     d must be monic in its leading word.  The leading word is multiplicative,
     so each step cancels the remainder's leading term against d times one
     term of q; a leading word without d's as a prefix leaves a remainder.
+    The remainder is keyed by (length, word), the `word_key` order, so
+    `max` finds its leading word comparing tuples, with no key function.
     """
-    lead = max(d, key=word_key)
-    r = dict(a)
+    n, lead = max(zip(map(len, d), d))
+    # d is monic: its leading term cancels the remainder's, so only the rest is subtracted
+    tail = [(len(w) - n, w, v) for w, v in d.items() if w != lead]
+    r = {(len(w), w): v for w, v in a.items()}
     q: ScalarTerms = {}
     while r:
-        rest = left_quotient(max(r, key=word_key), lead)
-        if rest is None:
+        top = max(r)
+        length, word = top
+        if word[:n] != lead:
             return None
-        c = q[rest] = r[lead + rest]
-        for w, v in d.items():
-            word = w + rest
-            nv = reduce(r.get(word, 0) - c * v)
+        rest = word[n:]
+        c = q[rest] = r.pop(top)
+        for shift, w, v in tail:
+            key = (length + shift, w + rest)
+            nv = reduce(r.get(key, 0) - c * v)
             if nv:
-                r[word] = nv
+                r[key] = nv
             else:
-                r.pop(word, None)
+                r.pop(key, None)
     return q
 
 

@@ -1254,6 +1254,18 @@ class TestFactorCompletely:
         assert len(chains) == 120
         assert len(calls) == 209
 
+    def test_each_distinct_step_is_rendered_once(self, monkeypatch):
+        # y*(xy - 1)(xy - 2)(xy - 3) over F_5 has 24 chains over 32 cover
+        # edges, whose quotients are 7 distinct factors: y, x*y - r, y*x - r
+        rendered = []
+        real = NCPoly.__str__
+        monkeypatch.setattr(NCPoly, "__str__", lambda poly: rendered.append(poly) or real(poly))
+        f, _ = chain_family(PrimeField(5), (1, 2, 3))
+        chains = factor_completely(f)
+        assert len(chains) == 24
+        assert len(rendered) == len({*rendered}) == 7
+        assert {*rendered} == {factor for ch in chains for factor in ch.factors}
+
     @pytest.mark.parametrize(
         "text,quotient,expected",
         [
